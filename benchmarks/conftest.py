@@ -13,7 +13,6 @@ import pathlib
 import pytest
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -28,11 +27,6 @@ def write_artifact(artifact_dir):
 
     def _write(name: str, text: str) -> None:
         atomic_write_text(artifact_dir / name, text)
-        if name.startswith("BENCH_"):
-            # Repo-root copy: CI jobs upload these without digging into
-            # benchmarks/output/, and diffs against the committed baseline
-            # show up in review.
-            atomic_write_text(REPO_ROOT / name, text)
 
     return _write
 

@@ -655,7 +655,7 @@ class Supervisor:
 
         Every watchdog tick sweeps the runtime's worker processes; a dead
         worker is traced as a ``worker_crash`` event and — when the
-        runtime's ``auto_restart`` is set — restarted with checkpoint
+        runtime's ``auto_restart`` is set — restarted with journal
         recovery and ring replay.
         """
         if runtime not in self.runtimes:

@@ -301,7 +301,7 @@ class ColdChunk:
         """What the same samples cost in the hot columnar arrays."""
         return self.count * 16
 
-    # -- persistence glue (format v3) ----------------------------------
+    # -- persistence glue ----------------------------------------------
     def meta(self) -> dict:
         """JSON-safe header describing the chunk (arrays live beside it)."""
         return {

@@ -13,10 +13,11 @@ is everything spanning shards:
 * ``align`` — the bucket-edge grid is computed **once** and shared across
   every series exactly as in
   :meth:`~repro.telemetry.store.TimeSeriesStore.align`, with each column
-  produced by the shared :func:`~repro.telemetry.store.resample_onto`
-  reduceat kernels on data fetched from the owning shard.  Because the
-  federated path and the single-store path execute the same kernel on the
-  same per-series samples, results are bit-for-bit identical.
+  produced by the owning shard's ``resample_column`` (the shared
+  :func:`~repro.telemetry.store.resample_onto` kernels behind the rollup
+  planner).  Because the federated path and the single-store path execute
+  the same kernel on the same per-series samples, results are bit-for-bit
+  identical.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.telemetry.store import (
     bucket_edges,
     check_resample_args,
     forward_fill,
-    resample_onto,
 )
 
 __all__ = ["FederatedQueryEngine"]
@@ -127,11 +127,10 @@ class FederatedQueryEngine:
         until: float,
         step: float,
         agg: str = "mean",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Single-series resample on the owning shard (keeps its fast path)."""
         return self._sharded.store_for(name).resample(
-            name, since, until, step, agg=agg, engine=engine
+            name, since, until, step, agg=agg
         )
 
     def align(
@@ -142,7 +141,6 @@ class FederatedQueryEngine:
         step: float,
         agg: str = "mean",
         fill: str = "ffill",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Cross-shard alignment onto one shared grid.
 
@@ -156,12 +154,9 @@ class FederatedQueryEngine:
                 "federation.align", series=len(names), agg=agg
             ):
                 return self._align(
-                    names, since, until, step, agg=agg, fill=fill,
-                    engine=engine,
+                    names, since, until, step, agg=agg, fill=fill
                 )
-        return self._align(
-            names, since, until, step, agg=agg, fill=fill, engine=engine
-        )
+        return self._align(names, since, until, step, agg=agg, fill=fill)
 
     def _align(
         self,
@@ -171,11 +166,10 @@ class FederatedQueryEngine:
         step: float,
         agg: str = "mean",
         fill: str = "ffill",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         if fill not in ("ffill", "nan"):
             raise StoreError(f"unknown fill mode {fill!r}")
-        check_resample_args(step, agg, engine)
+        check_resample_args(step, agg)
         if until <= since or not names:
             return np.empty(0), np.empty((0, len(names)))
         self.fanouts += 1
@@ -185,15 +179,11 @@ class FederatedQueryEngine:
         grid = edges[:-1]
         columns = []
         for name in names:
-            store = store_of(shard_of(name))
-            column = getattr(store, "resample_column", None)
-            if column is not None:
-                # Planner-aware member (rollup tiers serve eligible
-                # buckets; raw/cold reduction otherwise — same bits).
-                v = column(name, since, until, step, agg, engine, edges)
-            else:
-                times, values = store.query(name, since, until)
-                v = resample_onto(times, values, edges, agg, engine)
+            # Planner-aware member (rollup tiers serve eligible buckets;
+            # raw/cold reduction otherwise — same bits).
+            v = store_of(shard_of(name)).resample_column(
+                name, since, until, step, agg, edges
+            )
             if fill == "ffill":
                 v = forward_fill(v)
             columns.append(v)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import shutil
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,12 +164,6 @@ class ShardedStore:
     retention / retention_slack / flush_threshold:
         Per-shard store configuration, identical in meaning to
         :class:`~repro.telemetry.store.TimeSeriesStore`.
-    store_factory:
-        Override how member stores are built (e.g. to pass a custom store
-        subclass); when given, the three config knobs above are only
-        recorded for introspection, not applied.  Incompatible with
-        ``parallel`` (worker processes rebuild stores from configuration,
-        not from an arbitrary closure).
     parallel:
         Run each replica set in its own worker process, fed by
         shared-memory ring buffers with async batched ingest
@@ -204,7 +198,6 @@ class ShardedStore:
         retention: Optional[float] = None,
         retention_slack: float = 0.25,
         flush_threshold: int = 256,
-        store_factory: Optional[Callable[[], TimeSeriesStore]] = None,
         parallel: bool = False,
         parallel_config=None,
         rollups=None,
@@ -228,33 +221,6 @@ class ShardedStore:
         self.runtime = None
         self.journal = _journal_dict(journal)
         self.corrupt_artifacts = 0  # damaged artifacts degraded at load
-        if store_factory is None:
-            member_factories: Optional[List[_MemberFactory]] = [
-                _MemberFactory(
-                    {
-                        "retention": retention,
-                        "retention_slack": retention_slack,
-                        "flush_threshold": flush_threshold,
-                        "rollups": rollups,
-                        "archive": archive,
-                    },
-                    self.journal,
-                    i,
-                )
-                for i in range(shards)
-            ]
-        elif parallel:
-            raise ConfigurationError(
-                "parallel=True cannot ship a custom store_factory to worker "
-                "processes; configure stores via retention/flush knobs"
-            )
-        elif self.journal is not None:
-            raise ConfigurationError(
-                "journal cannot be combined with a custom store_factory; "
-                "configure member stores via the journal knob alone"
-            )
-        else:
-            member_factories = None
         self.partitioner: Partitioner = (
             partitioner if partitioner is not None else HashPartitioner(shards)
         )
@@ -286,12 +252,18 @@ class ShardedStore:
             )
             self.replica_sets = self.runtime.replica_sets
         else:
+            store_kwargs = {
+                "retention": retention,
+                "retention_slack": retention_slack,
+                "flush_threshold": flush_threshold,
+                "rollups": rollups,
+                "archive": archive,
+            }
             self.replica_sets: List[ReplicaSet] = [
                 ReplicaSet(
                     i,
                     replication,
-                    member_factories[i] if member_factories is not None
-                    else store_factory,
+                    _MemberFactory(store_kwargs, self.journal, i),
                 )
                 for i in range(shards)
             ]
@@ -654,11 +626,8 @@ class ShardedStore:
         until: float,
         step: float,
         agg: str = "mean",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.federation.resample(
-            name, since, until, step, agg=agg, engine=engine
-        )
+        return self.federation.resample(name, since, until, step, agg=agg)
 
     def align(
         self,
@@ -668,8 +637,7 @@ class ShardedStore:
         step: float,
         agg: str = "mean",
         fill: str = "ffill",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         return self.federation.align(
-            names, since, until, step, agg=agg, fill=fill, engine=engine
+            names, since, until, step, agg=agg, fill=fill
         )

@@ -4,17 +4,14 @@ Production monitoring databases persist to disk; the substrate equivalent
 lets long simulations be archived once and analyzed repeatedly (examples,
 notebooks, regression baselines) without re-running the simulator.
 
-Single-store format: one compressed ``.npz`` with two arrays per series
-(``<name>::t``, ``<name>::v``) plus a small JSON header under ``__meta__``.
-Format v2 also records the store configuration (``retention``,
-``retention_slack``, ``flush_threshold``) so a reloaded store behaves like
-the one that was saved; v1 archives (no config) still load with defaults.
+Single-store format (v4, the only one written or read): one compressed
+``.npz`` with two arrays per series (``<name>::t``, ``<name>::v``) plus a
+small JSON header under ``__meta__``.  The header records the store
+configuration and the tiered-storage state:
 
-Format v3 adds the tiered-storage state introduced with rollup cascades
-and the compressed cold tier:
-
-* the ``rollups`` / ``archive`` configuration dicts round-trip through the
-  header, so a reloaded store keeps demoting and pre-aggregating exactly
+* ``retention`` / ``retention_slack`` / ``flush_threshold`` and the
+  ``rollups`` / ``archive`` configuration dicts round-trip through the
+  header, so a reloaded store trims, demotes and pre-aggregates exactly
   like the saved one,
 * cold chunks are persisted **still encoded** (delta-of-delta timestamps,
   XOR-packed values) under ``__cold__::<name>::<i>::{tp,vb,vp}`` with
@@ -26,7 +23,7 @@ and the compressed cold tier:
   header, so long-horizon rollup memory survives a reload even for ranges
   whose raw samples were only ever held by the saved process.
 
-Format v4 makes archives *crash- and corruption-evident*:
+Archives are *crash- and corruption-evident*:
 
 * every payload array carries a CRC in the header (``checksums``) and the
   header itself is covered by a ``__metacrc__`` trailer, so a flipped bit
@@ -41,14 +38,15 @@ Format v4 makes archives *crash- and corruption-evident*:
   (``mark_durable``) after a successful save — the archive now owns that
   data.
 
-Damage handling is tiered like the rest of the pipeline: a v4 archive
-with a damaged array **degrades** — the broken series/chunk/tier is
-skipped with a warning and counted in the reloaded store's
+Damage handling is tiered like the rest of the pipeline: an archive with
+a damaged array **degrades** — the broken series/chunk/tier is skipped
+with a warning and counted in the reloaded store's
 ``telemetry.durability.corrupt_artifacts`` (cold chunks also count in
 ``telemetry.archive.missing_chunks``) — while structural damage (an
-unreadable file, a damaged header) and any damage in pre-checksum v1–v3
-archives raises a typed :class:`~repro.errors.PersistenceError` carrying
-the path and, when known, the byte offset of the damaged zip member.
+unreadable file, a damaged header) and a header of any other format
+version (the pre-checksum v1–v3 included) raises a typed
+:class:`~repro.errors.PersistenceError` carrying the path and, when known,
+the byte offset of the damaged zip member.
 
 Sharded format: a :class:`~repro.telemetry.distributed.ShardedStore`
 deployment persists as one manifest ``.npz`` (header only: topology +
@@ -80,7 +78,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import PersistenceError, StoreError
+from repro.errors import PersistenceError
 from repro.ioutil import CRC_ALGO, atomic_open, crc32
 from repro.telemetry.archive import ColdChunk
 from repro.telemetry.store import TimeSeriesStore
@@ -91,8 +89,7 @@ log = logging.getLogger(__name__)
 
 _META_KEY = "__meta__"
 _META_CRC_KEY = "__metacrc__"
-_FORMAT_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, 4)
+_FORMAT_VERSION = 4  # the only version written, and the only one read
 
 #: Array keys making up one persisted cold chunk / rollup tier.
 _COLD_FIELDS = ("tp", "vb", "vp")
@@ -142,25 +139,26 @@ def _read_meta(archive, path: str) -> dict:
             path=path,
             offset=_member_offset(archive, _META_KEY),
         ) from exc
-    if meta.get("version") not in _READABLE_VERSIONS:
-        raise StoreError(
-            f"{path}: unsupported archive version {meta.get('version')}"
+    if meta.get("version") != _FORMAT_VERSION:
+        raise PersistenceError(
+            f"{path}: unsupported archive version {meta.get('version')!r} "
+            f"(readable: {_FORMAT_VERSION})",
+            path=path,
         )
-    if meta.get("version", 1) >= 4:
-        try:
-            stored = int(archive[_META_CRC_KEY][0])
-        except Exception as exc:
-            raise PersistenceError(
-                f"{path}: archive header checksum is missing or unreadable",
-                path=path,
-                offset=_member_offset(archive, _META_CRC_KEY),
-            ) from exc
-        if crc32(raw) != stored:
-            raise PersistenceError(
-                f"{path}: archive header failed its checksum",
-                path=path,
-                offset=_member_offset(archive, _META_KEY),
-            )
+    try:
+        stored = int(archive[_META_CRC_KEY][0])
+    except Exception as exc:
+        raise PersistenceError(
+            f"{path}: archive header checksum is missing or unreadable",
+            path=path,
+            offset=_member_offset(archive, _META_CRC_KEY),
+        ) from exc
+    if crc32(raw) != stored:
+        raise PersistenceError(
+            f"{path}: archive header failed its checksum",
+            path=path,
+            offset=_member_offset(archive, _META_KEY),
+        )
     return meta
 
 
@@ -336,15 +334,13 @@ def save_store(
 
 
 def _store_kwargs(meta: dict) -> dict:
-    # v1 archives carry only retention; config knobs default like the
-    # TimeSeriesStore constructor.  v3 adds the tier configs (absent keys
-    # — older archives — mean the tiers stay disabled).
+    """Constructor arguments recorded by :func:`_config_meta`."""
     return {
-        "retention": meta.get("retention"),
-        "retention_slack": meta.get("retention_slack", 0.25),
-        "flush_threshold": meta.get("flush_threshold", 256),
-        "rollups": meta.get("rollups"),
-        "archive": meta.get("archive"),
+        key: meta[key]
+        for key in (
+            "retention", "retention_slack", "flush_threshold",
+            "rollups", "archive",
+        )
     }
 
 
@@ -364,18 +360,14 @@ def _member_stores(store, name: str):
 class _ArchiveReader:
     """Checksum-verifying array access over one open ``.npz``.
 
-    v4 damage (CRC mismatch, undecompressable member) returns ``None`` and
-    is counted in :attr:`damaged`; the same damage in a pre-checksum v1–v3
-    archive raises :class:`PersistenceError` (there is no checksum to tell
-    benign from corrupt, so the only honest move is to fail loudly).
+    Damage (CRC mismatch, undecompressable member) returns ``None`` and is
+    counted in :attr:`damaged`.
     """
 
     def __init__(self, archive, meta: dict, path: str):
         self.archive = archive
-        self.meta = meta
         self.path = path
         self.checksums = meta.get("checksums") or {}
-        self.version = int(meta.get("version", 1))
         self.damaged: List[str] = []
 
     def __contains__(self, key: str) -> bool:
@@ -387,14 +379,8 @@ class _ArchiveReader:
         except KeyError:
             raise
         except Exception as exc:
-            if self.version >= 4:
-                self._degrade(key, f"undecodable ({exc})")
-                return None
-            raise PersistenceError(
-                f"{self.path}: damaged array {key!r}: {exc}",
-                path=self.path,
-                offset=_member_offset(self.archive, key),
-            ) from exc
+            self._degrade(key, f"undecodable ({exc})")
+            return None
         expected = self.checksums.get(key)
         if expected is not None and _array_crc(arr) != int(expected):
             self._degrade(key, "checksum mismatch")
@@ -516,7 +502,7 @@ def _load_sharded(path: str, meta: dict):
         with archive:
             try:
                 shard_meta = _read_meta(archive, shard_path)
-            except (PersistenceError, StoreError) as exc:
+            except PersistenceError as exc:
                 log.warning(
                     "%s: shard archive is damaged (%s); loading degraded",
                     shard_path, exc,
@@ -547,12 +533,12 @@ def load_store(path: str) -> Union[TimeSeriesStore, "object"]:
 
     Returns a :class:`TimeSeriesStore`, or a
     :class:`~repro.telemetry.distributed.ShardedStore` when ``path`` is a
-    sharded-deployment manifest.  v1/v2 archives load with the tiers
-    disabled; v3+ archives restore cold chunks (still encoded) and
-    materialized rollup tiers.  Damage in a checksummed v4 archive
-    degrades per series/chunk/shard (counted in
-    ``telemetry.durability.corrupt_artifacts``); structural damage and
-    damaged pre-v4 archives raise :class:`~repro.errors.PersistenceError`.
+    sharded-deployment manifest.  Cold chunks (still encoded) and
+    materialized rollup tiers are restored.  Damage in an archive degrades
+    per series/chunk/shard (counted in
+    ``telemetry.durability.corrupt_artifacts``); structural damage and a
+    header of any version but the current one raise
+    :class:`~repro.errors.PersistenceError`.
     """
     with _open_archive(path) as archive:
         meta = _read_meta(archive, path)

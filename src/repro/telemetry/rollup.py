@@ -360,18 +360,15 @@ class RollupEngine:
         until: float,
         step: float,
         agg: str,
-        engine: str,
         edges: np.ndarray,
     ) -> Optional[np.ndarray]:
         """Serve the buckets of ``edges`` from the coarsest sufficient
         tier, splicing a raw-computed tail for unfinalized/final buckets.
 
         Returns the full per-bucket value array, or ``None`` when no tier
-        is eligible (caller runs the raw path unchanged).  The scalar
-        engine is never served: its reference reductions (``np.sum`` et
-        al.) are not bitwise-committed to ``reduceat`` segmentation.
+        is eligible (caller runs the raw path unchanged).
         """
-        if engine == "scalar" or agg not in SERVABLE_AGGREGATIONS:
+        if agg not in SERVABLE_AGGREGATIONS:
             return None
         tiers = self._series.get(name)
         n = int(edges.size) - 1
@@ -411,7 +408,7 @@ class RollupEngine:
             out[served:] = resample_onto(
                 np.asarray(t_sub, dtype=np.float64),
                 np.asarray(v_sub, dtype=np.float64),
-                edges[served:], agg, engine,
+                edges[served:], agg,
             )
             if served == n - 1:
                 self.tier_hits += 1

@@ -29,9 +29,10 @@ replayed slots).
 Worker death is detected by :meth:`ParallelShardRuntime.check_workers`
 (polled by the :class:`~repro.oda.supervision.Supervisor` watchdog once
 wired via ``watch_runtime``) and heals by restarting the worker: the
-replacement inherits the name-interning table and fault mirror, reloads
-its checkpoint when durability is ``"checkpoint"``, and replays the ring
-window ``[acked, head)`` that the producer never reclaimed.
+replacement inherits the name-interning table and fault mirror, replays
+its journal (on top of the last snapshot, if any) when durability is
+``"wal"``, and replays the ring window ``[acked, head)`` that the producer
+never reclaimed.
 """
 
 from __future__ import annotations
@@ -81,14 +82,9 @@ class RuntimeConfig:
         command_timeout: float = 60.0,
         auto_restart: bool = True,
     ):
-        if durability not in ("none", "checkpoint", "wal"):
+        if durability not in ("none", "wal"):
             raise ConfigurationError(
-                "durability must be 'none', 'checkpoint' or 'wal', got "
-                f"{durability!r}"
-            )
-        if durability == "checkpoint" and not checkpoint_dir:
-            raise ConfigurationError(
-                "durability='checkpoint' requires checkpoint_dir"
+                f"durability must be 'none' or 'wal', got {durability!r}"
             )
         self.ring_capacity = ring_capacity
         self.slot_width = slot_width
@@ -211,13 +207,12 @@ class RemoteStoreProxy:
         until: float,
         step: float,
         agg: str = "mean",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        check_resample_args(step, agg, engine)
+        check_resample_args(step, agg)
         if until <= since:
             return np.empty(0), np.empty(0)
         return self._call(
-            "resample", self.member, name, since, until, step, agg, engine
+            "resample", self.member, name, since, until, step, agg
         )
 
     def resample_column(
@@ -227,7 +222,6 @@ class RemoteStoreProxy:
         until: float,
         step: float,
         agg: str,
-        engine: str,
         edges: np.ndarray,
     ) -> np.ndarray:
         """Planner-aware column primitive (see
@@ -235,7 +229,7 @@ class RemoteStoreProxy:
         rollup tiers serve federated aligns without shipping raw arrays."""
         return self._call(
             "resample_column", self.member, name, since, until, step, agg,
-            engine, np.ascontiguousarray(edges, dtype=np.float64),
+            np.ascontiguousarray(edges, dtype=np.float64),
         )
 
     def align(
@@ -246,16 +240,15 @@ class RemoteStoreProxy:
         step: float,
         agg: str = "mean",
         fill: str = "ffill",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         if fill not in ("ffill", "nan"):
             raise StoreError(f"unknown fill mode {fill!r}")
-        check_resample_args(step, agg, engine)
+        check_resample_args(step, agg)
         if until <= since or not names:
             return np.empty(0), np.empty((0, len(names)))
         return self._call(
             "align", self.member, tuple(names), since, until, step, agg,
-            fill, engine,
+            fill,
         )
 
 
@@ -610,8 +603,8 @@ class ParallelShardRuntime:
 
         The replacement gets the complete interning table and the fault
         mirror up front (slots already in the ring reference them), and —
-        under checkpoint durability — reloads the last checkpoint before
-        replaying, so no acknowledged batch is lost.
+        under ``"wal"`` durability — replays its journal before the ring,
+        so no acknowledged batch is lost.
         """
         proc = self._procs[shard]
         if proc is not None:

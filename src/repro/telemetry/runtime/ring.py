@@ -17,8 +17,8 @@ Three monotonic sequence counters, each written by exactly one side:
 * ``applied``  — slots consumed and applied by the worker (consumer-owned),
 * ``acked``    — slots the producer may reclaim (consumer-owned).
 
-``acked`` trails ``applied`` only under checkpoint durability, where a slot
-is acknowledged once its effects are captured in an on-disk checkpoint.
+``acked`` trails ``applied`` only under ``"wal"`` durability, where a slot
+is acknowledged once its journal record has been handed to the OS.
 Because slots are reclaimed at ``acked`` — not ``applied`` — the window
 ``[acked, head)`` stays intact in shared memory across a worker crash and
 is replayed by the restarted worker, which is what makes acknowledged

@@ -21,23 +21,19 @@ Durability is selected by the parent:
 * ``"none"`` — a slot is acknowledged as soon as it is applied; a worker
   crash loses the shard's in-memory contents (replayed data is only what
   is still unreclaimed in the ring).  Fast, honest, counted.
-* ``"checkpoint"`` — member stores are checkpointed to ``.npz`` every
-  ``checkpoint_interval`` slots and ``acked`` only advances to the
-  checkpointed sequence, so the ring retains everything newer.  After a
-  crash the parent restarts the worker, which reloads the checkpoint and
-  replays ``[max(acked, checkpoint_seq), head)`` — no acknowledged batch
-  is ever lost.
 * ``"wal"`` — every applied ring slot is framed into a per-shard
   write-ahead journal (:mod:`repro.telemetry.durability`) *before* it is
-  staged, and ``acked`` advances only after the journal buffer reaches
-  the OS — so acknowledgement costs one buffered file write instead of a
-  full ``.npz`` checkpoint, and the columnar stager batches freely
-  between acks.  A restarted worker replays the journal into its healthy
-  members (periodic MARK records anchor journal records to ring
-  sequences) and then resumes the ring from the journal frontier.
-  Explicit checkpoints still persist ``.npz`` snapshots when a
+  staged, and ``acked`` advances (every ``checkpoint_interval`` slots)
+  only after the journal buffer reaches the OS — so acknowledgement costs
+  one buffered file write, the ring retains everything newer, and the
+  columnar stager batches freely between acks.  A restarted worker
+  replays the journal into its healthy members (periodic MARK records
+  anchor journal records to ring sequences) and then resumes the ring
+  from the journal frontier — no acknowledged batch is ever lost.
+  Explicit checkpoints persist ``.npz`` snapshots when a
   ``checkpoint_dir`` is configured, and prune journal segments wholly
-  covered by the snapshot.
+  covered by the snapshot; recovery then replays only the journal suffix
+  on top of the reloaded snapshot.
 
 When any member is down or degraded the stager is flushed and ingest falls
 back to per-slot :meth:`ReplicaSet.ingest`, so fault bookkeeping
@@ -240,9 +236,9 @@ class ShardWorker:
         self.conn = conn
         self.durability = durability
         self.checkpoint_dir = checkpoint_dir
-        # A checkpoint must trigger well before the ring fills, or the
-        # producer would block on unacked slots that can only be released
-        # by a checkpoint that never comes.
+        # An ack must trigger well before the ring fills, or the producer
+        # would block on unacked slots that can only be released by an ack
+        # that never comes.
         self.checkpoint_interval = min(
             checkpoint_interval, max(1, ring.capacity // 2)
         )
@@ -334,19 +330,13 @@ class ShardWorker:
     def recover(self) -> None:
         """Resume the consumer cursor; reload durable state if any exists.
 
-        Slots at or before the checkpointed sequence are already durable in
-        the reloaded stores, so replay starts at
-        ``max(acked, checkpoint_seq)`` — this also covers a crash that
-        landed between writing a checkpoint and advancing ``acked``.
         Under ``"wal"`` durability the journal is replayed on top of the
-        (optional) checkpoint and replay resumes from the journal frontier.
+        (optional) checkpoint and ring replay resumes from
+        ``max(acked, journal frontier)`` — this also covers a crash that
+        landed between a journal flush and advancing ``acked``.
         """
         resume = self.ring.acked
-        if self.durability == "checkpoint" and self.checkpoint_dir:
-            meta = self._load_manifest()
-            if meta is not None:
-                resume = max(resume, int(meta.get("seq", 0)))
-        elif self.durability == "wal":
+        if self.durability == "wal":
             resume = max(resume, self._recover_wal())
             self.wal = WriteAheadJournal(self._wal_cfg)
             # Anchor this incarnation's records: batches that follow map to
@@ -466,25 +456,17 @@ class ShardWorker:
     def checkpoint(self) -> int:
         """Flush everything and persist member stores; advance ``acked``.
 
-        Returns the acknowledged sequence.  Only after the manifest (the
-        commit record) is fully written does ``acked`` move, so a crash
-        mid-checkpoint replays from the previous one.  Under ``"wal"``
-        durability the ``.npz`` snapshot is written only when a
-        ``checkpoint_dir`` is configured, and journal segments wholly
-        covered by the snapshot are pruned.
+        Returns the acknowledged sequence.  Under ``"wal"`` durability the
+        journal is flushed first; the ``.npz`` snapshot is written only
+        when a ``checkpoint_dir`` is configured, and only after its
+        manifest (the commit record) is fully written are the journal
+        segments it covers pruned, so a crash mid-checkpoint recovers from
+        the previous snapshot plus the journal.
         """
         applied = self.ring.applied
         self.stager.flush()
         self.rs.flush()
-        if self.durability == "checkpoint" and self.checkpoint_dir:
-            os.makedirs(self.checkpoint_dir, exist_ok=True)
-            for i, member in enumerate(self.rs.members):
-                save_store(member, self._member_path(i))
-            atomic_write_json(
-                self._manifest_path(),
-                {"seq": applied, "shard": self.shard_id},
-            )
-        elif self.durability == "wal" and self.wal is not None:
+        if self.wal is not None:
             self.wal.append_mark(applied)
             wal_seq = self.wal.flush()
             if self.checkpoint_dir:
@@ -592,10 +574,7 @@ class ShardWorker:
             and not instant_ack
             and seq - self.ring.acked >= self.checkpoint_interval
         ):
-            if self.durability == "wal":
-                self._wal_ack()
-            else:
-                self.checkpoint()
+            self._wal_ack()
         return applied
 
     # ------------------------------------------------------------------
@@ -662,20 +641,20 @@ class ShardWorker:
             member, name, time = payload
             return rs.members[member].value_at(name, time)
         if op == "resample":
-            member, name, since, until, step, agg, engine = payload
+            member, name, since, until, step, agg = payload
             grid, vals = rs.members[member].resample(
-                name, since, until, step, agg=agg, engine=engine
+                name, since, until, step, agg=agg
             )
             return grid, vals
         if op == "resample_column":
-            member, name, since, until, step, agg, engine, edges = payload
+            member, name, since, until, step, agg, edges = payload
             return rs.members[member].resample_column(
-                name, since, until, step, agg, engine, edges
+                name, since, until, step, agg, edges
             )
         if op == "align":
-            member, names, since, until, step, agg, fill, engine = payload
+            member, names, since, until, step, agg, fill = payload
             grid, matrix = rs.members[member].align(
-                names, since, until, step, agg=agg, fill=fill, engine=engine
+                names, since, until, step, agg=agg, fill=fill
             )
             return grid, matrix
         if op == "stat":
@@ -732,14 +711,9 @@ class ShardWorker:
             # checkpoint, no reply.
             os._exit(17)
         if op == "stop":
-            if self.durability in ("checkpoint", "wal"):
-                self.checkpoint()
-                if self.wal is not None:
-                    self.wal.close()
-            else:
-                self.stager.flush()
-                rs.flush()
-                self.ring.mark_acked(self.ring.applied)
+            self.checkpoint()
+            if self.wal is not None:
+                self.wal.close()
             self._running = False
             return self.slots_applied
         raise ValueError(f"unknown worker op {op!r}")

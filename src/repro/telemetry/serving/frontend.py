@@ -413,13 +413,13 @@ class QueryFrontend:
             self._check_visible(query.name, matchers)
             return eng.resample(
                 query.name, query.since, query.until, query.step,
-                agg=query.agg, engine=query.engine,
+                agg=query.agg,
             )
         if kind == "align":
             names = self._resolve_align_names(query, matchers)
             grid, matrix = eng.align(
                 names, query.since, query.until, query.step,
-                agg=query.agg, fill=query.fill, engine=query.engine,
+                agg=query.agg, fill=query.fill,
             )
             return (grid, matrix, names)
         raise ServingError(f"unknown query kind {kind!r}")

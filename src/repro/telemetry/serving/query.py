@@ -71,7 +71,6 @@ class ResampleQuery:
     until: float
     step: float
     agg: str = "mean"
-    engine: str = "auto"
 
     kind = "resample"
 
@@ -92,7 +91,6 @@ class AlignQuery:
     step: float = 60.0
     agg: str = "mean"
     fill: str = "ffill"
-    engine: str = "auto"
 
     kind = "align"
 

@@ -115,7 +115,7 @@ AGGREGATIONS: Dict[str, Callable[[np.ndarray], float]] = {
 # starts, ends[-1] == values.size) and returns one value per bucket.  Empty
 # buckets never reach a kernel — the caller leaves them NaN.  That holds for
 # ``count`` and ``sum`` too: a gap bucket is "no data" (NaN), never 0, in
-# the scalar engine, the vectorized engine AND the rollup tier-serving path
+# the per-bucket loop, the kernels AND the rollup tier-serving path
 # (a materialized tier with no bucket at a position fills NaN) — the three
 # must stay in lockstep or tier-served answers diverge from raw on gaps.  Consecutive
 # non-empty buckets are contiguous through any empty buckets between them
@@ -149,17 +149,13 @@ def bucket_edges(since: float, until: float, step: float) -> np.ndarray:
     return since + np.arange(n_buckets + 1) * step
 
 
-def check_resample_args(step: float, agg: str, engine: str) -> None:
+def check_resample_args(step: float, agg: str) -> None:
     """Validate shared resample/align arguments."""
     if step <= 0:
         raise StoreError(f"step must be positive, got {step}")
     if agg not in AGGREGATIONS:
         raise StoreError(
             f"unknown aggregation {agg!r}; valid: {sorted(AGGREGATIONS)}"
-        )
-    if engine not in ("auto", "vectorized", "scalar"):
-        raise StoreError(
-            f"unknown engine {engine!r}; valid: auto, vectorized, scalar"
         )
 
 
@@ -168,13 +164,14 @@ def resample_onto(
     values: np.ndarray,
     edges: np.ndarray,
     agg: str,
-    engine: str = "auto",
 ) -> np.ndarray:
     """Aggregate in-range samples onto the buckets defined by ``edges``.
 
     The caller guarantees ``times`` is already restricted to the query range
     (the final edge absorbs every remaining sample, so a closed upper bound
-    works).  Empty buckets yield NaN.
+    works).  Empty buckets yield NaN.  Aggregations with a ``reduceat``
+    kernel (:data:`VECTORIZED_AGGREGATIONS`) use it; the rest
+    (``std/median/p95/rate``) reduce bucket by bucket.
     """
     out = np.full(edges.size - 1, np.nan)
     if not times.size:
@@ -186,17 +183,12 @@ def resample_onto(
     idx[-1] = times.size
     starts = idx[:-1]
     ends = idx[1:]
-    kernel = VECTORIZED_AGGREGATIONS.get(agg) if engine != "scalar" else None
+    kernel = VECTORIZED_AGGREGATIONS.get(agg)
     if kernel is not None:
         nonempty = ends > starts
         if nonempty.any():
             out[nonempty] = kernel(values, starts[nonempty], ends[nonempty])
         return out
-    if engine == "vectorized":
-        raise StoreError(
-            f"no vectorized kernel for {agg!r}; "
-            f"available: {sorted(VECTORIZED_AGGREGATIONS)}"
-        )
     agg_fn = AGGREGATIONS[agg]
     for i in range(out.size):
         lo, hi = starts[i], ends[i]
@@ -521,6 +513,9 @@ class TimeSeriesStore:
                 if stage is None:
                     stage = staging[name] = _Stage(self._last_time_of(name))
                 if t < stage.last_t:
+                    # The names before this one are already staged: count
+                    # them, so version_stamp() moves whenever content did.
+                    self._count_applied(list(batch.names).index(name), t)
                     raise StoreError(
                         f"series {name}: out-of-order ingest at t={t} "
                         f"(last t={stage.last_t})"
@@ -536,6 +531,13 @@ class TimeSeriesStore:
             self.samples_ingested += len(batch.names)
             if t > self._latest_time:
                 self._latest_time = t
+
+    def _count_applied(self, samples: int, last: float) -> None:
+        """Bookkeeping for a write that is rejected after a prefix applied."""
+        if samples:
+            self.samples_ingested += samples
+            if last > self._latest_time:
+                self._latest_time = last
 
     def _last_time_of(self, name: str) -> float:
         """Last stored timestamp of ``name``, creating the series if needed."""
@@ -697,7 +699,12 @@ class TimeSeriesStore:
                 if size and t0 <= buf._times[size - 1]:
                     # Overlaps the stored tail: let append_many handle the
                     # last-writer-wins collapse (and ordering errors).
-                    buf.append_many(times, rows[:, i])
+                    try:
+                        buf.append_many(times, rows[:, i])
+                    except StoreError:
+                        # The columns before this one are already applied.
+                        self._count_applied(n * i, last)
+                        raise
                 else:
                     end = size + n
                     buf._grow(end)
@@ -1255,21 +1262,6 @@ class TimeSeriesStore:
                         return value
                 raise
 
-    # Shared kernels, kept as method aliases for backwards compatibility.
-    _bucket_edges = staticmethod(bucket_edges)
-    _check_resample_args = staticmethod(check_resample_args)
-
-    def _resample_onto(
-        self,
-        times: np.ndarray,
-        values: np.ndarray,
-        edges: np.ndarray,
-        agg: str,
-        engine: str,
-    ) -> np.ndarray:
-        """Aggregate in-range samples onto the buckets defined by ``edges``."""
-        return resample_onto(times, values, edges, agg, engine)
-
     def resample_column(
         self,
         name: str,
@@ -1277,7 +1269,6 @@ class TimeSeriesStore:
         until: float,
         step: float,
         agg: str,
-        engine: str,
         edges: np.ndarray,
     ) -> np.ndarray:
         """One per-bucket value column on a precomputed edge grid.
@@ -1290,12 +1281,12 @@ class TimeSeriesStore:
         with self._lock:
             if self.rollups is not None:
                 served = self.rollups.serve(
-                    name, since, until, step, agg, engine, edges
+                    name, since, until, step, agg, edges
                 )
                 if served is not None:
                     return served
             times, values = self.query(name, since, until)
-            return resample_onto(times, values, edges, agg, engine)
+            return resample_onto(times, values, edges, agg)
 
     def resample(
         self,
@@ -1304,7 +1295,6 @@ class TimeSeriesStore:
         until: float,
         step: float,
         agg: str = "mean",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Downsample a series onto buckets of width ``step``.
 
@@ -1314,17 +1304,11 @@ class TimeSeriesStore:
         (closed, so a sample exactly at ``until`` is included rather than
         silently dropped).  Empty buckets yield ``NaN`` so gaps stay visible
         to descriptive analytics rather than being silently interpolated.
-
-        ``engine`` selects the bucketing implementation: ``"auto"`` uses the
-        vectorized ``reduceat`` kernel when one exists for ``agg`` and falls
-        back to the scalar per-bucket loop otherwise (``std/median/p95/rate``),
-        ``"scalar"`` forces the reference loop, ``"vectorized"`` raises if no
-        kernel exists.
         """
         if _OBS.enabled:
             with _OBS.tracer.span("store.resample", metric=name, agg=agg):
-                return self._resample_impl(name, since, until, step, agg, engine)
-        return self._resample_impl(name, since, until, step, agg, engine)
+                return self._resample_impl(name, since, until, step, agg)
+        return self._resample_impl(name, since, until, step, agg)
 
     def _resample_impl(
         self,
@@ -1333,15 +1317,14 @@ class TimeSeriesStore:
         until: float,
         step: float,
         agg: str,
-        engine: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_resample_args(step, agg, engine)
+        check_resample_args(step, agg)
         if until <= since:
             return np.empty(0), np.empty(0)
         with self._lock:
-            edges = self._bucket_edges(since, until, step)
+            edges = bucket_edges(since, until, step)
             return edges[:-1], self.resample_column(
-                name, since, until, step, agg, engine, edges
+                name, since, until, step, agg, edges
             )
 
     def align(
@@ -1352,7 +1335,6 @@ class TimeSeriesStore:
         step: float,
         agg: str = "mean",
         fill: str = "ffill",
-        engine: str = "auto",
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Align several series onto a common grid.
 
@@ -1368,8 +1350,8 @@ class TimeSeriesStore:
         """
         if _OBS.enabled:
             with _OBS.tracer.span("store.align", series=len(names), agg=agg):
-                return self._align_impl(names, since, until, step, agg, fill, engine)
-        return self._align_impl(names, since, until, step, agg, fill, engine)
+                return self._align_impl(names, since, until, step, agg, fill)
+        return self._align_impl(names, since, until, step, agg, fill)
 
     def _align_impl(
         self,
@@ -1379,21 +1361,18 @@ class TimeSeriesStore:
         step: float,
         agg: str,
         fill: str,
-        engine: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
         if fill not in ("ffill", "nan"):
             raise StoreError(f"unknown fill mode {fill!r}")
-        self._check_resample_args(step, agg, engine)
+        check_resample_args(step, agg)
         if until <= since or not names:
             return np.empty(0), np.empty((0, len(names)))
         with self._lock:
-            edges = self._bucket_edges(since, until, step)
+            edges = bucket_edges(since, until, step)
             grid = edges[:-1]
             columns = []
             for name in names:
-                v = self.resample_column(
-                    name, since, until, step, agg, engine, edges
-                )
+                v = self.resample_column(name, since, until, step, agg, edges)
                 if fill == "ffill":
                     v = forward_fill(v)
                 columns.append(v)

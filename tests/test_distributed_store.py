@@ -24,6 +24,7 @@ from repro.telemetry import (
     TimeSeriesStore,
 )
 from repro.telemetry.distributed.faults import FAULT_TOPIC
+from tests.reference import scalar_resample
 
 NAMES = tuple(f"cluster.rack{r}.node{n}.power" for r in range(2) for n in range(6))
 
@@ -359,10 +360,8 @@ class TestFederatedEquivalence:
         step = max(until / 5.0, 0.5)
         name = runs[0].names[0]
         for agg in VECTORIZED_AGGREGATIONS:
-            _, fast = sharded.resample(name, 0.0, until, step, agg=agg,
-                                       engine="vectorized")
-            _, ref = sharded.resample(name, 0.0, until, step, agg=agg,
-                                      engine="scalar")
+            _, fast = sharded.resample(name, 0.0, until, step, agg=agg)
+            _, ref = scalar_resample(sharded, name, 0.0, until, step, agg=agg)
             # reduceat and np.sum accumulate in different orders; match the
             # single-store kernel tests' tolerance (NaN pattern exact).
             np.testing.assert_array_equal(np.isnan(fast), np.isnan(ref))

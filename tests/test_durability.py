@@ -4,7 +4,6 @@ anti-entropy repair, and the loss-accounting audit across repair paths."""
 from __future__ import annotations
 
 import os
-import zipfile
 
 import numpy as np
 import pytest
@@ -403,7 +402,7 @@ class TestStoreRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Checksummed persistence (v4) and the pre-v4 typed error path
+# Checksummed persistence (v4)
 # ---------------------------------------------------------------------------
 class TestChecksummedPersistence:
     def _store(self):
@@ -444,40 +443,6 @@ class TestChecksummedPersistence:
             raise PersistenceError("degraded as required", path=path)
         if isinstance(err.value, PersistenceError):
             assert err.value.path == path
-
-    def test_pre_v4_damage_raises_with_path_and_offset(self, tmp_path):
-        import json as _json
-
-        from repro.telemetry.persistence import _META_KEY, _encode_meta
-
-        store = self._store()
-        v4 = str(tmp_path / "v4.npz")
-        save_store(store, v4)
-        # Rewrite as a v2 archive: no checksums, pre-durability format.
-        with np.load(v4) as z:
-            data = {k: z[k] for k in z.files if not k.startswith("__crc__")}
-        meta = _json.loads(bytes(data[_META_KEY]).decode("utf-8"))
-        meta["version"] = 2
-        meta.pop("checksums", None)
-        data[_META_KEY] = _encode_meta(meta)
-        v2 = str(tmp_path / "v2.npz")
-        np.savez_compressed(v2, **data)
-        assert load_store(v2).names()  # intact v2 loads fine
-
-        # Flip a byte inside one member's compressed payload.
-        victim = "rack.s3::v.npy"
-        with zipfile.ZipFile(v2) as zf:
-            info = zf.getinfo(victim)
-        offset = info.header_offset + 80  # inside the member's data
-        with open(v2, "r+b") as fh:
-            fh.seek(offset)
-            byte = fh.read(1)
-            fh.seek(offset)
-            fh.write(bytes([byte[0] ^ 0x01]))
-        with pytest.raises(PersistenceError) as err:
-            loaded = load_store(v2)
-            loaded.query("rack.s3")
-        assert err.value.path == v2
 
     def test_sharded_member_damage_degrades_per_member(self, tmp_path):
         sharded = ShardedStore(shards=3)

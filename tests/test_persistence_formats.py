@@ -1,10 +1,8 @@
-"""Persistence format matrix: v1 and v2 archives still load, v3 round-trips
-tiers, and damaged v3 archives degrade instead of failing.
-
-v1: series arrays + minimal header (no config).
-v2: + store configuration (retention/slack/flush threshold).
-v3: + rollup/archive configs, still-encoded cold chunks, materialized
-rollup tiers; tolerates individually missing cold chunks.
+"""Persistence format: the tiered state (rollup/archive configs,
+still-encoded cold chunks, materialized rollup tiers) round-trips, an
+archive with individually missing cold chunks degrades instead of failing,
+and a header of any other version — the retired v1/v2/v3 included — is
+refused with a typed error naming the file.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import StoreError
+from repro.errors import PersistenceError
 from repro.telemetry import (
     ShardedStore,
     TimeSeriesStore,
@@ -43,17 +41,11 @@ def _tiered_store() -> TimeSeriesStore:
     return store
 
 
-def _rewrite(path: str, out: str, *, version: int, drop_prefixes=(),
-             strip_meta=()):
-    """Clone an archive, dropping keys/meta entries and pinning a version."""
+def _rewrite(path: str, out: str, *, version: int):
+    """Clone an archive with its header pinned to another version."""
     with np.load(path) as z:
-        data = {
-            k: z[k] for k in z.files
-            if not k.startswith(tuple(drop_prefixes)) or k == _META_KEY
-        }
+        data = {k: z[k] for k in z.files}
     meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
-    for key in strip_meta:
-        meta.pop(key, None)
     meta["version"] = version
     data[_META_KEY] = _encode_meta(meta)
     np.savez_compressed(out, **data)
@@ -90,31 +82,27 @@ class TestFormatMatrix:
             assert np.array_equal(a1["idx"], a2["idx"])
             assert _bits_equal(a1["sum"], a2["sum"])
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_older_formats_still_load(self, tmp_path, version):
-        store = _tiered_store()
-        v3 = str(tmp_path / "v3.npz")
-        save_store(store, v3)
-        strip = ["cold", "rollup_state", "rollups", "archive"]
-        if version == 1:
-            strip += ["retention", "retention_slack", "flush_threshold"]
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_retired_version_header_refused(self, tmp_path, version):
+        current = str(tmp_path / "current.npz")
+        save_store(_tiered_store(), current)
         older = _rewrite(
-            v3, str(tmp_path / f"v{version}.npz"), version=version,
-            drop_prefixes=("__cold__", "__rollup__"), strip_meta=strip,
+            current, str(tmp_path / f"v{version}.npz"), version=version
         )
-        loaded = load_store(older)
-        # Tiers stay disabled; the hot samples that were in the v3 archive
-        # load as plain raw series.
-        assert loaded.rollup_config is None and loaded.archive_config is None
-        assert loaded.names() == store.names()
+        with pytest.raises(PersistenceError) as err:
+            load_store(older)
+        assert err.value.path == older
+        assert f"version {version} " in str(err.value)
+        assert "readable: 4" in str(err.value)
 
     def test_unknown_version_rejected(self, tmp_path):
         store = _tiered_store()
         v3 = str(tmp_path / "v3.npz")
         save_store(store, v3)
         bad = _rewrite(v3, str(tmp_path / "v99.npz"), version=99)
-        with pytest.raises(StoreError):
+        with pytest.raises(PersistenceError) as err:
             load_store(bad)
+        assert err.value.path == bad
 
     def test_missing_cold_chunk_degrades(self, tmp_path):
         store = _tiered_store()

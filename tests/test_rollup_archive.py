@@ -22,6 +22,7 @@ from repro.telemetry import (
     SERVABLE_AGGREGATIONS,
     TimeSeriesStore,
 )
+from tests.reference import scalar_resample
 
 DAY = 86400.0
 
@@ -96,13 +97,6 @@ class TestRollupServing:
         g2, r2 = raw.resample("node.power", 0.0, DAY, 93.0, "mean")
         assert _bits_equal(r1, r2)
 
-    def test_scalar_engine_never_tier_served(self):
-        tiered, _, _, _ = _filled()
-        before = tiered.rollups.buckets_served
-        tiered.resample("node.power", 0.0, DAY, 3600.0, "sum",
-                        engine="scalar")
-        assert tiered.rollups.buckets_served == before
-
     def test_non_servable_agg_falls_back(self):
         tiered, raw, _, _ = _filled()
         g1, r1 = tiered.resample("node.power", 0.0, DAY, 3600.0, "p95")
@@ -171,7 +165,7 @@ class TestRollupServing:
 
 class TestGapBucketSemantics:
     """Satellite: count/sum on gap buckets are NaN — never 0 — in the
-    scalar engine, the vectorized engine, and tier-served answers."""
+    scalar reference, the reduceat kernels, and tier-served answers."""
 
     def _gappy(self):
         tiered = TimeSeriesStore(rollups={"steps": [10.0, 60.0]})
@@ -189,17 +183,16 @@ class TestGapBucketSemantics:
     def test_gap_is_nan_in_all_three_paths(self, agg):
         tiered, raw = self._gappy()
         _, vec = raw.resample("m", 0.0, 2400.0, 60.0, agg)
-        _, sca = raw.resample("m", 0.0, 2400.0, 60.0, agg, engine="scalar")
+        _, sca = scalar_resample(raw, "m", 0.0, 2400.0, 60.0, agg)
         _, tier = tiered.resample("m", 0.0, 2400.0, 60.0, agg)
         gap = slice(10, 30)  # buckets [600, 1800)
         assert np.isnan(vec[gap]).all()
         assert np.isnan(sca[gap]).all()
         assert np.isnan(tier[gap]).all()
-        # The engines must agree on which buckets are gaps (NaN, never 0);
-        # scalar np.sum is pairwise so its non-gap values may differ from
-        # reduceat in the last ulp — which is exactly why the planner never
-        # tier-serves the scalar engine.  Tier output is bit-identical to
-        # the vectorized engine it stands in for.
+        # Reference and kernels must agree on which buckets are gaps (NaN,
+        # never 0); scalar np.sum is pairwise so its non-gap values may
+        # differ from reduceat in the last ulp.  Tier output is
+        # bit-identical to the kernels it stands in for.
         assert np.array_equal(np.isnan(vec), np.isnan(sca))
         np.testing.assert_allclose(vec[~np.isnan(vec)], sca[~np.isnan(sca)],
                                    rtol=1e-12)
@@ -368,8 +361,7 @@ class TestRollupEngineInternals:
                               fetch=lambda n, s, u: (np.empty(0),
                                                      np.empty(0)))
         edges = np.arange(0.0, 100.0, 10.0)
-        assert engine.serve("m", 0.0, 90.0, 10.0, "mean", "auto",
-                            edges) is None
+        assert engine.serve("m", 0.0, 90.0, 10.0, "mean", edges) is None
 
     def test_cursor_time_advances(self):
         store = TimeSeriesStore(rollups={"steps": [10.0]})

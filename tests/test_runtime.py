@@ -266,7 +266,7 @@ class TestWorkerLifecycle:
         par = ShardedStore(
             shards=2, replication=1, parallel=True,
             parallel_config=RuntimeConfig(
-                durability="checkpoint",
+                durability="wal",
                 checkpoint_dir=str(tmp_path),
                 checkpoint_interval=8,
                 ring_capacity=64,
@@ -337,7 +337,7 @@ class TestWorkerLifecycle:
             seed=11, racks=2, nodes_per_rack=2, shards=2, replication=1,
             parallel=True,
             parallel_config=RuntimeConfig(
-                durability="checkpoint", checkpoint_dir=str(tmp_path),
+                durability="wal", checkpoint_dir=str(tmp_path),
                 checkpoint_interval=8,
             ),
         )
@@ -464,7 +464,8 @@ class TestParallelFaults:
 # ---------------------------------------------------------------------------
 class TestRuntimeValidation:
     def test_custom_store_factory_rejected_in_parallel(self):
-        with pytest.raises(ConfigurationError):
+        # Not an extension point any more: members are built from config.
+        with pytest.raises(TypeError):
             ShardedStore(
                 shards=2, parallel=True, store_factory=TimeSeriesStore,
             )
@@ -473,9 +474,13 @@ class TestRuntimeValidation:
         with pytest.raises(ConfigurationError):
             TelemetrySystem(parallel=True)
 
-    def test_checkpoint_durability_requires_dir(self):
+    def test_checkpoint_durability_requires_dir(self, tmp_path):
+        # Snapshots ride on "wal" (+ checkpoint_dir); a checkpoint-only
+        # mode is as unknown as any other value, with or without a dir.
         with pytest.raises(ConfigurationError):
             RuntimeConfig(durability="checkpoint")
+        with pytest.raises(ConfigurationError):
+            RuntimeConfig(durability="checkpoint", checkpoint_dir=str(tmp_path))
         with pytest.raises(ConfigurationError):
             RuntimeConfig(durability="paxos")
 

@@ -13,17 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StoreError
 from repro.telemetry import TimeSeriesStore
 from repro.telemetry.store import AGGREGATIONS, VECTORIZED_AGGREGATIONS
+from tests.reference import scalar_align, scalar_resample
 
 VECTOR_AGGS = sorted(VECTORIZED_AGGREGATIONS)
+
+#: The store's kernels and the per-bucket reference, by the name the gap
+#: tests parametrize on.
+ENGINES = {"vectorized": TimeSeriesStore.resample, "scalar": scalar_resample}
 
 
 def _assert_engines_agree(store, name, since, until, step, agg):
     grid_v, vec = store.resample(name, since, until, step, agg=agg)
-    grid_s, ref = store.resample(name, since, until, step, agg=agg,
-                                 engine="scalar")
+    grid_s, ref = scalar_resample(store, name, since, until, step, agg=agg)
     assert grid_v.tolist() == grid_s.tolist()
     assert vec.shape == ref.shape
     nan_v, nan_s = np.isnan(vec), np.isnan(ref)
@@ -80,7 +83,7 @@ class TestKernelEquivalence:
         values = np.array([1.0, np.nan, 3.0, 4.0])
         store.append_many("m", np.arange(4.0), values)
         grid_v, vec = store.resample("m", 0.0, 4.0, 2.0, agg=agg)
-        _, ref = store.resample("m", 0.0, 4.0, 2.0, agg=agg, engine="scalar")
+        _, ref = scalar_resample(store, "m", 0.0, 4.0, 2.0, agg=agg)
         # NaN *samples* poison their bucket identically in both engines
         # (count is NaN-blind in both).
         assert np.array_equal(vec, ref, equal_nan=True)
@@ -93,18 +96,6 @@ class TestKernelEquivalence:
             _, out = store.resample("m", 0.0, 20.0, 5.0, agg=agg)
             assert out.size == 4 and np.isfinite(out).all()
 
-    def test_vectorized_engine_rejects_scalar_only_agg(self):
-        store = TimeSeriesStore()
-        store.append("m", 0.0, 1.0)
-        with pytest.raises(StoreError):
-            store.resample("m", 0.0, 10.0, 1.0, agg="p95", engine="vectorized")
-
-    def test_unknown_engine_rejected(self):
-        store = TimeSeriesStore()
-        store.append("m", 0.0, 1.0)
-        with pytest.raises(StoreError):
-            store.resample("m", 0.0, 10.0, 1.0, engine="numba")
-
     def test_align_engines_agree(self):
         store = TimeSeriesStore()
         rng = np.random.default_rng(7)
@@ -115,9 +106,8 @@ class TestKernelEquivalence:
         for fill in ("ffill", "nan"):
             grid_v, mat_v = store.align([f"s{i}" for i in range(4)],
                                         0.0, 95.0, 7.0, fill=fill)
-            grid_s, mat_s = store.align([f"s{i}" for i in range(4)],
-                                        0.0, 95.0, 7.0, fill=fill,
-                                        engine="scalar")
+            grid_s, mat_s = scalar_align(store, [f"s{i}" for i in range(4)],
+                                         0.0, 95.0, 7.0, fill=fill)
             assert grid_v.tolist() == grid_s.tolist()
             assert (np.isnan(mat_v) == np.isnan(mat_s)).all()
             np.testing.assert_allclose(mat_v[~np.isnan(mat_v)],
@@ -145,7 +135,7 @@ class TestGapBucketRegression:
     @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
     def test_gap_buckets_are_nan_not_zero(self, agg, engine):
         store = self._store_with_hole()
-        _, v = store.resample("m", 0.0, 250.0, 10.0, agg=agg, engine=engine)
+        _, v = ENGINES[engine](store, "m", 0.0, 250.0, 10.0, agg=agg)
         hole = v[5:20]  # buckets covering (50, 200): no samples
         assert np.isnan(hole).all(), f"{engine}/{agg}: gap must be NaN"
         assert not np.any(v == 0.0), f"{engine}/{agg}: 0 would fake data"
@@ -154,8 +144,7 @@ class TestGapBucketRegression:
     def test_engines_agree_on_gap_mask(self, agg):
         store = self._store_with_hole()
         _, vec = store.resample("m", 0.0, 250.0, 10.0, agg=agg)
-        _, sca = store.resample("m", 0.0, 250.0, 10.0, agg=agg,
-                                engine="scalar")
+        _, sca = scalar_resample(store, "m", 0.0, 250.0, 10.0, agg=agg)
         assert np.array_equal(np.isnan(vec), np.isnan(sca))
         np.testing.assert_allclose(vec[~np.isnan(vec)], sca[~np.isnan(sca)],
                                    rtol=1e-12)
@@ -163,8 +152,7 @@ class TestGapBucketRegression:
     def test_leading_and_trailing_gaps(self):
         store = TimeSeriesStore()
         store.append_many("m", np.array([55.0, 57.0]), np.array([1.0, 2.0]))
-        for engine in ("vectorized", "scalar"):
-            _, v = store.resample("m", 0.0, 100.0, 10.0, agg="count",
-                                  engine=engine)
+        for resample in ENGINES.values():
+            _, v = resample(store, "m", 0.0, 100.0, 10.0, agg="count")
             assert np.isnan(v[:5]).all() and np.isnan(v[6:]).all()
             assert v[5] == 2.0

@@ -173,6 +173,64 @@ class TestStoreIngest:
             TimeSeriesStore().query("nope")
 
 
+def _batch(t, names):
+    return SampleBatch(t, names, np.full(len(names), 7.0))
+
+
+def _block(t, names):
+    return names, np.array([t]), np.full((1, len(names)), 7.0)
+
+
+class TestVersionStampTracksContent:
+    """Regression: a batch rejected on its k-th name left the first k-1
+    samples applied with ``version_stamp()`` unchanged, so a result cache
+    keyed on the stamp could serve a pre-write answer."""
+
+    #: label -> (write, raises, changes what queries return).  The store
+    #: holds a@5 and b@5,20, so a write at t=10 is out of order for "b".
+    WRITES = {
+        "ingest_ok": (
+            lambda s: s.ingest("t", _batch(30.0, ("a", "b"))), False, True),
+        "ingest_rejects_1st_name": (
+            lambda s: s.ingest("t", _batch(10.0, ("b", "a"))), True, False),
+        "ingest_rejects_2nd_name": (
+            lambda s: s.ingest("t", _batch(10.0, ("a", "b"))), True, True),
+        "block_ok": (
+            lambda s: s.append_block(*_block(30.0, ("a", "b"))), False, True),
+        "block_rejects_1st_column": (
+            lambda s: s.append_block(*_block(10.0, ("b", "a"))), True, False),
+        "block_rejects_2nd_column": (
+            lambda s: s.append_block(*_block(10.0, ("a", "b"))), True, True),
+        "append_rejected": (
+            lambda s: s.append("b", 10.0, 7.0), True, False),
+        "append_many_rejected": (
+            lambda s: s.append_many("b", np.array([10.0]), np.array([7.0])),
+            True, False),
+    }
+
+    @staticmethod
+    def _content(store):
+        return {
+            name: tuple(a.tobytes() for a in store.query(name))
+            for name in store.names()
+        }
+
+    @pytest.mark.parametrize("label", sorted(WRITES))
+    def test_stamp_moves_iff_content_moves(self, label):
+        write, raises, moves = self.WRITES[label]
+        store = TimeSeriesStore()
+        store.ingest("t", SampleBatch(5.0, ("a", "b"), np.array([1.0, 2.0])))
+        store.append("b", 20.0, 3.0)
+        content, stamp = self._content(store), store.version_stamp()
+        if raises:
+            with pytest.raises(StoreError):
+                write(store)
+        else:
+            write(store)
+        assert (self._content(store) != content) == moves
+        assert (store.version_stamp() != stamp) == moves
+
+
 class TestStagedIngest:
     """Batch ingest stages samples per series and flushes vectorized."""
 

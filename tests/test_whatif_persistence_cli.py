@@ -106,7 +106,7 @@ class TestPersistence:
             load_store(path)
 
     def test_config_round_trips(self, tmp_path):
-        """v2 archives persist retention/flush/slack and restore them."""
+        """Archives persist retention/flush/slack and restore them."""
         path = str(tmp_path / "configured.npz")
         store = TimeSeriesStore(retention=3600.0, retention_slack=0.125,
                                 flush_threshold=32)
@@ -132,9 +132,11 @@ class TestPersistence:
             np.testing.assert_array_equal(times, np.arange(5.0))
             np.testing.assert_array_equal(values, np.arange(5.0))
 
-    def test_v1_archive_still_loads(self, tmp_path):
-        """Forward compatibility: pre-config archives load with defaults."""
+    def test_v1_archive_refused(self, tmp_path):
+        """A hand-built pre-checksum archive is refused, not guessed at."""
         import json
+
+        from repro.errors import PersistenceError
 
         path = str(tmp_path / "v1.npz")
         t = np.arange(4.0)
@@ -150,11 +152,9 @@ class TestPersistence:
                 ),
             },
         )
-        loaded = load_store(path)
-        assert loaded.retention == 60.0
-        assert loaded.retention_slack == 0.25  # constructor default
-        times, values = loaded.query("old.metric")
-        np.testing.assert_array_equal(values, times * 2)
+        with pytest.raises(PersistenceError) as err:
+            load_store(path)
+        assert err.value.path == path
 
     def test_unreadable_version_rejected(self, tmp_path):
         import json
