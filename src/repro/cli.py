@@ -582,7 +582,7 @@ def _cmd_durability(args: argparse.Namespace) -> int:
     from repro.ioutil import atomic_write_json
     from repro.telemetry import SampleBatch
     from repro.telemetry.distributed import ShardedStore
-    from repro.telemetry.durability import corrupt_artifact, tear_wal_tail
+    from repro.telemetry.durability import corrupt_artifact, tail_segment, tear_wal_tail
     from repro.telemetry.persistence import load_store, save_store
 
     rng = np.random.default_rng(args.seed)
@@ -623,6 +623,7 @@ def _cmd_durability(args: argparse.Namespace) -> int:
         """Count acked samples missing and present-but-wrong values."""
         nonlocal lost_acked, silent
         missing = wrong = 0
+        lost = []
         for n in names:
             times = np.asarray(shadow[n][0])
             vals = np.asarray(shadow[n][1])
@@ -631,7 +632,9 @@ def _cmd_durability(args: argparse.Namespace) -> int:
             except KeyError:
                 got_t, got_v = np.array([]), np.array([])
             present = np.isin(times, got_t)
-            missing += int(acked[n] - np.count_nonzero(present[: acked[n]]))
+            lost_t = times[: acked[n]][~present[: acked[n]]]
+            missing += int(lost_t.size)
+            lost.extend((n, float(t)) for t in lost_t[:5])
             idx = np.searchsorted(got_t, times[present])
             wrong += int(np.count_nonzero(got_v[idx] != vals[present]))
         lost_acked += missing
@@ -640,6 +643,9 @@ def _cmd_durability(args: argparse.Namespace) -> int:
                          "silently_wrong_samples": wrong}
         status = "OK" if missing == 0 and wrong == 0 else "FAIL"
         print(f"  {label:<22} lost_acked={missing} wrong={wrong}  {status}")
+        if lost:
+            print("    first lost (series, t): "
+                  + ", ".join(f"({n}, {t:g})" for n, t in lost[:5]))
         return missing == 0 and wrong == 0
 
     store = ShardedStore(shards=args.shards, replication=args.replication,
@@ -660,14 +666,26 @@ def _cmd_durability(args: argparse.Namespace) -> int:
         verify(store, "worker_kill")
 
         # Phase 2: crash shard 0 and tear its journal tail, then recover.
-        # The tear lands in the unsynced tail (written after the fsync
-        # point), the crash-mid-write case the framing is built for.
+        # The tear lands only in bytes written after the ack point, the
+        # crash-mid-write case the framing is built for.  The tail is
+        # handed to the file first (without acking it in the drill's
+        # books); otherwise it can die in the worker's buffer, leaving no
+        # bytes past the ack point, and a tear would cut acked records.
+        shard0_wal = os.path.join(wal_dir, "shard0", "wal")
         ingest(store, args.batches)
         ack(store)
+        acked_path, acked_size = tail_segment(shard0_wal)
         ingest(store, args.batches // 4)
+        store.sync_journal()
         store.runtime.crash_worker(0)
-        tear_wal_tail(os.path.join(wal_dir, "shard0", "wal"),
-                      rng=np.random.default_rng(args.seed + 1))
+        path, size = tail_segment(shard0_wal)
+        unacked = size - acked_size if path == acked_path else size
+        if unacked > 0:
+            draw = np.random.default_rng(args.seed + 1).integers(1, 65)
+            tear_wal_tail(shard0_wal, nbytes=int(min(draw, unacked)))
+        else:
+            print("  torn_wal: no journal bytes past the ack point; "
+                  "tear skipped")
         store.runtime.restart_worker(0)
         store.flush()
         verify(store, "torn_wal")

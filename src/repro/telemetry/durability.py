@@ -75,6 +75,7 @@ __all__ = [
     "scan_journal",
     "read_watermark",
     "window_checksums",
+    "tail_segment",
     "tear_wal_tail",
     "corrupt_artifact",
 ]
@@ -573,17 +574,22 @@ class DurabilityFaultEvent:
     detail: dict = field(default_factory=dict)
 
 
-def tear_wal_tail(directory: str, *, nbytes: int | None = None, rng=None) -> DurabilityFaultEvent:
-    """Truncate the newest journal segment mid-record (crash mid-write)."""
+def tail_segment(directory: str) -> tuple[str, int]:
+    """``(path, size)`` of the newest journal segment that holds records —
+    the segment :func:`tear_wal_tail` tears."""
     segments = _list_segments(directory)
     if not segments:
         raise JournalError(f"no journal segments under {directory!r}")
     for _start, path in reversed(segments):
         size = os.path.getsize(path)
         if size > _HEADER.size:
-            break
-    else:
-        raise JournalError(f"journal under {directory!r} holds no records to tear")
+            return path, size
+    raise JournalError(f"journal under {directory!r} holds no records to tear")
+
+
+def tear_wal_tail(directory: str, *, nbytes: int | None = None, rng=None) -> DurabilityFaultEvent:
+    """Truncate the newest journal segment mid-record (crash mid-write)."""
+    path, size = tail_segment(directory)
     if nbytes is None:
         rng = rng if rng is not None else np.random.default_rng()
         nbytes = int(rng.integers(1, min(64, size - _HEADER.size) + 1))

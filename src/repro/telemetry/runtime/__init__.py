@@ -18,7 +18,7 @@ from repro.telemetry.runtime.parallel import (
     RuntimeConfig,
 )
 from repro.telemetry.runtime.ring import SampleRing
-from repro.telemetry.runtime.worker import BlockStager, ShardWorker, worker_main
+from repro.telemetry.runtime.worker import ShardWorker, worker_main
 
 __all__ = [
     "ParallelShardRuntime",
@@ -26,7 +26,6 @@ __all__ = [
     "RemoteStoreProxy",
     "RuntimeConfig",
     "SampleRing",
-    "BlockStager",
     "ShardWorker",
     "worker_main",
 ]

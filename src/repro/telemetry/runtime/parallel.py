@@ -8,8 +8,8 @@ pipe.  The pieces the rest of the codebase sees:
 * :class:`ParallelReplicaSet` — drop-in replacement for
   :class:`~repro.telemetry.distributed.replica.ReplicaSet`: same write
   semantics (never raises; fault bookkeeping is sample-exact because the
-  worker falls back to real ``ReplicaSet.ingest`` while faults are
-  active), same read failover, same ``telemetry.shard.<i>.*`` metrics.
+  worker applies every slot through a real ``ReplicaSet.ingest``), same
+  read failover, same ``telemetry.shard.<i>.*`` metrics.
 * :class:`RemoteStoreProxy` — read-side stand-in for a member
   :class:`~repro.telemetry.store.TimeSeriesStore`.  Raw range queries
   fetch sample arrays over the pipe; ``resample``/``align`` execute *in

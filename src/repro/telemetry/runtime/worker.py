@@ -1,20 +1,21 @@
-"""Shard worker process: ring consumer, columnar stager, command server.
+"""Shard worker process: ring consumer and command server.
 
 Each worker owns one real :class:`~repro.telemetry.distributed.replica.ReplicaSet`
 (primary + replicas) and runs a single loop that
 
 1. drains its :class:`~repro.telemetry.runtime.ring.SampleRing` — the hot
-   path — staging samples into per-shape columnar blocks
-   (:class:`BlockStager`) that are applied to member stores in one
-   vectorized ``append_many`` per series instead of the per-sample Python
-   loop of the in-process path (this is where the parallel runtime's
-   throughput win comes from, even on one core),
+   path — handing every slot to :meth:`ReplicaSet.ingest` as a
+   :class:`~repro.telemetry.sample.SampleBatch`, so each member store
+   stages it in its per-shape columnar block exactly like the in-process
+   tier, and fault bookkeeping (``missed_writes``/``dropped_writes``/
+   ``lost_batches``) is the replica set's own, sample for sample,
 2. serves commands from the parent over a pipe (reads, flushes, fault
    injection, checkpoints, shutdown).  Every command carries the ring
    sequence the parent had published when it sent the command; the worker
-   drains the ring to that point and flushes stagers before executing, so
-   a read observes every batch acknowledged to the producer before it —
-   queries are linearized against ingest despite the async transport.
+   drains the ring to that point before executing, and member stores
+   flush staged rows on read, so a read observes every batch
+   acknowledged to the producer before it — queries are linearized
+   against ingest despite the async transport.
 
 Durability is selected by the parent:
 
@@ -23,22 +24,17 @@ Durability is selected by the parent:
   is still unreclaimed in the ring).  Fast, honest, counted.
 * ``"wal"`` — every applied ring slot is framed into a per-shard
   write-ahead journal (:mod:`repro.telemetry.durability`) *before* it is
-  staged, and ``acked`` advances (every ``checkpoint_interval`` slots)
+  ingested, and ``acked`` advances (every ``checkpoint_interval`` slots)
   only after the journal buffer reaches the OS — so acknowledgement costs
-  one buffered file write, the ring retains everything newer, and the
-  columnar stager batches freely between acks.  A restarted worker
-  replays the journal into its healthy members (periodic MARK records
-  anchor journal records to ring sequences) and then resumes the ring
-  from the journal frontier — no acknowledged batch is ever lost.
-  Explicit checkpoints persist ``.npz`` snapshots when a
-  ``checkpoint_dir`` is configured, and prune journal segments wholly
-  covered by the snapshot; recovery then replays only the journal suffix
-  on top of the reloaded snapshot.
-
-When any member is down or degraded the stager is flushed and ingest falls
-back to per-slot :meth:`ReplicaSet.ingest`, so fault bookkeeping
-(``missed_writes``/``dropped_writes``/``lost_batches``) is sample-exact
-and identical to the in-process tier.
+  one buffered file write, the ring retains everything newer, and member
+  stores stage freely between acks.  A restarted worker replays the
+  journal's batch records through the same ingest path into its healthy
+  members (periodic MARK records anchor journal records to ring
+  sequences) and then resumes the ring from the journal frontier — no
+  acknowledged batch is ever lost.  Explicit checkpoints persist ``.npz``
+  snapshots when a ``checkpoint_dir`` is configured, and prune journal
+  segments wholly covered by the snapshot; recovery then replays only the
+  journal suffix on top of the reloaded snapshot.
 """
 
 from __future__ import annotations
@@ -52,6 +48,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import StoreError
 from repro.ioutil import atomic_write_json
 from repro.telemetry.distributed.replica import ReplicaSet
 from repro.telemetry.durability import (
@@ -66,153 +63,7 @@ from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.sample import SampleBatch
 from repro.telemetry.store import TimeSeriesStore
 
-__all__ = ["BlockStager", "ShardWorker", "worker_main"]
-
-#: Flush a shape's block once it stages this many samples (rows × series).
-_BLOCK_SAMPLE_CAP = 1 << 20
-#: Hard row cap per block regardless of width.
-_BLOCK_ROW_CAP = 8192
-
-
-class _Block:
-    """Columnar staging for one registered name-tuple: times + row matrix."""
-
-    __slots__ = ("names", "times", "rows", "n", "overwrites")
-
-    def __init__(self, names: Tuple[str, ...], capacity: int = 64):
-        self.names = names
-        self.times = np.empty(capacity, dtype=np.float64)
-        self.rows = np.empty((capacity, len(names)), dtype=np.float64)
-        self.n = 0
-        self.overwrites = 0
-
-    def push(self, time: float, values: np.ndarray) -> bool:
-        """Stage one batch row; returns False on out-of-order time."""
-        n = self.n
-        if n:
-            last = self.times[n - 1]
-            if time == last:
-                # Last writer wins, exactly like store staging.
-                self.rows[n - 1] = values
-                self.overwrites += len(self.names)
-                return True
-            if time < last:
-                return False
-        if n == self.times.shape[0]:
-            cap = n * 2
-            times = np.empty(cap, dtype=np.float64)
-            rows = np.empty((cap, len(self.names)), dtype=np.float64)
-            times[:n] = self.times[:n]
-            rows[:n] = self.rows[:n]
-            self.times, self.rows = times, rows
-        self.times[n] = time
-        self.rows[n] = values
-        self.n = n + 1
-        return True
-
-    @property
-    def staged_samples(self) -> int:
-        return self.n * len(self.names)
-
-
-class BlockStager:
-    """Per-shape columnar staging with cross-shape conflict flushing.
-
-    Scrapes re-publish the same name tuple every period, so staging by
-    registered shape id turns ingest into one row write per batch.  Two
-    shapes sharing a series name must not interleave unflushed (per-series
-    order would be lost), so staging into shape X first flushes any active
-    block whose name set overlaps X's — overlap is computed once per shape
-    pair and cached.
-    """
-
-    def __init__(self, replica_set: ReplicaSet):
-        self._rs = replica_set
-        self._names: Dict[int, Tuple[str, ...]] = {}
-        self._name_sets: Dict[int, frozenset] = {}
-        self._blocks: Dict[int, _Block] = {}
-        self._overlap: Dict[Tuple[int, int], bool] = {}
-        self.errors = 0
-
-    def register(self, names_id: int, names: Tuple[str, ...]) -> None:
-        self._names[names_id] = tuple(names)
-        self._name_sets[names_id] = frozenset(names)
-
-    def knows(self, names_id: int) -> bool:
-        return names_id in self._names
-
-    def names_for(self, names_id: int) -> Tuple[str, ...]:
-        return self._names[names_id]
-
-    def _conflicts(self, a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        hit = self._overlap.get(key)
-        if hit is None:
-            hit = self._overlap[key] = not self._name_sets[a].isdisjoint(
-                self._name_sets[b]
-            )
-        return hit
-
-    def stage(self, names_id: int, time: float, values: np.ndarray) -> None:
-        """Stage one ring slot (hot path)."""
-        block = self._blocks.get(names_id)
-        if block is None:
-            for other_id in [
-                i for i in self._blocks if self._conflicts(names_id, i)
-            ]:
-                self.flush_block(other_id)
-            block = self._blocks[names_id] = _Block(self._names[names_id])
-        if not block.push(time, values):
-            # Out-of-order inside the async path cannot propagate to the
-            # publisher; count and drop rather than kill the worker.
-            self.errors += 1
-            return
-        if (
-            block.staged_samples >= _BLOCK_SAMPLE_CAP
-            or block.n >= _BLOCK_ROW_CAP
-        ):
-            self.flush_block(names_id)
-
-    def flush_block(self, names_id: int) -> None:
-        block = self._blocks.pop(names_id, None)
-        if block is None or not block.n:
-            return
-        times = block.times[: block.n]
-        rows = block.rows[: block.n]
-        rs = self._rs
-        if any(rs._down):
-            # Defensive: blocks never accumulate while a fault is active,
-            # but if one is flushed into a degraded set anyway, go through
-            # the replica layer so missed-write accounting stays exact.
-            for j, name in enumerate(block.names):
-                try:
-                    rs.append_many(name, times, rows[:, j])
-                except Exception:
-                    self.errors += 1
-        else:
-            # All members healthy: one columnar apply per member replaces
-            # len(names) per-series calls — the fleet-scrape fast path.
-            for member in rs.members:
-                try:
-                    member.append_block(block.names, times, rows)
-                except Exception:
-                    self.errors += 1
-        if block.overwrites:
-            # append_many counts appended rows; the in-process staged path
-            # counts every sample of every batch including last-writer-wins
-            # overwrites.  Re-add the difference so samples_ingested agrees
-            # with the in-process tier.
-            for i, member in enumerate(rs.members):
-                if not rs.is_down(i):
-                    member.samples_ingested += block.overwrites
-
-    def flush(self) -> None:
-        for names_id in list(self._blocks):
-            self.flush_block(names_id)
-
-    @property
-    def staged_samples(self) -> int:
-        return sum(b.staged_samples for b in self._blocks.values())
+__all__ = ["ShardWorker", "worker_main"]
 
 
 class ShardWorker:
@@ -279,18 +130,17 @@ class ShardWorker:
             replication,
             store_factory=lambda: TimeSeriesStore(**store_config),
         )
-        self.stager = BlockStager(self.rs)
         self._degrade_rng: Optional[np.random.Generator] = None
         self.slots_applied = 0
         self.slots_replayed = 0
+        self.ingest_errors = 0
         self._running = True
         self._pending: deque = deque()
         # Restart support: a replacement worker receives the parent's full
         # name-interning table and fault-state mirror up front, because the
         # ring may already hold slots to replay that reference shapes (and
         # fault semantics) registered with the previous incarnation.
-        for names_id, names in (names_table or {}).items():
-            self.stager.register(names_id, tuple(names))
+        self._names: Dict[int, Tuple[str, ...]] = dict(names_table or {})
         if fault_state:
             for member, down in enumerate(fault_state.get("down", [])):
                 if down:
@@ -359,6 +209,9 @@ class ShardWorker:
         the reloaded ``.npz`` snapshot and are skipped.  Replay stops at
         the first sequence gap (damage mid-journal): everything past it is
         left to the ring replay window, which still covers ``[acked, head)``.
+        Batch records go through the members' ingest path, so replay
+        accepts and refuses exactly what live ingest did; a refused record
+        is counted in ``replay_conflicts``.
         """
         stats = RecoveryStats()
         self.recovery = stats
@@ -374,23 +227,15 @@ class ShardWorker:
         resume = base_seq
         pos: Optional[int] = None
         expected: Optional[int] = None
-        pend_id: Optional[int] = None
-        pend_times: list = []
-        pend_rows: list = []
 
-        def flush_pending() -> None:
-            nonlocal pend_id
-            if pend_id is None or not pend_times:
-                pend_id = None
-                return
-            times = np.asarray(pend_times, dtype=np.float64)
-            rows = np.vstack(pend_rows)
-            names = self.stager.names_for(pend_id)
+        def replay(op: str, *args) -> None:
+            refused = False
             for member in healthy:
-                member.append_block(names, times, rows)
-            pend_id = None
-            pend_times.clear()
-            pend_rows.clear()
+                try:
+                    getattr(member, op)(*args)
+                except StoreError:
+                    refused = True
+            stats.replay_conflicts += refused
 
         for rec in iter_records(
             self._wal_cfg.dir, stats=stats, min_seq=wal_cut
@@ -401,15 +246,14 @@ class ShardWorker:
                 # later batches stay resolvable; they sit outside the
                 # contiguous above-watermark chain, so register them
                 # without touching the gap check.
-                self.stager.register(rec[2], tuple(rec[3]))
+                self._names[rec[2]] = tuple(rec[3])
                 continue
             if expected is not None and seq != expected:
                 break
             expected = seq + 1
             if kind == "names":
-                self.stager.register(rec[2], tuple(rec[3]))
+                self._names[rec[2]] = tuple(rec[3])
             elif kind == "mark":
-                flush_pending()
                 pos = int(rec[2])
                 resume = max(resume, pos)
             elif kind == "batch":
@@ -419,25 +263,19 @@ class ShardWorker:
                     # last checkpoint; batches resume exactly at its seq.
                     pos = base_seq
                 if pos >= base_seq:
-                    if not self.stager.knows(names_id):
+                    names = self._names.get(names_id)
+                    if names is None:
                         # The NAMES record for this id was lost with the
                         # damaged prefix: treat it like a sequence gap and
                         # stop, so the remaining slots fall back to ring
                         # replay instead of being advanced past as applied.
                         break
-                    if pend_id != names_id:
-                        flush_pending()
-                        pend_id = names_id
-                    pend_times.append(time)
-                    pend_rows.append(values)
+                    replay("ingest", "", SampleBatch(time, names, values))
                 pos += 1
                 resume = max(resume, pos)
             elif kind == "many":
-                flush_pending()
                 _, _, name, times, values = rec
-                for member in healthy:
-                    member.append_many(name, times, values)
-        flush_pending()
+                replay("append_many", name, times, values)
         return resume
 
     def _wal_ack(self) -> int:
@@ -464,7 +302,6 @@ class ShardWorker:
         the previous snapshot plus the journal.
         """
         applied = self.ring.applied
-        self.stager.flush()
         self.rs.flush()
         if self.wal is not None:
             self.wal.append_mark(applied)
@@ -487,8 +324,7 @@ class ShardWorker:
                 self.wal.mark_durable(
                     wal_seq,
                     names={
-                        nid: self.stager.names_for(nid)
-                        for nid in sorted(self._wal_names)
+                        nid: self._names[nid] for nid in sorted(self._wal_names)
                     },
                 )
         self.ring.mark_acked(applied)
@@ -497,14 +333,9 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    @property
-    def _fault_active(self) -> bool:
-        return any(self.rs._down) or any(
-            f > 0.0 for f in self.rs._drop_fraction
-        )
-
-    def _resolve_names(self, names_id: int) -> None:
-        """Wait for an in-flight shape registration.
+    def _resolve_names(self, names_id: int) -> Tuple[str, ...]:
+        """The names of a registered shape, waiting for an in-flight
+        registration if needed.
 
         The parent always sends ``("reg", …)`` down the pipe *before*
         pushing any slot that references the shape, but the ring drain can
@@ -512,11 +343,11 @@ class ShardWorker:
         already in flight: pull pipe messages (stashing any command for the
         serve loop) until it lands.
         """
-        while not self.stager.knows(names_id):
+        while names_id not in self._names:
             if self.conn.poll(5.0):
                 msg = self.conn.recv()
                 if msg[0] == "reg":
-                    self.stager.register(msg[1], tuple(msg[2]))
+                    self._names[msg[1]] = tuple(msg[2])
                 else:
                     self._pending.append(msg)
             else:
@@ -524,34 +355,27 @@ class ShardWorker:
                     f"shard {self.shard_id}: names_id {names_id} was never "
                     "registered"
                 )
+        return self._names[names_id]
 
     def _apply_slot(self, seq: int) -> None:
         names_id, time, values = self.ring.read_slot(seq)
-        if not self.stager.knows(names_id):
-            self._resolve_names(names_id)
+        names = self._resolve_names(names_id)
         if self.wal is not None:
             # Journal before mutate: the WAL record is the durable copy of
             # this slot until the next checkpoint, including slots a down
             # member misses (replay only feeds healthy members, mirroring
             # the fault accounting taken below).
             if names_id not in self._wal_names:
-                self.wal.append_names(
-                    names_id, self.stager.names_for(names_id)
-                )
+                self.wal.append_names(names_id, names)
                 self._wal_names.add(names_id)
             self.wal.append_batch(names_id, time, values)
-        if self._fault_active:
-            # Exact per-batch fault bookkeeping: go through the replica
-            # set's own ingest so missed/dropped/lost counters match the
-            # in-process tier sample for sample.
-            self.stager.flush()
-            names = self.stager.names_for(names_id)
-            try:
-                self.rs.ingest("", SampleBatch(time, names, values.copy()))
-            except Exception:
-                self.stager.errors += 1
-        else:
-            self.stager.stage(names_id, time, values)
+        try:
+            # Member stores copy the row out of the ring slot when staging.
+            self.rs.ingest("", SampleBatch(time, names, values))
+        except StoreError:
+            # Out-of-order inside the async path cannot propagate to the
+            # publisher; count and drop rather than kill the worker.
+            self.ingest_errors += 1
         self.slots_applied += 1
 
     def drain(self, upto: Optional[int] = None) -> int:
@@ -601,8 +425,7 @@ class ShardWorker:
             "latest_time": [m.latest_time for m in self.rs.members],
             "slots_applied": self.slots_applied,
             "slots_replayed": self.slots_replayed,
-            "stager_errors": self.stager.errors,
-            "staged_samples": self.stager.staged_samples,
+            "ingest_errors": self.ingest_errors,
             "anti_entropy_sweeps": self.rs.anti_entropy_sweeps,
             "diverged_windows": self.rs.diverged_windows,
             "repaired_windows": self.rs.repaired_windows,
@@ -679,12 +502,10 @@ class ShardWorker:
             rs.append_many(name, times, values)
             return None
         if op == "mark_down":
-            self.stager.flush()
             rs.mark_down(payload[0])
             return None
         if op == "degrade":
             member, fraction, seed = payload
-            self.stager.flush()
             if self._degrade_rng is None:
                 self._degrade_rng = np.random.default_rng(seed)
             rs.degrade(fraction, self._degrade_rng, member)
@@ -697,13 +518,9 @@ class ShardWorker:
             return self._rs_stats()
         if op == "anti_entropy":
             window_s, now = payload
-            self.stager.flush()
             return rs.anti_entropy(window_s=window_s, now=now)
         if op == "sync_journal":
-            if self.wal is None:
-                return 0
-            self.stager.flush()
-            return self.wal.sync()
+            return self.wal.sync() if self.wal is not None else 0
         if op == "checkpoint":
             return self.checkpoint()
         if op == "crash":
@@ -722,13 +539,12 @@ class ShardWorker:
         kind = msg[0]
         if kind == "reg":
             _, names_id, names = msg
-            self.stager.register(names_id, tuple(names))
+            self._names[names_id] = tuple(names)
             return
         _, seq, op, payload = msg
         # Linearize: apply everything the parent had pushed before this
-        # command, then make it visible to reads.
+        # command; member stores flush staged rows on read.
         self.drain(upto=max(seq, self.ring.applied))
-        self.stager.flush()
         try:
             result = self._execute(op, payload)
         except Exception as exc:  # propagate as (type, message)

@@ -10,9 +10,11 @@ Features mirrored from production HPC monitoring databases (DCDB/KairosDB,
 LDMS+DSOS, Prometheus):
 
 * last-writer-wins ingest from the message bus,
-* staged batch ingest: bus batches land in cheap per-series staging buffers
-  and are flushed to the columnar arrays in vectorized chunks (flush happens
-  automatically before any read, so queries always see every sample),
+* staged batch ingest: a bus batch is checked as a whole and lands as one
+  row of a columnar block kept per batch shape, flushed to the per-series
+  arrays every ``flush_threshold`` rows, when another write touches one of
+  its series, or before any read (so queries always see every sample);
+  journal replay and the parallel runtime's shard workers stage the same way,
 * amortized retention: instead of sweeping every series on each new
   timestamp, a series is trimmed when its stale fraction crosses a slack
   watermark (plus one round-robin peer per flush, so cold series are
@@ -343,15 +345,46 @@ class SeriesBuffer:
         return lo
 
 
-class _Stage:
-    """Per-series staging buffer: plain Python lists, flushed in chunks."""
+class _Block:
+    """Columnar staging for one batch shape: a time column + a row matrix.
 
-    __slots__ = ("times", "values", "last_t")
+    Every staged row covers every series of the shape, so the last staged
+    time is each of those series' last time — the only ordering check a
+    staged ingest needs.  A name repeated inside one batch keeps its last
+    column (last writer wins, as :class:`SampleBatch` documents).
+    """
 
-    def __init__(self, last_t: float):
-        self.times: List[float] = []
-        self.values: List[float] = []
-        self.last_t = last_t
+    __slots__ = ("names", "series", "cols", "times", "rows", "n", "last")
+
+    def __init__(self, names: Tuple[str, ...], capacity: int):
+        self.names = names
+        index = {name: j for j, name in enumerate(names)}
+        if len(index) == len(names):
+            self.series, self.cols = names, None
+        else:
+            self.series = tuple(index)
+            self.cols = np.fromiter(index.values(), np.intp, len(index))
+        self.times = np.empty(capacity, dtype=np.float64)
+        self.rows = np.empty((capacity, len(names)), dtype=np.float64)
+        self.n = 0
+        self.last = float("-inf")  # times[n - 1], kept as a Python float
+
+    def push(self, time: float, values: np.ndarray) -> None:
+        """Stage one row; the caller has checked ``time`` is in order."""
+        n = self.n
+        if n and time == self.last:
+            self.rows[n - 1] = values  # last writer wins
+            return
+        if n == self.times.shape[0]:
+            times = np.empty(2 * n, dtype=np.float64)
+            rows = np.empty((2 * n, len(self.names)), dtype=np.float64)
+            times[:n] = self.times
+            rows[:n] = self.rows
+            self.times, self.rows = times, rows
+        self.times[n] = time
+        self.rows[n] = values
+        self.n = n + 1
+        self.last = time
 
 
 class TimeSeriesStore:
@@ -371,9 +404,9 @@ class TimeSeriesStore:
         is compacted once at least this fraction of its samples is stale.
         ``0.0`` trims eagerly on every flush.
     flush_threshold:
-        Number of staged samples at which a series' staging buffer is
-        flushed to its columnar arrays.  Reads flush implicitly, so this
-        only tunes ingest chunking, never visibility.
+        Rows per staged batch shape (staged samples per series) at which
+        the shape's block is flushed to the columnar arrays.  Reads flush
+        implicitly, so this only tunes ingest chunking, never visibility.
     rollups:
         Enable materialized downsample cascades (:mod:`.rollup`).  Pass
         ``True`` for the default 10s/1m/1h cascade, a
@@ -408,7 +441,11 @@ class TimeSeriesStore:
                 f"flush_threshold must be >= 1, got {flush_threshold}"
             )
         self._series: Dict[str, SeriesBuffer] = {}
-        self._staging: Dict[str, _Stage] = {}
+        # Staging: one block per batch shape holding rows, and the block
+        # (if any) each staged series sits in.  A series is staged in at
+        # most one block, so per-series order is the block's row order.
+        self._blocks: Dict[Tuple[str, ...], _Block] = {}
+        self._block_of: Dict[str, _Block] = {}
         self.retention = retention
         self.retention_slack = retention_slack
         self.flush_threshold = flush_threshold
@@ -475,17 +512,19 @@ class TimeSeriesStore:
         already fully qualified) but kept in the signature so the store can
         be subscribed directly: ``bus.subscribe("#", store.ingest)``.
 
-        Samples land in per-series staging buffers (two Python list appends
-        per sample) and are flushed to the columnar arrays in vectorized
-        chunks of ``flush_threshold``; reads flush implicitly first, so this
-        is invisible to queries.
+        The batch lands as one row of its shape's staging block and is
+        flushed to the columnar arrays ``flush_threshold`` rows at a time;
+        reads flush implicitly first, so this is invisible to queries.  A
+        batch is all-or-nothing: if any of its series already holds a later
+        sample, :class:`StoreError` is raised before anything is journaled
+        or staged.
         """
         if _OBS.enabled:
             with _OBS.tracer.span(
                 "store.ingest", sim_time=batch.time, samples=len(batch)
             ):
-                return self._ingest(topic, batch)
-        return self._ingest(topic, batch)
+                return self._stage(tuple(batch.names), batch.time, batch.values)
+        return self._stage(tuple(batch.names), batch.time, batch.values)
 
     def _journal_names_id(self, names: Tuple[str, ...]) -> int:
         """Intern a name tuple in the journal (mirrors ring interning)."""
@@ -498,68 +537,87 @@ class TimeSeriesStore:
             self._journal.append_names(names_id, names)
         return names_id
 
-    def _ingest(self, topic: str, batch: SampleBatch) -> None:
+    def _stage(
+        self, names: Tuple[str, ...], t: float, values: np.ndarray
+    ) -> None:
+        """Validate, journal and stage one batch row (the ingest path)."""
         with self._lock:
-            if self._journal is not None and not self._replaying:
-                names = tuple(batch.names)
-                self._journal.append_batch(
-                    self._journal_names_id(names), batch.time, batch.values
+            block = self._blocks.get(names)
+            if block is None:
+                self._check_new_shape(names, t)
+            elif t < block.last:
+                raise StoreError(
+                    f"out-of-order ingest at t={t}: this batch's series "
+                    f"were last written at t={block.last}"
                 )
-            t = batch.time
-            staging = self._staging
-            threshold = self.flush_threshold
-            for name, value in zip(batch.names, batch.values.tolist()):
-                stage = staging.get(name)
-                if stage is None:
-                    stage = staging[name] = _Stage(self._last_time_of(name))
-                if t < stage.last_t:
-                    # The names before this one are already staged: count
-                    # them, so version_stamp() moves whenever content did.
-                    self._count_applied(list(batch.names).index(name), t)
-                    raise StoreError(
-                        f"series {name}: out-of-order ingest at t={t} "
-                        f"(last t={stage.last_t})"
-                    )
-                if t == stage.last_t and stage.times:
-                    stage.values[-1] = value  # last writer wins in staging too
-                else:
-                    stage.times.append(t)
-                    stage.values.append(value)
-                    stage.last_t = t
-                    if len(stage.times) >= threshold:
-                        self._flush_stage(name, stage)
-            self.samples_ingested += len(batch.names)
+            if self._journal is not None and not self._replaying:
+                self._journal.append_batch(
+                    self._journal_names_id(names), t, values
+                )
+            if block is None:
+                block = self._open_block(names)
+            block.push(t, values)
+            self.samples_ingested += len(names)
             if t > self._latest_time:
                 self._latest_time = t
+            # Replay applies each run of same-shape records once, when the
+            # run ends (``_recover_journal``), not in threshold-sized pieces.
+            if block.n >= self.flush_threshold and not self._replaying:
+                self._flush_block(block)
 
-    def _count_applied(self, samples: int, last: float) -> None:
-        """Bookkeeping for a write that is rejected after a prefix applied."""
-        if samples:
-            self.samples_ingested += samples
-            if last > self._latest_time:
-                self._latest_time = last
+    def _check_new_shape(self, names: Tuple[str, ...], t: float) -> None:
+        """Before staging an unstaged shape: flush any block staging one of
+        its series (keeping per-series order), then check ``t`` against
+        every series' stored tail."""
+        block_of, series = self._block_of, self._series
+        for name in names:
+            other = block_of.get(name)
+            if other is not None:
+                self._flush_block(other)
+            buf = series.get(name)
+            if buf is not None and buf._size and t < buf._times[buf._size - 1]:
+                raise StoreError(
+                    f"series {name}: out-of-order ingest at t={t} "
+                    f"(last t={buf._times[buf._size - 1]})"
+                )
 
-    def _last_time_of(self, name: str) -> float:
-        """Last stored timestamp of ``name``, creating the series if needed."""
+    def _open_block(self, names: Tuple[str, ...]) -> _Block:
+        """Create the staging block of ``names`` and any series it adds."""
+        block = self._blocks[names] = _Block(
+            names, min(self.flush_threshold, _INITIAL_CAPACITY)
+        )
+        for name in block.series:
+            self._buffer(name)
+            self._block_of[name] = block
+        return block
+
+    def _flush_block(self, block: _Block) -> int:
+        """Apply one staged block to its series; returns samples moved."""
+        del self._blocks[block.names]
+        for name in block.series:
+            del self._block_of[name]
+        n = block.n
+        if block.series:  # an empty batch stages rows but no series
+            rows = block.rows[:n]
+            if block.cols is not None:
+                rows = rows[:, block.cols]
+            self._apply_block(block.series, block.times[:n], rows)
+            self.flushes += 1
+        return n * len(block.series)
+
+    def _flush_series(self, name: str) -> int:
+        """Flush the block staging ``name``, if any (before reads and
+        direct writes); returns samples moved."""
+        block = self._block_of.get(name)
+        return self._flush_block(block) if block is not None else 0
+
+    def _buffer(self, name: str) -> SeriesBuffer:
+        """The buffer of ``name``, creating the (empty) series if needed."""
         buf = self._series.get(name)
         if buf is None:
             buf = self._series[name] = SeriesBuffer(name)
             self._names_cache = None
-        return float(buf._times[buf._size - 1]) if buf._size else float("-inf")
-
-    def _flush_stage(self, name: str, stage: _Stage) -> None:
-        """Move one series' staged samples into its columnar buffer."""
-        buf = self._series[name]
-        times = np.asarray(stage.times, dtype=np.float64)
-        values = np.asarray(stage.values, dtype=np.float64)
-        stage.times = []
-        stage.values = []
-        buf.append_many(times, values)
-        self.flushes += 1
-        self._observe_rollups(buf)
-        if self.retention is not None:
-            self._maybe_trim(buf, exact=False)
-            self._sweep_one()
+        return buf
 
     def _observe_rollups(self, buf: SeriesBuffer) -> None:
         """Mutation epilogue: finalize any tier buckets the new tail
@@ -590,32 +648,19 @@ class TimeSeriesStore:
 
     def _flush(self, name: Optional[str] = None) -> int:
         with self._lock:
-            flushed = 0
             if name is not None:
-                stage = self._staging.get(name)
-                if stage is not None and stage.times:
-                    flushed = len(stage.times)
-                    self._flush_stage(name, stage)
-                return flushed
-            for series_name, stage in self._staging.items():
-                if stage.times:
-                    flushed += len(stage.times)
-                    self._flush_stage(series_name, stage)
-            return flushed
+                return self._flush_series(name)
+            return sum(
+                self._flush_block(block) for block in list(self._blocks.values())
+            )
 
     def append(self, name: str, time: float, value: float) -> None:
         """Append one sample to ``name``, creating the series if needed."""
         with self._lock:
             if self._journal is not None and not self._replaying:
                 self._journal.append_many(name, (float(time),), (float(value),))
-            self._last_time_of(name)  # ensure the series exists
-            buf = self._series[name]
-            stage = self._staging.get(name)
-            if stage is not None:
-                if stage.times:
-                    self._flush_stage(name, stage)
-                if time > stage.last_t:
-                    stage.last_t = time
+            self._flush_series(name)
+            buf = self._buffer(name)
             buf.append(time, value)
             self.samples_ingested += 1
             if time > self._latest_time:
@@ -631,19 +676,12 @@ class TimeSeriesStore:
             times = np.asarray(times, dtype=np.float64)
             if self._journal is not None and not self._replaying:
                 self._journal.append_many(name, times, values)
-            self._last_time_of(name)  # ensure the series exists
-            buf = self._series[name]
-            stage = self._staging.get(name)
-            if stage is not None and stage.times:
-                self._flush_stage(name, stage)
+            self._flush_series(name)
+            buf = self._buffer(name)
             buf.append_many(times, values)
             self.samples_ingested += int(times.size)
-            if times.size:
-                last = float(times[-1])
-                if stage is not None and last > stage.last_t:
-                    stage.last_t = last
-                if last > self._latest_time:
-                    self._latest_time = last
+            if times.size and float(times[-1]) > self._latest_time:
+                self._latest_time = float(times[-1])
             self._observe_rollups(buf)
             if self.retention is not None:
                 self._maybe_trim(buf, exact=False)
@@ -680,47 +718,54 @@ class TimeSeriesStore:
                 self._journal.append_block(
                     self._journal_names_id(tuple(names)), times, rows
                 )
-            series = self._series
-            staging = self._staging
-            last = float(times[-1])
-            t0 = times[0]
-            for i, name in enumerate(names):
-                buf = series.get(name)
-                if buf is None:
-                    buf = series[name] = SeriesBuffer(name)
-                    self._names_cache = None
-                stage = staging.get(name)
-                if stage is not None:
-                    if stage.times:
-                        self._flush_stage(name, stage)
-                    if last > stage.last_t:
-                        stage.last_t = last
-                size = buf._size
-                if size and t0 <= buf._times[size - 1]:
-                    # Overlaps the stored tail: let append_many handle the
-                    # last-writer-wins collapse (and ordering errors).
-                    try:
-                        buf.append_many(times, rows[:, i])
-                    except StoreError:
-                        # The columns before this one are already applied.
-                        self._count_applied(n * i, last)
-                        raise
-                else:
-                    end = size + n
-                    buf._grow(end)
-                    buf._times[size:end] = times
-                    buf._values[size:end] = rows[:, i]
-                    buf._size = end
+            for name in names:
+                self._flush_series(name)
+            self._apply_block(names, times, rows)
             self.samples_ingested += n * len(names)
-            if last > self._latest_time:
-                self._latest_time = last
-            if self.rollups is not None:
-                for name in names:
-                    self._observe_rollups(series[name])
-            if self.retention is not None:
-                for name in names:
-                    self._maybe_trim(series[name], exact=False)
-                self._sweep_one()
+
+    def _apply_block(
+        self, names: Sequence[str], times: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """The columnar apply behind :meth:`append_block` and every staging
+        flush: ``rows[:, i]`` onto series ``names[i]``, then the rollup and
+        retention epilogue.  The caller holds the lock, has flushed any
+        staged rows of ``names`` and counts the samples."""
+        n = times.size
+        t0, last = times[0], float(times[-1])
+        series = self._series
+        for i, name in enumerate(names):
+            buf = series.get(name)
+            if buf is None:
+                buf = self._buffer(name)
+            size = buf._size
+            if size and t0 <= buf._times[size - 1]:
+                # Overlaps the stored tail: let append_many handle the
+                # last-writer-wins collapse (and ordering errors).
+                try:
+                    buf.append_many(times, rows[:, i])
+                except StoreError:
+                    # The columns before this one are already applied:
+                    # count them, so version_stamp() moves with content.  A
+                    # staged block cannot get here: ingest checked its rows.
+                    if i:
+                        self.samples_ingested += n * i
+                        self._latest_time = max(self._latest_time, last)
+                    raise
+            else:
+                end = size + n
+                buf._grow(end)
+                buf._times[size:end] = times
+                buf._values[size:end] = rows[:, i]
+                buf._size = end
+        if last > self._latest_time:
+            self._latest_time = last
+        if self.rollups is not None:
+            for name in names:
+                self._observe_rollups(series[name])
+        if self.retention is not None:
+            for name in names:
+                self._maybe_trim(series[name], exact=False)
+            self._sweep_one()
 
     # ------------------------------------------------------------------
     # Retention
@@ -789,9 +834,7 @@ class TimeSeriesStore:
             buf = self._series.get(name)
             if buf is None:
                 raise UnknownMetricError(name)
-            stage = self._staging.get(name)
-            if stage is not None and stage.times:
-                self._flush_stage(name, stage)
+            self._flush_series(name)
             if self.retention is not None:
                 self._maybe_trim(buf, exact=True)
             return buf
@@ -803,9 +846,9 @@ class TimeSeriesStore:
 
     @property
     def staged_samples(self) -> int:
-        """Samples currently parked in staging buffers (pre-flush)."""
+        """Samples currently parked in staging blocks (pre-flush)."""
         with self._lock:
-            return sum(len(stage.times) for stage in self._staging.values())
+            return sum(b.n * len(b.series) for b in self._blocks.values())
 
     def version_stamp(self) -> Tuple[float, float, float, float]:
         """Cheap monotone fingerprint of store content.
@@ -878,31 +921,13 @@ class TimeSeriesStore:
 
         Tolerates damage: a torn tail truncates replay, a corrupt record
         drops the rest of its segment, and a record the store refuses
-        (out-of-order after a partial tear) is counted, not raised.
-        Consecutive wide-batch records against the same name tuple are
-        coalesced into columnar block appends so replay stays vectorized.
+        (out-of-order after a partial tear) is counted, not raised.  Batch
+        records go through the live ingest path, so replay accepts and
+        refuses exactly what live ingest did; each run of same-shape
+        records is staged whole and applied once, when it ends.
         """
         stats = RecoveryStats()
         names_map: Dict[int, Tuple[str, ...]] = {}
-        pend_id: Optional[int] = None
-        pend_times: List[float] = []
-        pend_rows: List[np.ndarray] = []
-
-        def flush_pending() -> None:
-            nonlocal pend_id
-            if pend_id is None:
-                return
-            names, nid = names_map[pend_id], pend_id
-            pend_id = None
-            try:
-                self.append_block(
-                    names, np.asarray(pend_times), np.vstack(pend_rows)
-                )
-            except StoreError:
-                stats.replay_conflicts += 1
-            pend_times.clear()
-            pend_rows.clear()
-
         self._replaying = True
         try:
             # NAMES pre-pass: batches appended between a save's journal
@@ -914,45 +939,33 @@ class TimeSeriesStore:
             for rec in iter_records(cfg.dir, stats=RecoveryStats()):
                 if rec[0] == "names":
                     names_map[rec[2]] = rec[3]
+            run = None  # names of the run of batch records being staged
             for rec in iter_records(cfg.dir, stats=stats):
                 kind = rec[0]
                 if kind == "names":
                     names_map[rec[2]] = rec[3]
-                elif kind == "batch":
-                    names = names_map.get(rec[2])
-                    if names is None or len(names) != rec[4].size:
-                        stats.replay_conflicts += 1
-                        continue
-                    if pend_id != rec[2] or (
-                        pend_times and rec[3] < pend_times[-1]
-                    ):
-                        flush_pending()
-                    if pend_id is None:
-                        pend_id = rec[2]
-                    if pend_times and rec[3] == pend_times[-1]:
-                        pend_rows[-1] = rec[4]  # last writer wins
-                    else:
-                        pend_times.append(rec[3])
-                        pend_rows.append(rec[4])
-                elif kind == "many":
-                    flush_pending()
-                    try:
-                        self.append_many(rec[2], rec[3], rec[4])
-                    except StoreError:
-                        stats.replay_conflicts += 1
-                elif kind == "block":
-                    flush_pending()
-                    names = names_map.get(rec[2])
-                    if names is None or len(names) != rec[4].shape[1]:
-                        stats.replay_conflicts += 1
-                        continue
-                    try:
-                        self.append_block(names, rec[3], rec[4])
-                    except StoreError:
-                        stats.replay_conflicts += 1
+                    continue
                 # "mark" records are runtime watermarks; stats.last_mark
                 # captures them for the worker-restart path.
-            flush_pending()
+                if kind in ("batch", "block"):
+                    names = names_map.get(rec[2])
+                    if names is None or len(names) != rec[4].shape[-1]:
+                        stats.replay_conflicts += 1
+                        continue
+                try:
+                    if kind == "batch":
+                        # A record of another shape ends the run: apply it.
+                        if run is not names and run in self._blocks:
+                            self._flush_block(self._blocks[run])
+                        run = names
+                        self._stage(names, rec[3], rec[4])
+                    elif kind == "many":
+                        self.append_many(rec[2], rec[3], rec[4])
+                    elif kind == "block":
+                        self.append_block(names, rec[3], rec[4])
+                except StoreError:
+                    stats.replay_conflicts += 1
+            self._flush()
         finally:
             self._replaying = False
         # Seed the interning table from what the journal holds, so this
@@ -1024,7 +1037,7 @@ class TimeSeriesStore:
                 f"[{since}, {until})"
             )
         with self._lock:
-            self._last_time_of(name)  # ensure the series exists
+            self._buffer(name)  # ensure the series exists
             buf = self.series(name)
             t = buf.times
             lo = int(np.searchsorted(t, since, side="left"))
@@ -1066,7 +1079,7 @@ class TimeSeriesStore:
                     fn=lambda: float(len(self._series)))
             r.gauge("telemetry.store.staged", "samples parked in staging",
                     fn=lambda: float(self.staged_samples))
-            r.counter("telemetry.store.flushes", "staging flushes",
+            r.counter("telemetry.store.flushes", "staged block flushes",
                       fn=lambda: float(self.flushes))
             r.counter("telemetry.store.retention_trims", "retention compactions",
                       fn=lambda: float(self.retention_trims))
@@ -1188,9 +1201,7 @@ class TimeSeriesStore:
                 if self.archive is not None and name in self.archive:
                     return self.archive.scan(name, since, until)
                 raise UnknownMetricError(name)
-            stage = self._staging.get(name)
-            if stage is not None and stage.times:
-                self._flush_stage(name, stage)
+            self._flush_series(name)
             ht, hv = buf.range(since, until)
             if self.archive is not None and name in self.archive:
                 ct, cv = self.archive.scan(name, since, until)
@@ -1214,9 +1225,7 @@ class TimeSeriesStore:
                 if self.archive is not None and name in self.archive:
                     return self.archive.scan(name, since, until)
                 raise UnknownMetricError(name)
-            stage = self._staging.get(name)
-            if stage is not None and stage.times:
-                self._flush_stage(name, stage)
+            self._flush_series(name)
             if self.retention is not None:
                 self._maybe_trim(buf, exact=True)
             ht, hv = buf.range(since, until)

@@ -121,6 +121,17 @@ class TestShardedStoreBasics:
         times, _ = sharded.query("a.b")
         assert times[0] >= 89.0  # retention enforced on the owning shard
 
+    def test_parallel_staged_samples_reported_until_read(self):
+        sharded = ShardedStore(shards=1, parallel=True)
+        try:
+            for batch in make_batches(3):
+                sharded.ingest("t", batch)
+            assert sharded.staged_samples == 3 * len(NAMES)
+            sharded.query(NAMES[0])  # a read flushes the staged block
+            assert sharded.staged_samples == 0
+        finally:
+            sharded.close()
+
 
 class TestReplicationAndFailover:
     def test_replicas_hold_identical_data(self):

@@ -3,12 +3,16 @@ anti-entropy repair, and the loss-accounting audit across repair paths."""
 
 from __future__ import annotations
 
+import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import JournalError, PersistenceError
+from repro.errors import JournalError, PersistenceError, StoreError
 from repro.telemetry import (
     JournalConfig,
     ReplicaSet,
@@ -698,6 +702,164 @@ class TestWorkerWalRecovery:
                 assert _bits_equal(t, rt) and _bits_equal(v, rv)
         finally:
             reopened.close()
+
+
+class TestDurabilityDrill:
+    def test_drill_loses_no_acked_samples(self, tmp_path, capsys):
+        """Regression: the torn-tail phase cut fsynced records whenever the
+        unacked tail had not reached the file, losing acked samples."""
+        from repro.cli import main
+
+        out = tmp_path / "card.json"
+        for seed in range(10):
+            main(["durability", "--seed", str(seed), "--out", str(out)])
+            phases = json.loads(out.read_text())["phases"]
+            for phase in ("worker_kill", "torn_wal", "cold_reopen"):
+                assert phases[phase]["lost_acked_samples"] == 0, (seed, phases)
+
+
+# ---------------------------------------------------------------------------
+# Replay reproduces live ingest: accepts and refuses the same batches
+# ---------------------------------------------------------------------------
+_SHAPES = (("a",), ("a", "b"), ("b", "c"), ("c", "a", "c"), ("d",))
+
+
+def _content(store) -> dict:
+    return {
+        name: tuple(a.tobytes() for a in store.query(name))
+        for name in store.names()
+    }
+
+
+class TestReplayMatchesLiveIngest:
+    def test_rejected_batch_does_not_cost_later_samples(self, tmp_path):
+        store = TimeSeriesStore(journal=str(tmp_path))
+        for t in (10.0, 20.0, 15.0, 30.0, 40.0):
+            try:
+                store.ingest("t", SampleBatch(t, ("a",), np.array([t])))
+            except StoreError:
+                assert t == 15.0
+        store.sync_journal()
+        store.close()
+        reopened = TimeSeriesStore(journal=str(tmp_path))
+        try:
+            assert reopened.query("a")[0].tolist() == [10.0, 20.0, 30.0, 40.0]
+            assert reopened.recovery.replay_conflicts == 0
+        finally:
+            reopened.close()
+
+    def test_replay_stages_one_run_at_a_time(self, tmp_path, monkeypatch):
+        """Each run of same-shape records is applied once, when a record of
+        another shape ends it: disjoint shapes never pile up in staging."""
+        store = TimeSeriesStore(journal=str(tmp_path))
+        for t in range(12):
+            names = (("a",), ("b",), ("c",))[t // 2 % 3]
+            store.ingest("t", SampleBatch(float(t), names, np.array([t])))
+        live = _content(store)
+        store.close()
+
+        staged_blocks = []
+        stage = TimeSeriesStore._stage
+
+        def spy(self, names, t, values):
+            staged_blocks.append(len(self._blocks))
+            return stage(self, names, t, values)
+
+        monkeypatch.setattr(TimeSeriesStore, "_stage", spy)
+        reopened = TimeSeriesStore(journal=str(tmp_path))
+        try:
+            assert _content(reopened) == live
+            assert max(staged_blocks) == 1
+            assert reopened.flushes == 6  # one per run of two records
+        finally:
+            reopened.close()
+
+    def test_single_shape_replay_flushes_once(self, tmp_path):
+        store = TimeSeriesStore(flush_threshold=4, journal=str(tmp_path))
+        for t in range(10):
+            store.ingest("t", SampleBatch(float(t), ("a", "b"), np.ones(2)))
+        store.close()
+        reopened = TimeSeriesStore(flush_threshold=4, journal=str(tmp_path))
+        try:
+            assert reopened.flushes == 1
+            assert reopened.query("a")[0].size == 10
+        finally:
+            reopened.close()
+
+    def _parallel_store(self, tmp_path):
+        from repro.telemetry.runtime import RuntimeConfig
+
+        return ShardedStore(
+            shards=1, parallel=True, journal=str(tmp_path / "wal"),
+            parallel_config=RuntimeConfig(durability="wal"),
+        )
+
+    def _crash_and_restart(self, store):
+        store.sync_journal()
+        store.runtime.crash_worker(0)
+        store.runtime.restart_worker(0)
+
+    def test_worker_replays_past_out_of_order_slot(self, tmp_path):
+        store = self._parallel_store(tmp_path)
+        try:
+            for t in (10.0, 5.0, 20.0):
+                store.ingest("t", SampleBatch(t, ("a",), np.array([t])))
+            assert store.query("a")[0].tolist() == [10.0, 20.0]
+            assert store.runtime.shard_stats(0)["ingest_errors"] == 1
+            self._crash_and_restart(store)
+            assert store.query("a")[0].tolist() == [10.0, 20.0]
+        finally:
+            store.close()
+
+    def test_worker_replays_same_time_rewrite(self, tmp_path):
+        store = self._parallel_store(tmp_path)
+        try:
+            for t, values in ((10.0, [1.0, 2.0]), (10.0, [7.0, 8.0]),
+                              (20.0, [5.0, 6.0])):
+                store.ingest("t", SampleBatch(t, ("a", "b"), np.array(values)))
+            live = _content(store)
+            assert store.query("a")[1].tolist() == [7.0, 5.0]
+            self._crash_and_restart(store)
+            assert _content(store) == live
+        finally:
+            store.close()
+
+    @given(
+        writes=st.lists(
+            st.tuples(
+                st.integers(0, len(_SHAPES) - 1),
+                st.integers(-2, 3),
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            min_size=1, max_size=40,
+        ),
+        threshold=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reopen_equals_live_content(self, writes, threshold):
+        """Shapes overlap (one repeats a name), times repeat and go back."""
+        with tempfile.TemporaryDirectory() as journal:
+            live = TimeSeriesStore(flush_threshold=threshold, journal=journal)
+            t = 0.0
+            for shape, step, value in writes:
+                t += step
+                names = _SHAPES[shape]
+                values = value + np.arange(len(names), dtype=np.float64)
+                try:
+                    live.ingest("t", SampleBatch(t, names, values))
+                except StoreError:
+                    pass
+            content, samples = _content(live), live.samples_ingested
+            live.close()
+            reopened = TimeSeriesStore(
+                flush_threshold=threshold, journal=journal
+            )
+            try:
+                assert _content(reopened) == content
+                assert reopened.samples_ingested == samples
+                assert reopened.recovery.replay_conflicts == 0
+            finally:
+                reopened.close()
 
 
 # ---------------------------------------------------------------------------

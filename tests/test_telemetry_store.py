@@ -184,7 +184,8 @@ def _block(t, names):
 class TestVersionStampTracksContent:
     """Regression: a batch rejected on its k-th name left the first k-1
     samples applied with ``version_stamp()`` unchanged, so a result cache
-    keyed on the stamp could serve a pre-write answer."""
+    keyed on the stamp could serve a pre-write answer.  Batch ingest is
+    now all-or-nothing; a block append may still apply a prefix."""
 
     #: label -> (write, raises, changes what queries return).  The store
     #: holds a@5 and b@5,20, so a write at t=10 is out of order for "b".
@@ -194,7 +195,7 @@ class TestVersionStampTracksContent:
         "ingest_rejects_1st_name": (
             lambda s: s.ingest("t", _batch(10.0, ("b", "a"))), True, False),
         "ingest_rejects_2nd_name": (
-            lambda s: s.ingest("t", _batch(10.0, ("a", "b"))), True, True),
+            lambda s: s.ingest("t", _batch(10.0, ("a", "b"))), True, False),
         "block_ok": (
             lambda s: s.append_block(*_block(30.0, ("a", "b"))), False, True),
         "block_rejects_1st_column": (
@@ -304,9 +305,53 @@ class TestStagedIngest:
     def test_flush_returns_sample_count(self):
         store = TimeSeriesStore(flush_threshold=1000)
         store.ingest("t", SampleBatch.from_mapping(0.0, {"a": 1.0, "b": 2.0}))
-        store.ingest("t", SampleBatch.from_mapping(1.0, {"a": 1.0}))
-        assert store.flush() == 3
+        store.ingest("t", SampleBatch.from_mapping(1.0, {"a": 1.0, "b": 3.0}))
+        assert store.flush() == 4
         assert store.flush() == 0
+
+    def test_interleaved_overlapping_shapes_keep_per_series_order(self):
+        store = TimeSeriesStore(flush_threshold=1000)
+        for t in range(4):
+            names = ("a", "b") if t % 2 == 0 else ("b", "c")
+            store.ingest("t", SampleBatch(float(t), names, np.array([t, -t])))
+        # Each shape flushed the other on arrival: only the last is staged.
+        assert store.staged_samples == 2
+        assert store.query("a")[1].tolist() == [0.0, 2.0]
+        assert store.query("b")[0].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert store.query("b")[1].tolist() == [0.0, 1.0, -2.0, 3.0]
+        assert store.query("c")[1].tolist() == [-1.0, -3.0]
+
+    def test_repeated_name_in_batch_is_last_writer_wins(self, tmp_path):
+        store = TimeSeriesStore(journal=str(tmp_path))
+        names = ("a", "b", "a")
+        store.ingest("t", SampleBatch(1.0, names, np.array([1.0, 2.0, 3.0])))
+        store.ingest("t", SampleBatch(2.0, names, np.array([4.0, 5.0, 6.0])))
+        assert store.query("a")[1].tolist() == [3.0, 6.0]
+        store.close()
+        reopened = TimeSeriesStore(journal=str(tmp_path))
+        try:
+            assert reopened.query("a")[1].tolist() == [3.0, 6.0]
+            assert reopened.query("b")[1].tolist() == [2.0, 5.0]
+            assert reopened.recovery.replay_conflicts == 0
+        finally:
+            reopened.close()
+
+    def test_rejected_batch_writes_no_journal_record(self, tmp_path):
+        store = TimeSeriesStore(journal=str(tmp_path))
+        try:
+            store.ingest("t", SampleBatch(5.0, ("a", "b"), np.ones(2)))
+            records = store.journal.records
+            with pytest.raises(StoreError):
+                store.ingest("t", SampleBatch(4.0, ("a", "b"), np.ones(2)))
+            assert store.journal.records == records
+        finally:
+            store.close()
+
+    def test_empty_batch_stages_nothing(self):
+        store = TimeSeriesStore(retention=10.0)
+        store.ingest("t", SampleBatch(3.0, (), np.empty(0)))
+        assert store.flush() == 0
+        assert store.latest_time == 3.0 and store.names() == []
 
     def test_health_metrics_expose_staging(self):
         store = TimeSeriesStore(retention=10.0, flush_threshold=1000)
