@@ -25,6 +25,7 @@ import time
 from typing import Callable, Dict, List
 
 import numpy as np
+import pytest
 
 from repro.telemetry import MessageBus, SampleBatch, TimeSeriesStore
 
@@ -250,10 +251,23 @@ def test_bench_rollup_tier_serving():
     assert speedup >= P["min_rollup_speedup"], RESULTS["rollup"]
 
 
-def test_bench_archive_cold_tier():
-    """Cold-tier columnar compression ratio + decode (scan) throughput."""
+def _wide_series(days: float, period: float, seed: int = 9):
+    """Node power with a daily cycle and 10 mW rounding — the shape the
+    read-path workload serves, whose XOR window spans 50+ bits."""
+    times = np.arange(0.0, days * 86400.0, period)
+    rng = np.random.default_rng(seed)
+    cycle = 1.0 + 0.2 * np.sin(times * (2 * np.pi / 86400.0))
+    values = np.round(250.0 * cycle + rng.normal(0.0, 2.0, times.size), 2)
+    return times, values
+
+
+@pytest.mark.parametrize("case", ["narrow", "wide"])
+def test_bench_archive_cold_tier(case):
+    """Cold-tier columnar compression ratio + decode (scan) throughput, at
+    a narrow XOR window (quarter-rounded values) and a wide one."""
     days = float(P["rollup_days"])
-    times, values = _telemetry_series(days, P["rollup_period_s"], seed=9)
+    series = _telemetry_series if case == "narrow" else _wide_series
+    times, values = series(days, P["rollup_period_s"], seed=9)
     store = TimeSeriesStore(archive=True, retention=3600.0)
     store.append_many("rack.power", times, values)
 
@@ -270,19 +284,24 @@ def test_bench_archive_cold_tier():
     # Demotion conserves samples: cold + hot covers everything ingested.
     hot_t, _ = store.query("rack.power")
     assert scan_t.size + np.sum(hot_t > scan_t[-1]) == times.size
+    value_width = max(c.v_params["width"] for c in archive.chunks("rack.power"))
 
-    RESULTS["archive"] = {
+    RESULTS.setdefault("archive", {})[case] = {
         "days": days,
         "samples": int(times.size),
         "cold_samples": int(scan_t.size),
         "chunks": archive.chunk_count(),
+        "value_width_bits": value_width,
         "raw_bytes": archive.raw_bytes,
         "encoded_bytes": archive.encoded_bytes,
         "compression_ratio": round(ratio, 2),
         "scan_s": round(scan_s, 5),
         "scan_samples_per_sec": round(scan_t.size / scan_s),
     }
-    assert ratio >= P["min_archive_ratio"], RESULTS["archive"]
+    if case == "wide":
+        assert value_width >= 50, RESULTS["archive"][case]
+    else:
+        assert ratio >= P["min_archive_ratio"], RESULTS["archive"][case]
 
 
 def test_write_bench_artifact(write_artifact):
@@ -296,4 +315,5 @@ def test_write_bench_artifact(write_artifact):
     write_artifact("BENCH_telemetry.json", json.dumps(RESULTS, indent=2) + "\n")
     missing = ({"ingest", "resample", "align", "bus", "rollup", "archive"}
                - set(RESULTS))
+    missing |= {"narrow", "wide"} - set(RESULTS.get("archive", {}))
     assert not missing, f"benchmarks did not run: {missing}"

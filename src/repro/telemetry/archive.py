@@ -22,10 +22,16 @@ demotes into instead of deleting:
   exponents and trailing mantissa zeros, so the window is narrow.
 
 Both codecs are **bit-exact for every float64** — NaN payloads, ±inf,
-``-0.0``, subnormals — verified by the hypothesis property suite.  Chunks
-are immutable once encoded; background compaction merges adjacent
-undersized chunks (decode → re-encode) so a drip of tiny demotions
-converges to full-size chunks.
+``-0.0``, subnormals — verified by the hypothesis property suite, and the
+bytes they write are pinned by golden digests (``test_archive_codec.py``).
+Fixed-width bit streams are packed and unpacked by byte-plane kernels:
+``np.unpackbits``/``np.packbits`` over each value's big-endian bytes, so a
+chunk costs the same handful of NumPy calls at every bit width, with no
+Python loop over bits or samples.  A regular cadence (every timestamp
+delta-of-delta zero) decodes as one ``arange``.  Chunks are immutable once
+encoded; background compaction merges adjacent undersized chunks (one
+decode each → re-encode) so a drip of tiny demotions converges to
+full-size chunks.
 """
 
 from __future__ import annotations
@@ -56,29 +62,30 @@ _MAX_TICKS = float(1 << 53)
 
 
 # ---------------------------------------------------------------------------
-# Bit-level helpers (vectorized; the per-chunk loops are over bit *width*,
-# never over samples)
+# Bit-level helpers (byte-plane kernels: no Python loop, uint8 intermediates)
+#
+# A value's big-endian bytes unpack into its 64 bits MSB-first, so an
+# (n, width) matrix holding each value's low ``width`` bits, flattened row
+# by row, is exactly the MSB-first bit stream the on-disk format holds.
 # ---------------------------------------------------------------------------
 def _pack_width(vals: np.ndarray, width: int) -> np.ndarray:
     """Pack uint64 ``vals`` (< 2**width each) at ``width`` bits into bytes."""
     if width == 0 or vals.size == 0:
         return np.empty(0, dtype=np.uint8)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((vals[:, None] >> shifts) & _ONE).astype(np.uint8)
-    return np.packbits(bits.ravel())
+    # Shifted to the top of the word, the low bits are the first columns.
+    top = vals << np.uint64(64 - width)
+    be = top.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return np.packbits(np.unpackbits(be, axis=1, count=width))
 
 
 def _unpack_width(packed: np.ndarray, n: int, width: int) -> np.ndarray:
     """Inverse of :func:`_pack_width`: recover ``n`` uint64 values."""
-    out = np.zeros(n, dtype=np.uint64)
     if width == 0 or n == 0:
-        return out
-    bits = np.unpackbits(packed, count=n * width).reshape(n, width)
-    bits = bits.astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    for j in range(width):
-        out |= bits[:, j] << shifts[j]
-    return out
+        return np.zeros(n, dtype=np.uint64)
+    bits = np.zeros((n, 64), dtype=np.uint8)
+    bits[:, 64 - width:] = np.unpackbits(
+        packed, count=n * width).reshape(n, width)
+    return np.packbits(bits, axis=1).view(">u8").ravel().astype(np.uint64)
 
 
 def _width_of(vals: np.ndarray) -> int:
@@ -173,14 +180,19 @@ def decode_timestamps(params: dict, payload: np.ndarray) -> np.ndarray:
     n = int(params["n"])
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    seq = np.empty(n, dtype=np.int64)
-    seq[0] = params["first"]
-    if n > 1:
-        dod = _unzigzag(_unpack_width(payload, n - 2, int(params["width"])))
+    width = int(params["width"])
+    if width == 0:
+        # Regular cadence: every delta-of-delta is zero.  int64 arithmetic
+        # wraps exactly like the cumsum path, so key mode is covered too.
+        seq = np.arange(n, dtype=np.int64) * np.int64(params["d0"])
+        seq += np.int64(params["first"])
+    else:
+        seq = np.empty(n, dtype=np.int64)
+        seq[0] = params["first"]
+        dod = _unzigzag(_unpack_width(payload, n - 2, width))
         deltas = np.empty(n - 1, dtype=np.int64)
         deltas[0] = params["d0"]
-        if n > 2:
-            deltas[1:] = params["d0"] + np.cumsum(dod)
+        deltas[1:] = params["d0"] + np.cumsum(dod)
         seq[1:] = seq[0] + np.cumsum(deltas)
     if params["mode"] == "int":
         return seq.astype(np.float64) / float(1 << int(params["shift"]))
@@ -233,7 +245,7 @@ def decode_values(
     bits = np.empty(n, dtype=np.uint64)
     bits[0] = np.uint64(params["first"])
     if n > 1:
-        nonzero = np.unpackbits(bitmap, count=n - 1).astype(bool)
+        nonzero = np.unpackbits(bitmap, count=n - 1).view(bool)
         xors = np.zeros(n - 1, dtype=np.uint64)
         sig = _unpack_width(payload, int(params["nonzero"]), int(params["width"]))
         xors[nonzero] = sig << np.uint64(params["trail"])
@@ -558,8 +570,9 @@ class ArchiveTier:
             def flush_run():
                 nonlocal merges, run_count
                 if len(run) > 1:
-                    t = np.concatenate([c.decode()[0] for c in run])
-                    v = np.concatenate([c.decode()[1] for c in run])
+                    decoded = [c.decode() for c in run]
+                    t = np.concatenate([d[0] for d in decoded])
+                    v = np.concatenate([d[1] for d in decoded])
                     for lo in range(0, t.size, target):
                         out.append(
                             ColdChunk.encode(t[lo:lo + target],

@@ -275,6 +275,26 @@ class TestArchiveTier:
         ts, _ = tier.scan("m", float("-inf"), float("inf"))
         assert ts.size == 12 * 5  # nothing lost
 
+    def test_compaction_decodes_each_chunk_once(self, monkeypatch):
+        tier = ArchiveTier(ArchiveConfig(chunk_samples=100,
+                                         compaction_trigger=100))
+        for i in range(12):
+            t = np.arange(i * 100.0, i * 100.0 + 50.0, 10.0)
+            tier.demote("m", t, np.arange(t.size, dtype=np.float64))
+        tier.demote("m", np.arange(1200.0, 1300.0), np.zeros(100))  # full
+        tier.demote("m", np.arange(1300.0, 1310.0), np.zeros(10))  # lone
+        merged = tier.chunk_count("m") - 2  # every chunk but full + lone
+        t0, v0 = tier.scan("m", float("-inf"), float("inf"))
+        calls = []
+        decode = ColdChunk.decode
+        monkeypatch.setattr(
+            ColdChunk, "decode", lambda self: calls.append(self) or decode(self))
+        assert tier.compact("m") > 0
+        assert len(calls) == merged == len({id(c) for c in calls})
+        monkeypatch.undo()
+        t1, v1 = tier.scan("m", float("-inf"), float("inf"))
+        assert _bits_equal(t0, t1) and _bits_equal(v0, v1)
+
     def test_adopt_rejects_overlap(self):
         tier = ArchiveTier()
         tier.demote("m", np.array([0.0, 10.0]), np.zeros(2))
