@@ -233,7 +233,7 @@ def test_bench_rollup_tier_serving():
 
     tiered_s = _best_of(run_tiered, repeats=5)
     raw_s = _best_of(run_raw, repeats=5)
-    snap = tiered.metrics.snapshot()
+    snap = tiered.rollups.metrics.snapshot()
     speedup = raw_s / tiered_s
     RESULTS["rollup"] = {
         "days": days,

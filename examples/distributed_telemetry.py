@@ -56,7 +56,7 @@ def main() -> None:
 
     print("=== 3. What the shard tier absorbed ===")
     rs = dc.store.replica_sets[victim]
-    health = dc.store.health_metrics()
+    health = dc.telemetry.health.snapshot()
     print(f"  fault events: {[(e.time, e.kind.value) for e in fault.events]}")
     print(f"  shard {victim} writes missed by the dead primary: "
           f"{int(health[f'telemetry.shard.{victim}.missed_writes'])} "

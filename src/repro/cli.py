@@ -260,10 +260,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         kpis = collect_kpis(dc)
         print(table(kpis.rows(), title="Run KPIs"))
         if args.shards is not None:
-            health = dc.store.health_metrics()
             per_shard = [
-                int(health[f"telemetry.shard.{i}.series"])
-                for i in range(args.shards)
+                int(rs.metrics.snapshot()[f"telemetry.shard.{rs.shard_id}.series"])
+                for rs in dc.store.replica_sets
             ]
             print(
                 f"sharded store: {args.shards} shards x "
@@ -522,7 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rejected = sum(1 for o in outcomes if o.rejected)
         errors = len(outcomes) - ok - rejected
         hits = sum(1 for o in outcomes if o.ok and o.cache_hit)
-        snap = frontend.health_metrics()
+        snap = frontend.metrics.snapshot()
         cache = frontend.cache_stats()
         print(f"  ok {ok}  rejected {rejected}  errors {errors}")
         if cache:

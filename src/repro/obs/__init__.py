@@ -11,8 +11,9 @@ provides the three legs:
 * :mod:`repro.obs.metrics` — typed :class:`~repro.obs.metrics.Counter` /
   :class:`~repro.obs.metrics.Gauge` / :class:`~repro.obs.metrics.Histogram`
   instruments in a :class:`~repro.obs.metrics.MetricsRegistry` with a
-  Prometheus text exporter (the pipeline's ``health_metrics()`` dicts are
-  thin views over these);
+  Prometheus text exporter (every pipeline component keeps its
+  self-metrics in one such registry, registered once with
+  ``TelemetrySystem``);
 * **profiling hooks** — the hot paths (store ingest/flush/resample, bus
   routing, replica fan-out, federated queries, scheduler tick, orchestrator
   decide) open spans only when the single global switch is on, so a

@@ -1,14 +1,13 @@
 """Typed metric instruments and the observability metrics registry.
 
-The telemetry pipeline's self-metrics began life as ad-hoc
-``health_metrics()`` dicts of floats.  This module gives them a type system
-— :class:`Counter` (monotone), :class:`Gauge` (free-moving) and
-:class:`Histogram` (fixed buckets plus p50/p95/p99 summaries) — collected in
-a :class:`MetricsRegistry` that can render the Prometheus text exposition
-format.  The dict snapshot API (:meth:`MetricsRegistry.snapshot`) is kept as
-a thin view over the typed instruments so existing consumers (the
-:class:`~repro.telemetry.health.HealthMonitor`, alert rules, tests) keep
-working unchanged.
+The telemetry pipeline's self-metrics are typed — :class:`Counter`
+(monotone), :class:`Gauge` (free-moving) and :class:`Histogram` (fixed
+buckets plus p50/p95/p99 summaries) — and collected in a
+:class:`MetricsRegistry` that can render the Prometheus text exposition
+format.  Each component owns one registry and registers it once with
+``TelemetrySystem``; the flat dict view (:meth:`MetricsRegistry.snapshot`)
+is what the :class:`~repro.telemetry.health.HealthMonitor` publishes as a
+health batch.
 
 Instruments come in two flavors:
 
@@ -321,7 +320,7 @@ class MetricsRegistry:
     # Views / export
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, float]:
-        """Flat ``{name: value}`` view — the legacy ``health_metrics`` shape.
+        """Flat ``{name: value}`` view — the shape of one health batch.
 
         Counters and gauges contribute one entry each (their own name);
         histograms expand to ``.count/.sum/.mean/.p50/.p95/.p99``.
@@ -358,12 +357,13 @@ def _prom_value(value: float) -> str:
 def prometheus_text(registries: Iterable[MetricsRegistry]) -> str:
     """Render one text exposition across several registries.
 
-    Duplicate instrument *names* across registries are aggregated by sum for
-    counters/gauges (matching how per-shard registries fold into a site
-    total would read) — in practice the pipeline keeps names disjoint, and
-    the first registration's metadata wins.  Histograms additionally emit a
-    ``<name>_summary`` block with p50/p95/p99 quantile lines so consumers
-    that cannot aggregate buckets still see the tail behavior.
+    Names are not aggregated across registries: the first instrument with
+    a given (sanitized) name is emitted as is, a second one is renamed
+    ``<name>_dup``, and any further copies are dropped.  The pipeline keeps
+    names disjoint, so this only shows up on a naming bug.  Histograms
+    additionally emit a ``<name>_summary`` block with p50/p95/p99 quantile
+    lines so consumers that cannot aggregate buckets still see the tail
+    behavior.
     """
     lines: List[str] = []
     seen: set = set()

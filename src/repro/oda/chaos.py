@@ -193,6 +193,7 @@ class ChaosEngine:
         self.scheduled: List[ChaosFault] = []
         self._last_totals: Dict[str, float] = {}
         self._artifact_probes: Dict[Tuple[float, str], Tuple[float, int]] = {}
+        dc.telemetry.register(self.metrics)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -397,7 +398,7 @@ class ChaosEngine:
             "totals": totals,
         }
         if sup is not None:
-            card["supervisor"] = sup.health_metrics()
+            card["supervisor"] = sup.metrics.snapshot()
         return card
 
     def write_scorecard(self, campaign: ChaosCampaign, path: str) -> Dict[str, object]:
@@ -552,7 +553,7 @@ class ChaosEngine:
     # Metrics
     # ------------------------------------------------------------------
     @property
-    def metrics_registry(self) -> MetricsRegistry:
+    def metrics(self) -> MetricsRegistry:
         """Typed instruments on the ``oda.chaos.*`` subtree."""
         if self._metrics is None:
             r = MetricsRegistry()

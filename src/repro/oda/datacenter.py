@@ -285,6 +285,7 @@ class DataCenter:
             self.supervisor = Supervisor(
                 self.sim, trace=self.trace, store=self.store, policy=policy,
             )
+            self.telemetry.register(self.supervisor.metrics)
         runtime = getattr(self.store, "runtime", None)
         if runtime is not None:
             # Parallel shard workers go under watchdog crash detection.
@@ -305,14 +306,6 @@ class DataCenter:
         self.telemetry.close()
 
     def prometheus(self) -> str:
-        """Prometheus text exposition of every pipeline metrics registry
-        (bus, agents, store/shards, health, plus any profiling histograms
-        collected while :data:`repro.obs.OBS` was enabled; supervisor
-        instruments are included once supervision is enabled)."""
-        if self.supervisor is None:
-            return self.telemetry.prometheus()
-        from repro.obs.metrics import prometheus_text
-
-        registries = list(self.telemetry.metric_registries())
-        registries.append(self.supervisor.metrics_registry)
-        return prometheus_text(registries)
+        """Prometheus text exposition of every registered self-metrics
+        registry (see :meth:`TelemetrySystem.prometheus`)."""
+        return self.telemetry.prometheus()

@@ -67,7 +67,7 @@ class StreamingStage:
             self.bus.publish(self.output_topic, SampleBatch.from_mapping(batch.time, derived))
 
     @property
-    def metrics_registry(self) -> MetricsRegistry:
+    def metrics(self) -> MetricsRegistry:
         """Typed instruments on the ``telemetry.stage.<topic>`` subtree."""
         if self._metrics is None:
             prefix = f"telemetry.stage.{self.output_topic}"
@@ -80,10 +80,6 @@ class StreamingStage:
                       fn=lambda: float(self.errors))
             self._metrics = r
         return self._metrics
-
-    def health_metrics(self) -> Dict[str, float]:
-        """Self-metrics snapshot, registrable as a health-monitor probe."""
-        return self.metrics_registry.snapshot()
 
     def process(self, topic: str, batch: SampleBatch) -> Optional[Dict[str, float]]:
         raise NotImplementedError
@@ -147,7 +143,7 @@ class StreamingDetectorStage(StreamingStage):
         threshold: float = 4.0,
     ):
         super().__init__(bus, pattern, output_topic)
-        self.metrics = metrics
+        self.watched = metrics
         self.alpha = alpha
         self.threshold = threshold
         self.breaches = 0
@@ -155,7 +151,7 @@ class StreamingDetectorStage(StreamingStage):
 
     def process(self, topic: str, batch: SampleBatch) -> Optional[Dict[str, float]]:
         out: Dict[str, float] = {}
-        for metric in self.metrics:
+        for metric in self.watched:
             value = batch.get(metric)
             if value is None:
                 continue

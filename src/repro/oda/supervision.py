@@ -779,7 +779,7 @@ class Supervisor:
         return float(sum(getattr(s, attr) for s in self.loops.values()))
 
     @property
-    def metrics_registry(self) -> MetricsRegistry:
+    def metrics(self) -> MetricsRegistry:
         """Typed instruments on the ``oda.supervisor.*`` subtree."""
         if self._metrics is None:
             r = MetricsRegistry()
@@ -857,7 +857,3 @@ class Supervisor:
                       ))
             self._metrics = r
         return self._metrics
-
-    def health_metrics(self) -> Dict[str, float]:
-        """Flat snapshot, registrable as a health-monitor probe."""
-        return self.metrics_registry.snapshot()

@@ -47,6 +47,7 @@ class ODASystem:
 
     def add_stage(self, stage: StreamingStage) -> StreamingStage:
         self.stages.append(stage)
+        self.datacenter.telemetry.register(stage.metrics)
         if self.datacenter.supervisor is not None:
             self.datacenter.supervisor.supervise_stage(stage)
         return stage

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ArchiveConfig",
@@ -404,6 +405,7 @@ class ArchiveTier:
         self.scanned_samples = 0
         self.compactions = 0
         self.missing_chunks = 0
+        self._metrics: Optional[MetricsRegistry] = None
 
     # -- introspection -------------------------------------------------
     def __contains__(self, name: str) -> bool:
@@ -599,17 +601,38 @@ class ArchiveTier:
         return merges
 
     # -- health --------------------------------------------------------
-    def health_counters(self) -> Dict[str, float]:
-        encoded = self.encoded_bytes
-        return {
-            "telemetry.archive.chunks": float(self.chunk_count()),
-            "telemetry.archive.samples": float(self.samples()),
-            "telemetry.archive.encoded_bytes": float(encoded),
-            "telemetry.archive.raw_bytes": float(self.raw_bytes),
-            "telemetry.archive.demotions": float(self.demotions),
-            "telemetry.archive.demoted_samples": float(self.demoted_samples),
-            "telemetry.archive.cold_scans": float(self.cold_scans),
-            "telemetry.archive.scanned_samples": float(self.scanned_samples),
-            "telemetry.archive.compactions": float(self.compactions),
-            "telemetry.archive.missing_chunks": float(self.missing_chunks),
-        }
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Typed instruments on the ``telemetry.archive.*`` subtree."""
+        if self._metrics is None:
+            r = MetricsRegistry()
+            r.gauge("telemetry.archive.chunks", "cold chunks held",
+                    fn=lambda: float(self.chunk_count()))
+            r.gauge("telemetry.archive.samples", "samples in cold tier",
+                    fn=lambda: float(self.samples()))
+            r.gauge("telemetry.archive.encoded_bytes",
+                    "compressed cold payload bytes",
+                    fn=lambda: float(self.encoded_bytes))
+            r.gauge("telemetry.archive.raw_bytes",
+                    "hot-equivalent bytes of cold samples",
+                    fn=lambda: float(self.raw_bytes))
+            r.counter("telemetry.archive.demotions",
+                      "retention sweeps that demoted to cold",
+                      fn=lambda: float(self.demotions))
+            r.counter("telemetry.archive.demoted_samples",
+                      "samples demoted to cold",
+                      fn=lambda: float(self.demoted_samples))
+            r.counter("telemetry.archive.cold_scans",
+                      "reads that decoded cold chunks",
+                      fn=lambda: float(self.cold_scans))
+            r.counter("telemetry.archive.scanned_samples",
+                      "samples decoded from cold chunks",
+                      fn=lambda: float(self.scanned_samples))
+            r.counter("telemetry.archive.compactions",
+                      "cold chunk merge passes",
+                      fn=lambda: float(self.compactions))
+            r.counter("telemetry.archive.missing_chunks",
+                      "cold chunks missing at load (degraded to raw)",
+                      fn=lambda: float(self.missing_chunks))
+            self._metrics = r
+        return self._metrics

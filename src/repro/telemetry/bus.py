@@ -410,7 +410,3 @@ class MessageBus:
                       fn=lambda: float(self.route_cache_misses))
             self._metrics = r
         return self._metrics
-
-    def health_metrics(self) -> Dict[str, float]:
-        """Self-metrics snapshot — a thin dict view over :attr:`metrics`."""
-        return self.metrics.snapshot()

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError, SamplerTimeoutError
 from repro.obs import OBS as _OBS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, prometheus_text
 from repro.simulation.engine import PeriodicHandle, Simulator
 from repro.telemetry.bus import MessageBus
 from repro.telemetry.metric import MetricRegistry, MetricSpec
@@ -246,10 +246,6 @@ class CollectionAgent:
             self._metrics = r
         return self._metrics
 
-    def health_metrics(self) -> Dict[str, float]:
-        """Self-metrics snapshot — a thin dict view over :attr:`metrics`."""
-        return self.metrics.snapshot()
-
 
 class TelemetrySystem:
     """Convenience bundle: registry + bus + store + agents, pre-wired.
@@ -334,6 +330,10 @@ class TelemetrySystem:
         self._alerts = None
         self._frontend = None
         self.health = None
+        self._registries: List[MetricsRegistry] = []
+        self.register(self.bus.metrics)
+        for registry in self.store.metric_registries():
+            self.register(registry)
         self.bus.subscribe("#", self.store.ingest)
         if health_period is not None:
             self.enable_health(health_period)
@@ -360,6 +360,7 @@ class TelemetrySystem:
             from repro.telemetry.serving import QueryFrontend
 
             self._frontend = QueryFrontend(self.store, **kwargs)
+            self.register(self._frontend.metrics)
         elif kwargs:
             raise ConfigurationError(
                 "frontend already created; configure tenants via "
@@ -374,17 +375,18 @@ class TelemetrySystem:
 
             self.health = HealthMonitor(
                 self.bus,
-                store=self.store,
-                agents=self.agents,  # shared list: later agents are seen too
+                self._registries,  # live: later registrations are seen too
                 alerts=lambda: self._alerts,
                 period=period,
             )
+            self.register(self.health.metrics)
         return self.health
 
     def new_agent(self, name: str, period: float) -> CollectionAgent:
         """Create, register and return a collection agent."""
         agent = CollectionAgent(name, self.bus, period, registry=self.registry)
         self.agents.append(agent)
+        self.register(agent.metrics)
         return agent
 
     def start_all(self, sim: Simulator) -> None:
@@ -422,28 +424,20 @@ class TelemetrySystem:
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
+    def register(self, registry: MetricsRegistry) -> MetricsRegistry:
+        """Add a component's self-metrics registry to the one ordered list
+        the health monitor publishes and :meth:`prometheus` exports
+        (idempotent); every component registers once, when created."""
+        if all(r is not registry for r in self._registries):
+            self._registries.append(registry)
+        return registry
+
     def metric_registries(self) -> List[MetricsRegistry]:
-        """Every typed-metric registry in the stack: bus, agents, store,
-        health monitor, plus the global profiling registry when the
-        observability switch has collected anything."""
-        registries = [self.bus.metrics]
-        registries.extend(agent.metrics for agent in self.agents)
-        store_registries = getattr(self.store, "metric_registries", None)
-        if store_registries is not None:  # sharded store: one per replica set
-            registries.extend(store_registries())
-        elif getattr(self.store, "metrics", None) is not None:
-            registries.append(self.store.metrics)
-        if self.health is not None:
-            registries.append(self.health.metrics_registry)
-        if self._frontend is not None:
-            registries.append(self._frontend.metrics)
-        if len(_OBS.registry):
-            registries.append(_OBS.registry)
-        return registries
+        """The registered registries, plus the global profiling registry
+        when the observability switch has collected anything."""
+        return self._registries + ([_OBS.registry] if len(_OBS.registry) else [])
 
     def prometheus(self) -> str:
-        """Prometheus text exposition of the whole pipeline's self-metrics
+        """Prometheus text exposition of every registered registry
         (typed ``telemetry.*`` instruments + ``obs.*`` span histograms)."""
-        from repro.obs.metrics import prometheus_text
-
         return prometheus_text(self.metric_registries())

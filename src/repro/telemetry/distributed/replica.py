@@ -42,6 +42,46 @@ log = logging.getLogger(__name__)
 StoreFactory = Callable[[], TimeSeriesStore]
 
 
+def replica_metrics(rs) -> MetricsRegistry:
+    """The per-shard instrument set, under ``telemetry.shard.<shard_id>``.
+
+    Shared by :class:`ReplicaSet` and the parallel tier's
+    ``ParallelReplicaSet``: each supplies ``_serving_stat(key)`` (one
+    member's value, NaN when none serves) and ``_summed_stat(key)`` (summed
+    over members) from wherever its counters live.
+    """
+    prefix = f"telemetry.shard.{rs.shard_id}"
+    r = MetricsRegistry()
+    r.counter(f"{prefix}.samples", "samples on the serving member",
+              fn=lambda: rs._serving_stat("samples_ingested"))
+    r.gauge(f"{prefix}.series", "series on the serving member",
+            fn=lambda: rs._serving_stat("series"))
+    r.gauge(f"{prefix}.down_members", "members currently down",
+            fn=lambda: float(rs.down_members))
+    r.counter(f"{prefix}.missed_writes", "writes missed by down members",
+              fn=lambda: rs._summed_stat("missed_writes"))
+    r.counter(f"{prefix}.dropped_writes", "writes shed by degraded members",
+              fn=lambda: rs._summed_stat("dropped_writes"))
+    r.counter(f"{prefix}.lost_samples", "samples lost with every member down",
+              fn=lambda: rs._summed_stat("lost_samples"))
+    r.counter(f"{prefix}.failover_reads",
+              "reads served by a non-primary member",
+              fn=lambda: float(rs.failover_reads))
+    r.counter(f"{prefix}.resync_failed",
+              "revivals that found no healthy peer to resync from",
+              fn=lambda: rs._summed_stat("resync_failures"))
+    r.counter(f"{prefix}.diverged_windows",
+              "divergent (series, window) pairs detected",
+              fn=lambda: rs._summed_stat("diverged_windows"))
+    r.counter(f"{prefix}.repaired_windows",
+              "divergent windows repaired by anti-entropy",
+              fn=lambda: rs._summed_stat("repaired_windows"))
+    r.counter(f"{prefix}.repaired_samples",
+              "samples copied to members by anti-entropy",
+              fn=lambda: rs._summed_stat("repaired_samples"))
+    return r
+
+
 class ReplicaSet:
     """Primary + R replica stores for one shard, with read failover."""
 
@@ -79,7 +119,6 @@ class ReplicaSet:
         self.repaired_windows = 0
         self.repaired_samples = [0] * len(self.members)
         self._metrics: Optional[MetricsRegistry] = None
-        self._metrics_prefix: Optional[str] = None
 
     def _make_member(self, member: int) -> TimeSeriesStore:
         return self._factory(member=member) if self._per_member else self._factory()
@@ -390,45 +429,14 @@ class ReplicaSet:
             getattr(serving, attr)
         )
 
-    def metrics_registry(self, prefix: str) -> MetricsRegistry:
-        """Typed instruments under ``prefix`` (``telemetry.shard.<i>``)."""
-        if self._metrics is None or self._metrics_prefix != prefix:
-            r = MetricsRegistry()
-            r.counter(f"{prefix}.samples", "samples on the serving member",
-                      fn=lambda: self._serving_stat("samples_ingested"))
-            r.gauge(f"{prefix}.series", "series on the serving member",
-                    fn=lambda: self._serving_stat("series"))
-            r.gauge(f"{prefix}.down_members", "members currently down",
-                    fn=lambda: float(self.down_members))
-            r.counter(f"{prefix}.missed_writes",
-                      "writes missed by down members",
-                      fn=lambda: float(sum(self.missed_writes)))
-            r.counter(f"{prefix}.dropped_writes",
-                      "writes shed by degraded members",
-                      fn=lambda: float(sum(self.dropped_writes)))
-            r.counter(f"{prefix}.lost_samples",
-                      "samples lost with every member down",
-                      fn=lambda: float(self.lost_samples))
-            r.counter(f"{prefix}.failover_reads",
-                      "reads served by a non-primary member",
-                      fn=lambda: float(self.failover_reads))
-            r.counter(f"{prefix}.resync_failed",
-                      "revivals that found no healthy peer to resync from",
-                      fn=lambda: float(self.resync_failures))
-            r.counter(f"{prefix}.diverged_windows",
-                      "divergent (series, window) pairs detected",
-                      fn=lambda: float(self.diverged_windows))
-            r.counter(f"{prefix}.repaired_windows",
-                      "divergent windows repaired by anti-entropy",
-                      fn=lambda: float(self.repaired_windows))
-            r.counter(f"{prefix}.repaired_samples",
-                      "samples copied to members by anti-entropy",
-                      fn=lambda: float(sum(self.repaired_samples)))
-            self._metrics = r
-            self._metrics_prefix = prefix
-        return self._metrics
+    def _summed_stat(self, attr: str) -> float:
+        """One counter summed over members (scalars pass through)."""
+        value = getattr(self, attr)
+        return float(sum(value) if isinstance(value, list) else value)
 
-    def health_metrics(self, prefix: str) -> dict:
-        """Per-shard counters under ``prefix`` — a thin dict view over
-        :meth:`metrics_registry`."""
-        return self.metrics_registry(prefix).snapshot()
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Typed instruments under ``telemetry.shard.<shard_id>``."""
+        if self._metrics is None:
+            self._metrics = replica_metrics(self)
+        return self._metrics

@@ -10,7 +10,7 @@ the :class:`~repro.telemetry.distributed.federation.FederatedQueryEngine`.
 
 The public surface is API-compatible with ``TimeSeriesStore`` (``ingest``,
 ``query``, ``resample``, ``align``, ``select``, ``names``, ``flush``,
-``health_metrics``, …), so everything downstream — bus subscription,
+``metric_registries``, …), so everything downstream — bus subscription,
 streaming stages, alert evaluation, analytics, persistence — works
 unchanged on a sharded deployment::
 
@@ -547,10 +547,7 @@ class ShardedStore:
     def metric_registries(self) -> List[MetricsRegistry]:
         """Aggregate registry plus one per replica set (for exporters);
         a parallel deployment adds the ``telemetry.runtime.*`` registry."""
-        registries = [self.metrics] + [
-            rs.metrics_registry(f"telemetry.shard.{rs.shard_id}")
-            for rs in self.replica_sets
-        ]
+        registries = [self.metrics] + [rs.metrics for rs in self.replica_sets]
         if self.runtime is not None:
             registries.append(self.runtime.metrics)
         return registries
@@ -568,42 +565,6 @@ class ShardedStore:
             for i, member in enumerate(rs.members):
                 if not rs.is_down(i) and hasattr(member, "close"):
                     member.close()
-
-    def health_metrics(self) -> Dict[str, float]:
-        """Self-metrics on the ``telemetry.shard.*`` subtree.
-
-        Published by the :class:`~repro.telemetry.health.HealthMonitor`
-        like any store's, so shard failures are visible — and alertable —
-        through the ordinary pipeline.  A thin dict view over
-        :meth:`metrics` plus the per-shard registries, preserving the
-        historical key order (aggregates bracket the per-shard entries).
-        """
-        agg = self.metrics.snapshot()
-        out: Dict[str, float] = {
-            k: agg[k]
-            for k in (
-                "telemetry.shard.count",
-                "telemetry.shard.replication",
-                "telemetry.shard.batches",
-                "telemetry.shard.fanouts",
-            )
-        }
-        for rs in self.replica_sets:
-            out.update(rs.health_metrics(f"telemetry.shard.{rs.shard_id}"))
-        for k in (
-            "telemetry.shard.down_members",
-            "telemetry.shard.failover_reads",
-            "telemetry.shard.lost_samples",
-            "telemetry.shard.resync_failed",
-            "telemetry.replica.diverged_windows",
-            "telemetry.replica.repaired_windows",
-            "telemetry.replica.repaired_samples",
-            "telemetry.durability.corrupt_artifacts",
-        ):
-            out[k] = agg[k]
-        if self.runtime is not None:
-            out.update(self.runtime.health_metrics())
-        return out
 
     # ------------------------------------------------------------------
     # Queries (single-series routed, cross-series federated)

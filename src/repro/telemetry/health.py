@@ -4,9 +4,13 @@ Long-lived ODA deployments treat the monitoring pipeline as just another
 production service: the bus, the collection agents and the store publish
 their own meta-telemetry (delivery counts, scrape errors, dead-letter depth,
 series counts) back onto the bus, where it lands in the store and can be
-alerted on like any sensor.  :class:`HealthMonitor` does exactly that on a
-period, and additionally drives the alert engine's stale-data checks so a
-dead sampler raises an alert even when no data flows at all.
+alerted on like any sensor.  Every component keeps its counters in one
+typed :class:`~repro.obs.metrics.MetricsRegistry` and registers it once
+with :class:`~repro.telemetry.collector.TelemetrySystem`;
+:class:`HealthMonitor` publishes a snapshot of that one registry list on a
+period — the same list ``TelemetrySystem.prometheus()`` exports — and
+additionally drives the alert engine's stale-data checks so a dead sampler
+raises an alert even when no data flows at all.
 
 Metric names follow the ``telemetry.*`` subtree::
 
@@ -16,7 +20,7 @@ Metric names follow the ``telemetry.*`` subtree::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.engine import PeriodicHandle, Simulator
@@ -28,8 +32,6 @@ __all__ = ["HealthMonitor", "HEALTH_TOPIC"]
 #: Bus topic health batches are published on.
 HEALTH_TOPIC = "telemetry.health"
 
-ProbeFn = Callable[[], Dict[str, float]]
-
 
 class HealthMonitor:
     """Publishes pipeline self-metrics on a period.
@@ -37,14 +39,12 @@ class HealthMonitor:
     Parameters
     ----------
     bus:
-        The bus to report on *and* publish to (health batches flow through
-        the normal transport so they land in the store and alert engine).
-    store:
-        Optional store to report sample/series counts for.
-    agents:
-        Collection agents to report on.  The live list may be passed (as
-        :class:`~repro.telemetry.collector.TelemetrySystem` does) so agents
-        created later are picked up automatically.
+        The bus to publish to (health batches flow through the normal
+        transport so they land in the store and alert engine).
+    registries:
+        The registries to publish.  ``TelemetrySystem`` passes its live
+        registration list, so components registered later are picked up
+        automatically.  The monitor's own counters are always published.
     alerts:
         An :class:`~repro.telemetry.alerts.AlertEngine`, or a zero-argument
         callable returning one (or ``None``); its ``check_staleness`` is
@@ -54,29 +54,21 @@ class HealthMonitor:
     def __init__(
         self,
         bus: MessageBus,
-        store=None,
-        agents: Optional[Sequence] = None,
+        registries: List[MetricsRegistry],
         alerts: Union[None, object, Callable[[], object]] = None,
         period: float = 60.0,
         topic: str = HEALTH_TOPIC,
     ):
         self.bus = bus
-        self.store = store
-        self.agents = agents if agents is not None else []
+        self.registries = registries
         self._alerts = alerts
         self.period = period
         self.topic = topic
         self.ticks = 0
         self.probe_errors = 0
         self.last_probe_error = ""
-        self._probes: List[ProbeFn] = []
         self._handle: Optional[PeriodicHandle] = None
         self._metrics: Optional[MetricsRegistry] = None
-
-    def add_probe(self, probe: ProbeFn) -> ProbeFn:
-        """Register an extra metrics provider (e.g. a streaming stage)."""
-        self._probes.append(probe)
-        return probe
 
     def _alert_engine(self):
         if callable(self._alerts):
@@ -85,49 +77,44 @@ class HealthMonitor:
 
     # ------------------------------------------------------------------
     @property
-    def metrics_registry(self) -> MetricsRegistry:
+    def metrics(self) -> MetricsRegistry:
         """Typed instruments for the monitor's own counters."""
         if self._metrics is None:
             r = MetricsRegistry()
             r.counter("telemetry.health.ticks", "health reporting ticks",
                       fn=lambda: float(self.ticks))
             r.counter("telemetry.health.probe_errors",
-                      "registered probes that raised during a health tick",
+                      "registries whose snapshot raised during a health tick",
                       fn=lambda: float(self.probe_errors))
             self._metrics = r
         return self._metrics
 
-    def metrics(self, now: float) -> Dict[str, float]:
-        """One self-metrics snapshot across bus, agents, store and probes.
+    def snapshot(self) -> Dict[str, float]:
+        """One flat snapshot across the registered registries.
 
-        A raising probe is isolated: its metrics are skipped for this tick,
-        the failure is counted in ``telemetry.health.probe_errors``, and
-        every other contributor still reports — the health tick itself must
-        be as fault-tolerant as the pipeline it watches.
+        A raising registry is isolated: it is skipped for this tick, the
+        failure is counted in ``telemetry.health.probe_errors``, and every
+        other registry still reports — the health tick itself must be as
+        fault-tolerant as the pipeline it watches.  The monitor's own
+        counters are read last, so they include this tick's failures.
         """
-        out = dict(self.bus.health_metrics())
-        for agent in self.agents:
-            out.update(agent.health_metrics())
-        if self.store is not None:
-            store_health = getattr(self.store, "health_metrics", None)
-            if store_health is not None:
-                out.update(store_health())
-            else:  # duck-typed store without self-metrics
-                out["telemetry.store.samples"] = float(self.store.samples_ingested)
-                out["telemetry.store.series"] = float(len(self.store))
-        for probe in self._probes:
+        own = self.metrics
+        out: Dict[str, float] = {}
+        for registry in self.registries:
+            if registry is own:
+                continue
             try:
-                out.update(probe())
-            except Exception as exc:  # noqa: BLE001 — isolate probe failures
+                out.update(registry.snapshot())
+            except Exception as exc:  # noqa: BLE001 — isolate registry failures
                 self.probe_errors += 1
                 self.last_probe_error = repr(exc)
-        out.update(self.metrics_registry.snapshot())
+        out.update(own.snapshot())
         return out
 
     def collect(self, now: float) -> SampleBatch:
         """Publish one health batch and run staleness checks; returns it."""
         self.ticks += 1
-        batch = SampleBatch.from_mapping(now, self.metrics(now))
+        batch = SampleBatch.from_mapping(now, self.snapshot())
         self.bus.publish(self.topic, batch)
         engine = self._alert_engine()
         if engine is not None:

@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import StoreError
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["RollupConfig", "RollupEngine", "SERVABLE_AGGREGATIONS"]
 
@@ -231,6 +232,7 @@ class RollupEngine:
         self.tier_hits = 0
         self.partial_hits = 0
         self.raw_fallbacks = 0
+        self._metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Maintenance (mutation epilogue)
@@ -509,12 +511,34 @@ class RollupEngine:
             if ts is not None and ts.cursor is None:
                 ts.restore(cursor, arrays)
 
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Typed instruments on the ``telemetry.rollup.*`` subtree."""
+        if self._metrics is None:
+            r = MetricsRegistry()
+            r.gauge("telemetry.rollup.series_tracked",
+                    "series with rollup cascades",
+                    fn=lambda: float(self.series_tracked))
+            r.counter("telemetry.rollup.buckets_finalized",
+                      "tier buckets finalized",
+                      fn=lambda: float(self.buckets_finalized))
+            r.counter("telemetry.rollup.buckets_served",
+                      "query buckets answered from tiers",
+                      fn=lambda: float(self.buckets_served))
+            r.counter("telemetry.rollup.tier_hits",
+                      "queries fully tier-served (bar the final bucket)",
+                      fn=lambda: float(self.tier_hits))
+            r.counter("telemetry.rollup.partial_hits",
+                      "queries spliced from tier prefix + raw tail",
+                      fn=lambda: float(self.partial_hits))
+            r.counter("telemetry.rollup.raw_fallbacks",
+                      "planner consultations that fell back to raw",
+                      fn=lambda: float(self.raw_fallbacks))
+            r.counter("telemetry.rollup.buckets_repaired",
+                      "tier buckets rebuilt after anti-entropy repair",
+                      fn=lambda: float(self.buckets_repaired))
+            self._metrics = r
+        return self._metrics
+
     def health_counters(self) -> Dict[str, float]:
-        return {
-            "telemetry.rollup.series_tracked": float(self.series_tracked),
-            "telemetry.rollup.buckets_finalized": float(self.buckets_finalized),
-            "telemetry.rollup.buckets_served": float(self.buckets_served),
-            "telemetry.rollup.tier_hits": float(self.tier_hits),
-            "telemetry.rollup.partial_hits": float(self.partial_hits),
-            "telemetry.rollup.raw_fallbacks": float(self.raw_fallbacks),
-        }
+        return self.metrics.snapshot()

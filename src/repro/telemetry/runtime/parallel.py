@@ -50,6 +50,7 @@ import numpy as np
 import repro.errors as _errors
 from repro.errors import ConfigurationError, ShardDownError, StoreError
 from repro.obs.metrics import MetricsRegistry
+from repro.telemetry.distributed.replica import replica_metrics
 from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.runtime.worker import worker_main
 from repro.telemetry.sample import SampleBatch
@@ -273,7 +274,6 @@ class ParallelReplicaSet:
         self._drop_fraction = [0.0] * len(self.members)
         self.failover_reads = 0
         self._metrics: Optional[MetricsRegistry] = None
-        self._metrics_prefix: Optional[str] = None
 
     # -- topology ------------------------------------------------------
     @property
@@ -394,46 +394,12 @@ class ParallelReplicaSet:
             return float("nan")
         return float(sum(stats) if isinstance(stats, list) else stats)
 
-    def metrics_registry(self, prefix: str) -> MetricsRegistry:
-        """Same instrument set as :meth:`ReplicaSet.metrics_registry`."""
-        if self._metrics is None or self._metrics_prefix != prefix:
-            r = MetricsRegistry()
-            r.counter(f"{prefix}.samples", "samples on the serving member",
-                      fn=lambda: self._serving_stat("samples_ingested"))
-            r.gauge(f"{prefix}.series", "series on the serving member",
-                    fn=lambda: self._serving_stat("series"))
-            r.gauge(f"{prefix}.down_members", "members currently down",
-                    fn=lambda: float(self.down_members))
-            r.counter(f"{prefix}.missed_writes",
-                      "writes missed by down members",
-                      fn=lambda: self._summed_stat("missed_writes"))
-            r.counter(f"{prefix}.dropped_writes",
-                      "writes shed by degraded members",
-                      fn=lambda: self._summed_stat("dropped_writes"))
-            r.counter(f"{prefix}.lost_samples",
-                      "samples lost with every member down",
-                      fn=lambda: self._summed_stat("lost_samples"))
-            r.counter(f"{prefix}.failover_reads",
-                      "reads served by a non-primary member",
-                      fn=lambda: float(self.failover_reads))
-            r.counter(f"{prefix}.resync_failed",
-                      "revivals that found no healthy peer to resync from",
-                      fn=lambda: self._summed_stat("resync_failures"))
-            r.counter(f"{prefix}.diverged_windows",
-                      "replica windows found diverged by anti-entropy",
-                      fn=lambda: self._summed_stat("diverged_windows"))
-            r.counter(f"{prefix}.repaired_windows",
-                      "replica windows repaired by anti-entropy",
-                      fn=lambda: self._summed_stat("repaired_windows"))
-            r.counter(f"{prefix}.repaired_samples",
-                      "samples restored into members by anti-entropy",
-                      fn=lambda: self._summed_stat("repaired_samples"))
-            self._metrics = r
-            self._metrics_prefix = prefix
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """Same instrument set as :attr:`ReplicaSet.metrics`."""
+        if self._metrics is None:
+            self._metrics = replica_metrics(self)
         return self._metrics
-
-    def health_metrics(self, prefix: str) -> dict:
-        return self.metrics_registry(prefix).snapshot()
 
     # -- worker-side counters (tests / introspection) ------------------
     @property
@@ -943,5 +909,3 @@ class ParallelShardRuntime:
             self._metrics = r
         return self._metrics
 
-    def health_metrics(self) -> Dict[str, float]:
-        return self.metrics.snapshot()

@@ -607,9 +607,6 @@ class QueryFrontend:
                 self._metrics = r
             return self._metrics
 
-    def health_metrics(self) -> Dict[str, float]:
-        return self.metrics.snapshot()
-
     def cache_stats(self) -> dict:
         return self._cache.stats() if self._cache is not None else {}
 

@@ -1086,59 +1086,6 @@ class TimeSeriesStore:
             r.counter("telemetry.store.samples_trimmed",
                       "samples dropped by retention",
                       fn=lambda: float(self.samples_trimmed))
-            if self.rollups is not None:
-                ru = self.rollups
-                r.gauge("telemetry.rollup.series_tracked",
-                        "series with rollup cascades",
-                        fn=lambda: float(ru.series_tracked))
-                r.counter("telemetry.rollup.buckets_finalized",
-                          "tier buckets finalized",
-                          fn=lambda: float(ru.buckets_finalized))
-                r.counter("telemetry.rollup.buckets_served",
-                          "query buckets answered from tiers",
-                          fn=lambda: float(ru.buckets_served))
-                r.counter("telemetry.rollup.tier_hits",
-                          "queries fully tier-served (bar the final bucket)",
-                          fn=lambda: float(ru.tier_hits))
-                r.counter("telemetry.rollup.partial_hits",
-                          "queries spliced from tier prefix + raw tail",
-                          fn=lambda: float(ru.partial_hits))
-                r.counter("telemetry.rollup.raw_fallbacks",
-                          "planner consultations that fell back to raw",
-                          fn=lambda: float(ru.raw_fallbacks))
-                r.counter("telemetry.rollup.buckets_repaired",
-                          "tier buckets rebuilt after anti-entropy repair",
-                          fn=lambda: float(ru.buckets_repaired))
-            if self.archive is not None:
-                ar = self.archive
-                r.gauge("telemetry.archive.chunks", "cold chunks held",
-                        fn=lambda: float(ar.chunk_count()))
-                r.gauge("telemetry.archive.samples", "samples in cold tier",
-                        fn=lambda: float(ar.samples()))
-                r.gauge("telemetry.archive.encoded_bytes",
-                        "compressed cold payload bytes",
-                        fn=lambda: float(ar.encoded_bytes))
-                r.gauge("telemetry.archive.raw_bytes",
-                        "hot-equivalent bytes of cold samples",
-                        fn=lambda: float(ar.raw_bytes))
-                r.counter("telemetry.archive.demotions",
-                          "retention sweeps that demoted to cold",
-                          fn=lambda: float(ar.demotions))
-                r.counter("telemetry.archive.demoted_samples",
-                          "samples demoted to cold",
-                          fn=lambda: float(ar.demoted_samples))
-                r.counter("telemetry.archive.cold_scans",
-                          "reads that decoded cold chunks",
-                          fn=lambda: float(ar.cold_scans))
-                r.counter("telemetry.archive.scanned_samples",
-                          "samples decoded from cold chunks",
-                          fn=lambda: float(ar.scanned_samples))
-                r.counter("telemetry.archive.compactions",
-                          "cold chunk merge passes",
-                          fn=lambda: float(ar.compactions))
-                r.counter("telemetry.archive.missing_chunks",
-                          "cold chunks missing at load (degraded to raw)",
-                          fn=lambda: float(ar.missing_chunks))
             r.counter("telemetry.durability.corrupt_artifacts",
                       "damaged persisted artifacts degraded at load",
                       fn=lambda: float(self.corrupt_artifacts))
@@ -1176,9 +1123,12 @@ class TimeSeriesStore:
             self._metrics = r
         return self._metrics
 
-    def health_metrics(self) -> Dict[str, float]:
-        """Self-metrics snapshot — a thin dict view over :attr:`metrics`."""
-        return self.metrics.snapshot()
+    def metric_registries(self) -> List[MetricsRegistry]:
+        """The store's registry plus its rollup and cold-tier registries."""
+        return [self.metrics] + [
+            tier.metrics for tier in (self.rollups, self.archive)
+            if tier is not None
+        ]
 
     # ------------------------------------------------------------------
     # Queries

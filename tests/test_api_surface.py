@@ -3,6 +3,8 @@
 The store read surface is declared by hand on four classes and the
 benchmark tracer wraps entry points by dotted name from outside ``src/``;
 neither is checked by anything that runs the code, so both are pinned here.
+So is the single self-metrics accessor: a component's registry is reached
+as ``.metrics``, never through a dict view or a second accessor name.
 """
 
 from __future__ import annotations
@@ -11,9 +13,11 @@ import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 
 import pytest
 
+import repro
 import repro.telemetry as telemetry
 from repro.telemetry import ShardedStore, TimeSeriesStore
 from repro.telemetry.distributed.federation import FederatedQueryEngine
@@ -95,3 +99,25 @@ class TestTracerTargetsResolve:
             if not callable(getattr(owner, attr, None)):
                 missing.append(".".join(p for p in (module, cls, attr) if p))
         assert missing == []
+
+
+class TestOneSelfMetricsAccessor:
+    RETIRED = ("health_metrics", "metrics_registry")
+
+    def test_no_public_class_keeps_a_retired_accessor(self):
+        offenders = []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name.endswith("__main__"):
+                continue
+            module = importlib.import_module(info.name)
+            for name, cls in vars(module).items():
+                if (
+                    inspect.isclass(cls)
+                    and not name.startswith("_")
+                    and cls.__module__ == module.__name__
+                ):
+                    offenders.extend(
+                        f"{cls.__module__}.{name}.{attr}"
+                        for attr in self.RETIRED if hasattr(cls, attr)
+                    )
+        assert offenders == []

@@ -119,7 +119,7 @@ class TestStandardCampaign:
 
     def test_chaos_metrics_registry(self, run):
         _, _, engine, *_ = run
-        snap = engine.metrics_registry.snapshot()
+        snap = engine.metrics.snapshot()
         assert snap["oda.chaos.faults_injected"] == 5.0
         assert snap["oda.chaos.recovered"] == 5.0
         assert snap["oda.chaos.unrecovered"] == 0.0

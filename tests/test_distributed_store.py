@@ -250,7 +250,10 @@ class TestHealthMetrics:
     def test_shard_subtree_counters(self):
         _, sharded = fill_pair(shards=2, replication=1)
         sharded.replica_sets[0].mark_down(0)
-        health = sharded.health_metrics()
+        health = {
+            name: value for registry in sharded.metric_registries()
+            for name, value in registry.snapshot().items()
+        }
         assert health["telemetry.shard.count"] == 2.0
         assert health["telemetry.shard.replication"] == 1.0
         assert health["telemetry.shard.down_members"] == 1.0
@@ -509,7 +512,7 @@ class TestReviveResyncFailure:
             rs.revive(1, resync=True)
         assert rs.resync_failures == 1
         assert any("no healthy peer" in r.message for r in caplog.records)
-        assert sharded.health_metrics()["telemetry.shard.resync_failed"] == 1.0
+        assert sharded.metrics.snapshot()["telemetry.shard.resync_failed"] == 1.0
         # The stale member serves reads again (primary still down).
         t, v = sharded.query("a.power")
         assert len(t) == 6  # missed ticks 6..8 while down

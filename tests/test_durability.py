@@ -573,9 +573,9 @@ class TestAntiEntropy:
     def test_counters_exported_in_metrics(self):
         rs, _ = self._diverged_set()
         rs.anti_entropy(window_s=self.W, now=500.0)
-        snap = rs.metrics_registry("telemetry.replica").snapshot()
-        assert snap["telemetry.replica.repaired_windows"] >= 1.0
-        assert snap["telemetry.replica.diverged_windows"] >= 1.0
+        snap = rs.metrics.snapshot()
+        assert snap["telemetry.shard.0.repaired_windows"] >= 1.0
+        assert snap["telemetry.shard.0.diverged_windows"] >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -882,5 +882,5 @@ class TestSupervisedAntiEntropy:
         dc.run(seconds=0.05 * 86400.0)
         sweeps = sum(rs.anti_entropy_sweeps for rs in dc.store.replica_sets)
         assert sweeps >= 2  # the watchdog swept more than one set
-        snap = supervisor.metrics_registry.snapshot()
+        snap = supervisor.metrics.snapshot()
         assert snap["oda.supervisor.replica_watches"] == 1.0

@@ -190,6 +190,23 @@ class TestInstruments:
         # multiple registries merge into one exposition
         assert prometheus_text([r, MetricsRegistry()]).count("# TYPE") >= 3
 
+    def test_prometheus_text_duplicate_names_not_summed(self):
+        """A name repeated across registries is not aggregated: the second
+        copy is renamed ``_dup`` and any further copy is dropped."""
+        registries = []
+        for value in (1.0, 2.0, 4.0):
+            r = MetricsRegistry()
+            r.gauge("x.depth").set(value)
+            registries.append(r)
+        lines = prometheus_text(registries).splitlines()
+        assert "x_depth 1.0" in lines
+        assert "x_depth_dup 2.0" in lines
+        assert not any(line.endswith(" 4.0") for line in lines)
+        assert not any(line.endswith(" 7.0") for line in lines)
+        assert [ln for ln in lines if ln.startswith("# TYPE")] == [
+            "# TYPE x_depth gauge", "# TYPE x_depth_dup gauge",
+        ]
+
 
 # ---------------------------------------------------------------------------
 # Tracer
@@ -370,8 +387,8 @@ class TestPipelineTracing:
         dc = DataCenter(seed=5, racks=1, nodes_per_rack=2)
         dc.run(seconds=600.0)
         assert OBS.tracer.finished == 0
-        # health_metrics dict views keep working with OBS off
-        health = dc.telemetry.bus.health_metrics()
+        # registry snapshots keep working with OBS off
+        health = dc.telemetry.bus.metrics.snapshot()
         assert health["telemetry.bus.published"] > 0
 
 
@@ -380,18 +397,23 @@ class TestPipelineTracing:
 # ---------------------------------------------------------------------------
 class TestHealthSatellites:
     def test_probe_errors_isolated_and_counted(self):
+        """A registered registry whose snapshot raises is skipped and
+        counted; every other registry is still published."""
         from repro.simulation.engine import Simulator
-        from repro.telemetry.bus import MessageBus
-        from repro.telemetry.health import HealthMonitor
+        from repro.telemetry.collector import TelemetrySystem
 
-        bus = MessageBus()
-        monitor = HealthMonitor(bus, period=60.0)
-        monitor.add_probe(lambda: {"ok.metric": 1.0})
+        telemetry = TelemetrySystem(health_period=60.0)
 
-        def bad_probe():
+        def explode():
             raise RuntimeError("probe exploded")
 
-        monitor.add_probe(bad_probe)
+        bad = MetricsRegistry()
+        bad.gauge("bad.metric", fn=explode)
+        ok = MetricsRegistry()
+        ok.gauge("ok.metric", fn=lambda: 1.0)
+        telemetry.register(bad)
+        telemetry.register(ok)
+        monitor = telemetry.health
         sim = Simulator()
         monitor.start(sim)
         sim.run(180.0)
@@ -399,7 +421,12 @@ class TestHealthSatellites:
         assert monitor.probe_errors == 3
         assert "probe exploded" in monitor.last_probe_error
         batch = monitor.collect(240.0)
+        assert batch.get("bad.metric") is None
         assert batch.get("ok.metric") == 1.0
+        assert batch.get("telemetry.bus.published") is not None
+        assert batch.get("telemetry.store.samples") is not None
+        # Registered before the failing registry, yet this tick's failure
+        # is already in the published count.
         assert batch.get("telemetry.health.probe_errors") == 4.0
 
     def test_scrape_seconds_published(self):
@@ -407,7 +434,7 @@ class TestHealthSatellites:
 
         dc = DataCenter(seed=6, racks=1, nodes_per_rack=2, health_period=120.0)
         dc.run(seconds=600.0)
-        health = dc.telemetry.agents[0].health_metrics()
+        health = dc.telemetry.agents[0].metrics.snapshot()
         assert health["telemetry.agent.site.scrape_seconds"] > 0.0
         # and it flows through the health topic into the store
         times, values = dc.store.query("telemetry.agent.site.scrape_seconds")

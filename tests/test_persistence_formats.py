@@ -125,7 +125,7 @@ class TestFormatMatrix:
         lost = store.archive.chunks("rack.power")[0].count
         t_all, _ = store.query("rack.power")
         assert t.size == t_all.size - lost
-        snap = loaded.metrics.snapshot()
+        snap = loaded.archive.metrics.snapshot()
         assert snap["telemetry.archive.missing_chunks"] == 1.0
 
     def test_sharded_manifest_round_trips_config(self, tmp_path):

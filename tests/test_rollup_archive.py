@@ -368,8 +368,9 @@ class TestStoreTiering:
         store = TimeSeriesStore(rollups=True, archive=True, retention=600.0)
         store.append_many("m", np.arange(0.0, 5000.0, 10.0), np.ones(500))
         store.resample("m", 0.0, 4000.0, 60.0, "mean")
-        snap = store.metrics.snapshot()
+        snap = store.rollups.metrics.snapshot()
         assert snap["telemetry.rollup.buckets_finalized"] > 0
+        snap = store.archive.metrics.snapshot()
         assert snap["telemetry.archive.demoted_samples"] > 0
         assert "telemetry.archive.missing_chunks" in snap
         assert snap["telemetry.archive.encoded_bytes"] > 0

@@ -326,7 +326,7 @@ class TestWorkerLifecycle:
             assert events[0].detail["shard"] == 1
             assert events[0].detail["restarted"] is True
             assert runtime.worker_alive(1)
-            values = sup.metrics_registry.snapshot()
+            values = sup.metrics.snapshot()
             assert values["oda.supervisor.worker_crashes"] == 1.0
             assert values["oda.supervisor.worker_restarts"] == 1.0
         finally:
@@ -374,7 +374,7 @@ class TestBackpressure:
         assert rt.dropped_batches == 8
         assert rt.dropped_samples == 8 * len(NAMES)
         assert rt.backpressure_waits >= 8
-        metrics = rt.health_metrics()
+        metrics = rt.metrics.snapshot()
         assert metrics["telemetry.runtime.dropped_batches"] == 8.0
         assert metrics["telemetry.runtime.backlog"] == 4.0
 
@@ -438,7 +438,7 @@ class TestParallelFaults:
         rs.mark_down(0)
         rs.revive(1, resync=True)  # no healthy peer in the worker either
         assert rs.resync_failures == 1
-        assert par.health_metrics()["telemetry.shard.resync_failed"] == 1.0
+        assert par.metrics.snapshot()["telemetry.shard.resync_failed"] == 1.0
 
     def test_degrade_is_reproducible_across_restart(self, parallel_store):
         par = parallel_store(1, replication=1)

@@ -224,7 +224,7 @@ class TestQuerySurface:
         fe = inline_frontend()
         out = fe.serve("t", NamesQuery())
         assert out.latency_s >= 0.0
-        snap = fe.health_metrics()
+        snap = fe.metrics.snapshot()
         assert snap["telemetry.serving.latency.count"] == 1.0
         assert snap["telemetry.serving.tenant.t.latency.count"] == 1.0
 
@@ -324,7 +324,7 @@ class TestFrontendAdmission:
         )
         fe.serve("t", NamesQuery())
         fe.serve("t", NamesQuery())
-        snap = fe.health_metrics()
+        snap = fe.metrics.snapshot()
         assert snap["telemetry.serving.rejected.rate_limited"] == 1.0
         assert snap["telemetry.serving.queries"] == 2.0
         assert snap["telemetry.serving.admitted"] == 1.0
@@ -363,7 +363,7 @@ class TestBreakerShedFirst:
         assert fe.shedding
         out = fe.serve("t", RangeQuery(name))
         assert out.rejected and out.reason is RejectReason.BREAKER_OPEN
-        snap = fe.health_metrics()
+        snap = fe.metrics.snapshot()
         assert snap["telemetry.serving.shedding"] == 1.0
         assert snap["telemetry.serving.breaker_opens"] == 1.0
 
@@ -415,7 +415,7 @@ class TestBreakerShedFirst:
             source="supervisor.frontend", kind="breaker_transition"
         )
         assert any(t.detail["to"] == "open" for t in transitions)
-        values = sup.metrics_registry.snapshot()
+        values = sup.metrics.snapshot()
         assert values["oda.supervisor.frontends"] == 1.0
         assert values["oda.supervisor.frontends_shedding"] == 1.0
         assert values["oda.supervisor.frontend_breaker_opens"] >= 1.0
@@ -444,7 +444,7 @@ class TestThreadedServing:
                     )
                     assert np.array_equal(out.payload[0], grid)
                     assert np.array_equal(out.payload[1], vals, equal_nan=True)
-            snap = fe.health_metrics()
+            snap = fe.metrics.snapshot()
             assert snap["telemetry.serving.completed"] == float(len(events))
             assert snap["telemetry.serving.queue_depth"] == 0.0
             assert snap["telemetry.serving.inflight"] == 0.0

@@ -284,10 +284,10 @@ class TestSupervisedLoop:
         sup = _supervisor(sim, trace)
         sup.supervise_loop(loop)
         sim.run(50.0)
-        snap = sup.health_metrics()
+        snap = sup.metrics.snapshot()
         assert snap["oda.supervisor.loops"] == 1.0
         assert snap["oda.supervisor.decide_failures"] == 0.0
-        assert "oda_supervisor_loops 1.0" in sup.metrics_registry.to_prometheus()
+        assert "oda_supervisor_loops 1.0" in sup.metrics.to_prometheus()
 
 
 # ----------------------------------------------------------------------

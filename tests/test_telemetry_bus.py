@@ -201,7 +201,7 @@ class TestErrorIsolation:
         bus = MessageBus()
         bus.subscribe("#", lambda t, b: None)
         bus.publish("x", batch())
-        metrics = bus.health_metrics()
+        metrics = bus.metrics.snapshot()
         assert metrics["telemetry.bus.published"] == 1.0
         assert metrics["telemetry.bus.delivered"] == 1.0
         assert metrics["telemetry.bus.subscriptions"] == 1.0
@@ -300,7 +300,7 @@ class TestTopicCardinalityCap:
     def test_cap_exposed_in_health_metrics(self):
         bus = MessageBus(topic_cardinality_cap=7)
         bus.publish("a", batch())
-        metrics = bus.health_metrics()
+        metrics = bus.metrics.snapshot()
         assert metrics["telemetry.bus.topic_cardinality_cap"] == 7.0
         assert metrics["telemetry.bus.topics_tracked"] == 1.0
         assert metrics["telemetry.bus.topic_overflow"] == 0.0

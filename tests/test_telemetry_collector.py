@@ -143,7 +143,7 @@ class TestSamplerFaultHandling:
         agent = CollectionAgent("a", MessageBus(), 10.0)
         agent.add_sampler(Sampler("s", constant_source(1.0)))
         agent.collect_once(0.0)
-        metrics = agent.health_metrics()
+        metrics = agent.metrics.snapshot()
         assert metrics["telemetry.agent.a.scrapes"] == 1.0
         assert metrics["telemetry.agent.a.scrape_errors"] == 0.0
         assert metrics["telemetry.agent.a.samplers"] == 1.0

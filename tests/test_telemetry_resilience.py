@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SensorDropoutError
+from repro.obs.metrics import MetricsRegistry
 from repro.telemetry import (
     HEALTH_TOPIC,
     FaultySource,
@@ -144,8 +145,9 @@ class TestHealthMonitor:
 
     def test_probe_metrics_included(self):
         bus = MessageBus()
-        monitor = HealthMonitor(bus, period=10.0)
-        monitor.add_probe(lambda: {"custom.probe": 42.0})
+        probe = MetricsRegistry()
+        probe.gauge("custom.probe", fn=lambda: 42.0)
+        monitor = HealthMonitor(bus, [bus.metrics, probe], period=10.0)
         batch = monitor.collect(5.0)
         assert batch.as_dict()["custom.probe"] == 42.0
         assert bus.topic_count(HEALTH_TOPIC) == 1

@@ -356,7 +356,7 @@ class TestStagedIngest:
     def test_health_metrics_expose_staging(self):
         store = TimeSeriesStore(retention=10.0, flush_threshold=1000)
         store.ingest("t", SampleBatch.from_mapping(0.0, {"a": 1.0}))
-        metrics = store.health_metrics()
+        metrics = store.metrics.snapshot()
         assert metrics["telemetry.store.samples"] == 1.0
         assert metrics["telemetry.store.staged"] == 1.0
         assert "telemetry.store.retention_trims" in metrics
