@@ -9,9 +9,9 @@ sizes (thousand-metric scrape batches, million-sample resample windows).
 Writes ``BENCH_obs.json`` to ``benchmarks/output/`` so the trajectory is
 tracked like the other perf artifacts.
 
-Baselines call the private ``_ingest`` / ``_resample_impl`` methods — the
-exact pre-instrumentation code paths — so the comparison isolates the
-instrumentation itself.
+Baselines call the private ``_stage`` / ``_resample_impl`` methods — the
+exact code paths the public entry points wrap — so the comparison isolates
+the instrumentation itself.
 
 Measurement note: shared runners drift (CPU frequency decays over a run;
 sibling jobs evict caches), and the drift is far larger than the ~µs span
@@ -133,7 +133,8 @@ def test_bench_ingest_overhead():
         config["store"] = TimeSeriesStore()
 
     def private_op(config: Config, i: int) -> None:
-        config["store"]._ingest("cluster", batches[i])
+        b = batches[i]
+        config["store"]._stage(tuple(b.names), b.time, b.values)
 
     def public_op(config: Config, i: int) -> None:
         config["store"].ingest("cluster", batches[i])
@@ -173,7 +174,7 @@ def test_bench_resample_overhead():
     store.resample("m", 0.0, float(n), step, agg="mean")  # warm caches
 
     def baseline_op(config: Config, i: int) -> None:
-        store._resample_impl("m", 0.0, float(n), step, "mean", "auto")
+        store._resample_impl("m", 0.0, float(n), step, "mean")
 
     def public_op(config: Config, i: int) -> None:
         store.resample("m", 0.0, float(n), step, agg="mean")

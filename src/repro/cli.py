@@ -574,200 +574,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_durability(args: argparse.Namespace) -> int:
-    import os
-    import shutil
-    import tempfile
-
     from repro.ioutil import atomic_write_json
-    from repro.telemetry import SampleBatch
-    from repro.telemetry.distributed import ShardedStore
-    from repro.telemetry.durability import corrupt_artifact, tail_segment, tear_wal_tail
-    from repro.telemetry.persistence import load_store, save_store
+    from repro.oda.chaos import durability_drill
 
-    rng = np.random.default_rng(args.seed)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-durability-")
-    cleanup = args.workdir is None
-    os.makedirs(workdir, exist_ok=True)
-    wal_dir = os.path.join(workdir, "wal")
-    names = tuple(f"drill.series{i:03d}" for i in range(args.series))
-    # Shadow reference: every sample we ever handed to the store, exactly.
-    shadow = {n: ([], []) for n in names}
-    acked = {n: 0 for n in names}  # per-series sample count known durable
-    lost_acked = 0
-    silent = 0
-    undetected = 0
-    recovered = 0
-    clock = 0.0
-    phases = {}
-
-    def ingest(store, batches):
-        nonlocal clock
-        for _ in range(batches):
-            clock += 1.0
-            values = rng.normal(100.0, 15.0, len(names))
-            store.ingest("drill", SampleBatch(clock, names, values))
-            for n, v in zip(names, values):
-                shadow[n][0].append(clock)
-                shadow[n][1].append(float(v))
-
-    def ack(store):
-        # flush + fsync: everything handed over so far is now "acked" —
-        # the drill holds the store to it across every crash below.
-        store.flush()
-        store.sync_journal()
-        for n in names:
-            acked[n] = len(shadow[n][0])
-
-    def verify(store, label):
-        """Count acked samples missing and present-but-wrong values."""
-        nonlocal lost_acked, silent
-        missing = wrong = 0
-        lost = []
-        for n in names:
-            times = np.asarray(shadow[n][0])
-            vals = np.asarray(shadow[n][1])
-            try:
-                got_t, got_v = store.query(n)
-            except KeyError:
-                got_t, got_v = np.array([]), np.array([])
-            present = np.isin(times, got_t)
-            lost_t = times[: acked[n]][~present[: acked[n]]]
-            missing += int(lost_t.size)
-            lost.extend((n, float(t)) for t in lost_t[:5])
-            idx = np.searchsorted(got_t, times[present])
-            wrong += int(np.count_nonzero(got_v[idx] != vals[present]))
-        lost_acked += missing
-        silent += wrong
-        phases[label] = {"lost_acked_samples": missing,
-                         "silently_wrong_samples": wrong}
-        status = "OK" if missing == 0 and wrong == 0 else "FAIL"
-        print(f"  {label:<22} lost_acked={missing} wrong={wrong}  {status}")
-        if lost:
-            print("    first lost (series, t): "
-                  + ", ".join(f"({n}, {t:g})" for n, t in lost[:5]))
-        return missing == 0 and wrong == 0
-
-    store = ShardedStore(shards=args.shards, replication=args.replication,
-                         parallel=True, journal=wal_dir)
+    card = durability_drill(
+        args.seed, shards=args.shards, replication=args.replication,
+        series=args.series, batches=args.batches, workdir=args.workdir,
+    )
     print(
         f"durability drill: {args.shards} shards x {args.replication + 1} "
-        f"copies, {args.series} series, journal at {wal_dir}"
+        f"copies, {args.series} series, seed {args.seed}"
     )
-    try:
-        # Phase 1: crash every worker mid-ingest, restart, verify.
-        ingest(store, args.batches)
-        ack(store)
-        ingest(store, args.batches // 4)  # unacked tail in flight
-        for shard in range(args.shards):
-            store.runtime.crash_worker(shard)
-            store.runtime.restart_worker(shard)
-        store.flush()
-        verify(store, "worker_kill")
-
-        # Phase 2: crash shard 0 and tear its journal tail, then recover.
-        # The tear lands only in bytes written after the ack point, the
-        # crash-mid-write case the framing is built for.  The tail is
-        # handed to the file first (without acking it in the drill's
-        # books); otherwise it can die in the worker's buffer, leaving no
-        # bytes past the ack point, and a tear would cut acked records.
-        shard0_wal = os.path.join(wal_dir, "shard0", "wal")
-        ingest(store, args.batches)
-        ack(store)
-        acked_path, acked_size = tail_segment(shard0_wal)
-        ingest(store, args.batches // 4)
-        store.sync_journal()
-        store.runtime.crash_worker(0)
-        path, size = tail_segment(shard0_wal)
-        unacked = size - acked_size if path == acked_path else size
-        if unacked > 0:
-            draw = np.random.default_rng(args.seed + 1).integers(1, 65)
-            tear_wal_tail(shard0_wal, nbytes=int(min(draw, unacked)))
-        else:
-            print("  torn_wal: no journal bytes past the ack point; "
-                  "tear skipped")
-        store.runtime.restart_worker(0)
-        store.flush()
-        verify(store, "torn_wal")
-
-        # Phase 3: archive to checksummed v4, damage artifacts, reload —
-        # corruption must be *detected* (counted degraded), never served.
-        archive = os.path.join(workdir, "archive.npz")
-        save_store(store, archive)
-        for mode in ("bitflip", "truncate"):
-            probe_dir = os.path.join(workdir, f"probe-{mode}")
-            shutil.copytree(workdir, probe_dir,
-                            ignore=shutil.ignore_patterns("wal", "probe-*"))
-            victims = sorted(
-                f for f in os.listdir(probe_dir) if f.endswith(".npz")
-            )
-            victim = os.path.join(probe_dir, victims[len(victims) // 2])
-            corrupt_artifact(victim, mode=mode,
-                             rng=np.random.default_rng(args.seed + 2))
-            detected, wrong = 0, 0
-            try:
-                loaded = load_store(os.path.join(probe_dir, "archive.npz"))
-            except Exception as exc:  # typed refusal is also detection
-                detected = 1
-                print(f"  archive_{mode:<14} refused: "
-                      f"{type(exc).__name__}  OK")
-            else:
-                detected = int(getattr(loaded, "corrupt_artifacts", 0))
-                for n in loaded.names():
-                    got_t, got_v = loaded.query(n)
-                    times = np.asarray(shadow[n][0])
-                    vals = np.asarray(shadow[n][1])
-                    present = np.isin(times, got_t)
-                    idx = np.searchsorted(got_t, times[present])
-                    wrong += int(
-                        np.count_nonzero(got_v[idx] != vals[present])
-                    )
-                status = "OK" if detected and wrong == 0 else "FAIL"
-                print(f"  archive_{mode:<14} detected={detected} "
-                      f"wrong={wrong}  {status}")
-            silent += wrong
-            if not detected:
-                undetected += 1
-            phases[f"archive_{mode}"] = {
-                "detected": detected, "silently_wrong_samples": wrong,
-            }
-            shutil.rmtree(probe_dir, ignore_errors=True)
-
-        # Phase 4: full shutdown and cold reopen from the journals.
-        store.close()
-        store = ShardedStore(
-            shards=args.shards, replication=args.replication,
-            parallel=True, journal=wal_dir,
-        )
-        store.flush()
-        verify(store, "cold_reopen")
-        recovered = int(store.recovered_samples)
-        print(f"  recovered {recovered} samples from journals on reopen")
-    finally:
-        store.close()
-        if cleanup:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    ok = lost_acked == 0 and silent == 0 and undetected == 0
-    card = {
-        "seed": args.seed,
-        "config": {
-            "shards": args.shards, "replication": args.replication,
-            "series": args.series, "batches": args.batches,
-        },
-        "phases": phases,
-        "totals": {
-            "acked_samples": int(sum(acked.values())),
-            "lost_acked_samples": lost_acked,
-            "silently_wrong_samples": silent,
-            "undetected_corruptions": undetected,
-            "recovered_samples": recovered,
-        },
-        "pass": ok,
-    }
+    for label, phase in card["phases"].items():
+        ok = (phase.get("lost_acked_samples", 0) == 0
+              and phase["silently_wrong_samples"] == 0
+              and phase.get("detected", 1) > 0)
+        cells = " ".join(f"{key}={value}" for key, value in phase.items())
+        print(f"  {label:<18} {cells}  {'OK' if ok else 'FAIL'}")
+    totals = card["totals"]
+    print(f"  recovered {totals['recovered_samples']} samples from journals "
+          "on reopen")
     atomic_write_json(args.out, card, sort_keys=True)
     print(f"scorecard written to {args.out}")
-    print("durability drill " + ("PASSED" if ok else "FAILED"))
-    return 0 if ok else 1
+    print("durability drill " + ("PASSED" if card["pass"] else "FAILED"))
+    return 0 if card["pass"] else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

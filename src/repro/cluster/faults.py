@@ -158,28 +158,33 @@ class NodeFaultModel:
         ][int(self.rng.integers(3))]
         severity = float(self.rng.uniform(0.2, 0.6))
         duration = float(self.rng.exponential(8 * 3600.0))
+        self.faults.append(NodeFault(node.name, kind, now, duration, severity))
+        self._apply_degradation(node, kind, duration, severity)
+
+    def _apply_degradation(
+        self, node: ComputeNode, kind: NodeFaultKind, duration: float,
+        severity: float,
+    ) -> None:
+        """Degrade ``node`` now and schedule the matching clear."""
         if kind is NodeFaultKind.MEM_DEGRADATION:
             node.mem_bw_health = 1.0 - severity
         elif kind is NodeFaultKind.CPU_DEGRADATION:
             node.cpu_health = 1.0 - severity
         else:
             node.thermal_resistance *= 1.0 + severity
-
-        fault = NodeFault(node.name, kind, now, duration, severity)
-        self.faults.append(fault)
         self.trace.emit(
-            now, f"cluster.{node.name}", "node_degradation",
+            self.sim.now, f"cluster.{node.name}", "node_degradation",
             fault_kind=kind.value, severity=severity,
         )
 
-        def clear(sim: Simulator, n: ComputeNode = node, k: NodeFaultKind = kind, s: float = severity) -> None:
-            if k is NodeFaultKind.MEM_DEGRADATION:
-                n.mem_bw_health = 1.0
-            elif k is NodeFaultKind.CPU_DEGRADATION:
-                n.cpu_health = 1.0
+        def clear(sim: Simulator) -> None:
+            if kind is NodeFaultKind.MEM_DEGRADATION:
+                node.mem_bw_health = 1.0
+            elif kind is NodeFaultKind.CPU_DEGRADATION:
+                node.cpu_health = 1.0
             else:
-                n.thermal_resistance /= 1.0 + s
-            self.trace.emit(sim.now, f"cluster.{n.name}", "degradation_clear", fault_kind=k.value)
+                node.thermal_resistance /= 1.0 + severity
+            self.trace.emit(sim.now, f"cluster.{node.name}", "degradation_clear", fault_kind=kind.value)
 
         self.sim.schedule(duration, clear, label=f"degrade_clear:{node.name}")
 
@@ -202,34 +207,8 @@ class NodeFaultModel:
                 node.fail()
                 self.trace.emit(sim.now, f"cluster.{node.name}", "node_crash", job_id=job_id)
                 self.sim.schedule(duration, lambda s: self._repair(node, s.now))
-            elif kind is NodeFaultKind.MEM_DEGRADATION:
-                node.mem_bw_health = 1.0 - severity
-                self._emit_and_schedule_clear(node, kind, duration, severity)
-            elif kind is NodeFaultKind.CPU_DEGRADATION:
-                node.cpu_health = 1.0 - severity
-                self._emit_and_schedule_clear(node, kind, duration, severity)
             else:
-                node.thermal_resistance *= 1.0 + severity
-                self._emit_and_schedule_clear(node, kind, duration, severity)
+                self._apply_degradation(node, kind, duration, severity)
 
         self.sim.schedule_at(start, onset, label=f"inject:{node.name}")
         return fault
-
-    def _emit_and_schedule_clear(
-        self, node: ComputeNode, kind: NodeFaultKind, duration: float, severity: float
-    ) -> None:
-        self.trace.emit(
-            self.sim.now, f"cluster.{node.name}", "node_degradation",
-            fault_kind=kind.value, severity=severity,
-        )
-
-        def clear(sim: Simulator) -> None:
-            if kind is NodeFaultKind.MEM_DEGRADATION:
-                node.mem_bw_health = 1.0
-            elif kind is NodeFaultKind.CPU_DEGRADATION:
-                node.cpu_health = 1.0
-            else:
-                node.thermal_resistance /= 1.0 + severity
-            self.trace.emit(sim.now, f"cluster.{node.name}", "degradation_clear", fault_kind=kind.value)
-
-        self.sim.schedule(duration, clear, label=f"clear:{node.name}")

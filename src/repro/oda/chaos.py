@@ -15,13 +15,15 @@ does: a :class:`ChaosCampaign` is a seeded, declarative list of
   :class:`~repro.cluster.faults.NodeFaultModel`),
 * ``shard``      — storage-shard member kills (via
   :class:`~repro.telemetry.distributed.faults.ShardFault`),
-* ``durability`` — crash-consistency attacks on the storage tier: shard
-  worker process kills, torn write-ahead-journal tails, and bit-flip /
-  truncation damage to persisted archive artifacts (scored through the
-  store's typed degraded-load counters),
 
 and the :class:`ChaosEngine` schedules it on a wired
 :class:`~repro.oda.datacenter.DataCenter` and scores the run afterwards.
+
+Crash-consistency attacks on the storage tier — shard worker process
+kills, torn write-ahead-journal tails, bit-flip and truncation damage to
+persisted archives — need a journaled parallel store and a shadow copy of
+every sample handed to it, so they run as their own drill,
+:func:`durability_drill`, rather than as timed episodes on a site.
 
 Scoring is deliberately *observable-plane*: detection and recovery times
 are read from what the site itself could see — supervisor trace events,
@@ -33,32 +35,39 @@ timelines.
 """
 
 from __future__ import annotations
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.faults import NodeFaultKind, NodeFaultModel
-from repro.errors import ConfigurationError, SupervisionError
+from repro.errors import ConfigurationError, PersistenceError, SupervisionError
 from repro.facility.faults import FaultKind
 from repro.obs.metrics import MetricsRegistry
 from repro.oda.datacenter import DataCenter
 from repro.oda.supervision import ControllerFaultKind, Supervisor
+from repro.telemetry.distributed import ShardedStore
+from repro.telemetry.durability import corrupt_artifact, tail_segment, tear_wal_tail
+from repro.telemetry.persistence import load_store, save_store
+from repro.telemetry.sample import SampleBatch
 
 __all__ = [
     "ChaosFault",
     "ChaosCampaign",
     "ChaosEngine",
     "standard_campaign",
+    "durability_drill",
 ]
 
-PILLARS = ("controller", "facility", "node", "shard", "durability")
+PILLARS = ("controller", "facility", "node", "shard")
 
 _CONTROLLER_MODES = {k.value: k for k in ControllerFaultKind}
 _FACILITY_MODES = {k.value: k for k in FaultKind}
 _NODE_MODES = {k.value: k for k in NodeFaultKind}
 _SHARD_MODES = ("kill",)
-_DURABILITY_MODES = ("worker_kill", "torn_wal", "bitflip", "truncate")
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,6 @@ class ChaosFault:
             "facility": _FACILITY_MODES,
             "node": _NODE_MODES,
             "shard": _SHARD_MODES,
-            "durability": _DURABILITY_MODES,
         }[self.pillar]
         if self.mode not in modes:
             raise ConfigurationError(
@@ -129,8 +137,7 @@ class ChaosCampaign:
 
 
 def standard_campaign(seed: int, horizon_s: float = 86_400.0,
-                      shards: bool = True,
-                      durability: bool = False) -> ChaosCampaign:
+                      shards: bool = True) -> ChaosCampaign:
     """The acceptance-criteria mix: a controller crash episode, a facility
     (pump) outage, node crashes, and a storage-shard kill.
 
@@ -138,11 +145,6 @@ def standard_campaign(seed: int, horizon_s: float = 86_400.0,
     works for short test runs and full-day CLI runs; the controller episode
     spans several orchestrator periods so the breaker demonstrably opens,
     falls back to safe state, and re-closes after the window.
-
-    ``durability=True`` adds the crash-consistency attacks: a shard worker
-    process kill mid-ingest, a torn journal tail, and a bit-flipped
-    persisted artifact (the first two need a ``parallel=True`` journaled
-    store on the site).
     """
     campaign = ChaosCampaign(name="standard", seed=seed, horizon_s=horizon_s)
     h = horizon_s
@@ -157,13 +159,6 @@ def standard_campaign(seed: int, horizon_s: float = 86_400.0,
     if shards:
         campaign.add(ChaosFault("shard", "0", "kill",
                                 start=0.65 * h, duration=0.10 * h))
-    if durability:
-        campaign.add(ChaosFault("durability", "0", "worker_kill",
-                                start=0.78 * h, duration=0.05 * h))
-        campaign.add(ChaosFault("durability", "1", "torn_wal",
-                                start=0.85 * h, duration=0.05 * h))
-        campaign.add(ChaosFault("durability", "archive", "bitflip",
-                                start=0.92 * h, duration=0.03 * h))
     return campaign
 
 
@@ -192,7 +187,6 @@ class ChaosEngine:
         self._metrics: Optional[MetricsRegistry] = None
         self.scheduled: List[ChaosFault] = []
         self._last_totals: Dict[str, float] = {}
-        self._artifact_probes: Dict[Tuple[float, str], Tuple[float, int]] = {}
         dc.telemetry.register(self.metrics)
 
     # ------------------------------------------------------------------
@@ -279,74 +273,6 @@ class ChaosEngine:
         self._shard_fault.schedule_revive(
             self.dc.sim, at=fault.end, shard=shard, resync=True,
         )
-
-    def _schedule_durability(self, fault: ChaosFault) -> None:
-        if fault.mode in ("worker_kill", "torn_wal"):
-            if self._shard_fault is None:
-                self._shard_fault = self.dc.shard_fault()
-            shard = int(fault.target)
-            if fault.mode == "worker_kill":
-                self._shard_fault.schedule_crash_worker(
-                    self.dc.sim, at=fault.start, shard=shard
-                )
-            else:
-                self._shard_fault.schedule_tear_wal(
-                    self.dc.sim, at=fault.start, shard=shard,
-                    rng=self.dc.rng_pool.stream("chaos_durability"),
-                )
-            return
-        # bitflip / truncate: a save -> corrupt -> reload probe against the
-        # live store, scored by the loader's typed degraded-load counters.
-        self.dc.sim.schedule_at(
-            fault.start,
-            lambda s: self._artifact_probe(fault, now=s.now),
-            label=f"chaos:durability:{fault.mode}",
-        )
-
-    def _artifact_probe(self, fault: ChaosFault, now: float) -> None:
-        """Persist the store, damage one artifact, reload, count degrades.
-
-        The probe exercises the *restore* path the site would depend on
-        after a real incident: every chunk and manifest is checksummed, so
-        flipped bits or a truncated file must surface as counted degraded
-        loads (``telemetry.durability.corrupt_artifacts``), never as
-        silently-wrong series.
-        """
-        import glob
-        import os
-        import shutil
-        import tempfile
-
-        from repro.telemetry.durability import corrupt_artifact
-        from repro.telemetry.persistence import load_store, save_store
-
-        workdir = tempfile.mkdtemp(prefix="chaos-durability-")
-        detected = 0
-        error = None
-        try:
-            path = os.path.join(workdir, "probe.npz")
-            save_store(self.dc.store, path)
-            artifacts = sorted(glob.glob(os.path.join(workdir, "*.npz")))
-            victim = artifacts[len(artifacts) // 2]
-            corrupt_artifact(
-                victim, mode=fault.mode,
-                rng=self.dc.rng_pool.stream("chaos_durability"),
-            )
-            try:
-                loaded = load_store(path)
-            except Exception as exc:  # typed refusal is also detection
-                detected = 1
-                error = f"{type(exc).__name__}: {exc}"
-            else:
-                detected = int(getattr(loaded, "corrupt_artifacts", 0))
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
-        self._artifact_probes[(fault.start, fault.mode)] = (now, detected)
-        if self.dc.trace is not None:
-            self.dc.trace.emit(
-                now, "chaos", "artifact_probe", mode=fault.mode,
-                detected=detected, **({"error": error} if error else {}),
-            )
 
     # ------------------------------------------------------------------
     # Scoring
@@ -464,7 +390,7 @@ class ChaosEngine:
     def _series(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
         try:
             return self.dc.store.query(name)
-        except Exception:
+        except KeyError:
             return np.array([]), np.array([])
 
     def _observe_facility(self, fault: ChaosFault
@@ -519,36 +445,6 @@ class ChaosEngine:
         recovered = float(times[ok][0]) if ok.any() else None
         return detected, recovered
 
-    def _observe_durability(self, fault: ChaosFault
-                            ) -> Tuple[Optional[float], Optional[float]]:
-        if fault.mode in ("bitflip", "truncate"):
-            probe = self._artifact_probes.get((fault.start, fault.mode))
-            if probe is None:
-                return None, None
-            now, detected = probe
-            # Detection and recovery coincide: the loader both *counted*
-            # the damage and completed a degraded (or typed-refusal) load.
-            return (now, now) if detected else (None, None)
-        # worker_kill / torn_wal: read the runtime's own crash/restart
-        # counters from the health-metric series the site records.
-        times, crashes = self._series("telemetry.runtime.worker_crashes")
-        if len(times) == 0:
-            return None, None
-        before = crashes[times < fault.start]
-        base = float(before[-1]) if len(before) else 0.0
-        seen = (times >= fault.start) & (crashes > base)
-        if not seen.any():
-            return None, None
-        detected = float(times[seen][0])
-        rt_times, restarts = self._series("telemetry.runtime.worker_restarts")
-        if len(rt_times) == 0:
-            return detected, None
-        rbefore = restarts[rt_times < fault.start]
-        rbase = float(rbefore[-1]) if len(rbefore) else 0.0
-        back = (rt_times >= detected) & (restarts > rbase)
-        recovered = float(rt_times[back][0]) if back.any() else None
-        return detected, recovered
-
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
@@ -566,3 +462,172 @@ class ChaosEngine:
                         fn=lambda k=key: self._last_totals.get(k, 0.0))
             self._metrics = r
         return self._metrics
+
+
+def durability_drill(seed: int, shards: int = 2, replication: int = 1,
+                     series: int = 24, batches: int = 160,
+                     workdir: Optional[str] = None) -> Dict[str, object]:
+    """Kill / corrupt / recover drill against a journaled parallel store.
+
+    Phases, each held against a shadow copy of every sample handed to the
+    store and the count acked (flushed + journal-synced) so far:
+
+    * ``worker_kill`` — crash and restart every shard worker with an
+      unacked tail in flight,
+    * ``torn_wal``    — crash shard 0 and tear its journal tail inside the
+      bytes written after the ack point,
+    * ``archive_bitflip`` / ``archive_truncate`` — save a checksummed
+      archive, damage one shard file, reload: the damage must be detected
+      (counted degraded, or a typed refusal), never served,
+    * ``cold_reopen`` — close everything and reopen from the journals.
+
+    Returns the JSON-ready scorecard (``seed``, ``config``, ``phases``,
+    ``totals``, ``pass``); the drill passes with zero acked samples lost,
+    zero silently wrong samples and every archive corruption detected.
+    ``workdir`` holds the journals and archives (default: a fresh temp
+    directory, removed afterwards).
+    """
+    rng = np.random.default_rng(seed)
+    cleanup = workdir is None
+    workdir = workdir or tempfile.mkdtemp(prefix="repro-durability-")
+    os.makedirs(workdir, exist_ok=True)
+    wal_dir = os.path.join(workdir, "wal")
+    names = tuple(f"drill.series{i:03d}" for i in range(series))
+    # Shadow reference: every sample ever handed to the store, exactly.
+    shadow: Dict[str, Tuple[List[float], List[float]]] = {
+        n: ([], []) for n in names
+    }
+    acked = dict.fromkeys(names, 0)  # per-series sample count known durable
+    phases: Dict[str, Dict[str, int]] = {}
+    clock = 0.0
+
+    def ingest(store, count: int) -> None:
+        nonlocal clock
+        for _ in range(count):
+            clock += 1.0
+            values = rng.normal(100.0, 15.0, len(names))
+            store.ingest("drill", SampleBatch(clock, names, values))
+            for n, v in zip(names, values):
+                shadow[n][0].append(clock)
+                shadow[n][1].append(float(v))
+
+    def ack(store) -> None:
+        # flush + fsync: everything handed over so far is now "acked" —
+        # the drill holds the store to it across every crash below.
+        store.flush()
+        store.sync_journal()
+        for n in names:
+            acked[n] = len(shadow[n][0])
+
+    def verify(store) -> Tuple[int, int]:
+        """(acked samples missing, samples served that were never written
+        with that value)."""
+        missing = wrong = 0
+        for n in names:
+            times, vals = np.asarray(shadow[n][0]), np.asarray(shadow[n][1])
+            try:
+                got_t, got_v = store.query(n)
+            except KeyError:
+                got_t, got_v = np.empty(0), np.empty(0)
+            present = np.isin(times, got_t)
+            missing += int(np.count_nonzero(~present[: acked[n]]))
+            idx = np.searchsorted(got_t, times[present])
+            wrong += int(np.count_nonzero(got_v[idx] != vals[present]))
+            wrong += int(np.count_nonzero(~np.isin(got_t, times)))
+        return missing, wrong
+
+    def live_phase(store, label: str) -> None:
+        store.flush()
+        missing, wrong = verify(store)
+        phases[label] = {"lost_acked_samples": missing,
+                         "silently_wrong_samples": wrong}
+
+    store = ShardedStore(shards=shards, replication=replication,
+                         parallel=True, journal=wal_dir)
+    try:
+        # Phase 1: crash every worker mid-ingest, restart, verify.
+        ingest(store, batches)
+        ack(store)
+        ingest(store, batches // 4)  # unacked tail in flight
+        for shard in range(shards):
+            store.runtime.crash_worker(shard)
+            store.runtime.restart_worker(shard)
+        live_phase(store, "worker_kill")
+
+        # Phase 2: crash shard 0 and tear its journal tail, then recover.
+        # The tear lands only in bytes written after the ack point, the
+        # crash-mid-write case the framing is built for.  The tail is
+        # handed to the file first (without acking it in the drill's
+        # books); otherwise it can die in the worker's buffer, leaving no
+        # bytes past the ack point, and a tear would cut acked records.
+        shard0_wal = os.path.join(wal_dir, "shard0", "wal")
+        ingest(store, batches)
+        ack(store)
+        acked_path, acked_size = tail_segment(shard0_wal)
+        ingest(store, batches // 4)
+        store.sync_journal()
+        store.runtime.crash_worker(0)
+        path, size = tail_segment(shard0_wal)
+        unacked = size - acked_size if path == acked_path else size
+        if unacked > 0:  # else nothing past the ack point may be torn
+            draw = np.random.default_rng(seed + 1).integers(1, 65)
+            tear_wal_tail(shard0_wal, nbytes=int(min(draw, unacked)))
+        store.runtime.restart_worker(0)
+        live_phase(store, "torn_wal")
+
+        # Phase 3: archive to checksummed v4, damage one shard file,
+        # reload — corruption must be *detected*, never served.
+        save_store(store, os.path.join(workdir, "archive.npz"))
+        for mode in ("bitflip", "truncate"):
+            probe_dir = os.path.join(workdir, f"probe-{mode}")
+            shutil.copytree(workdir, probe_dir,
+                            ignore=shutil.ignore_patterns("wal", "probe-*"))
+            victims = sorted(
+                f for f in os.listdir(probe_dir) if f.endswith(".npz")
+            )
+            corrupt_artifact(os.path.join(probe_dir, victims[len(victims) // 2]),
+                             mode=mode, rng=np.random.default_rng(seed + 2))
+            try:
+                loaded = load_store(os.path.join(probe_dir, "archive.npz"))
+            except PersistenceError:  # a typed refusal is also detection
+                detected, wrong = 1, 0
+            else:
+                detected = int(loaded.corrupt_artifacts)
+                wrong = verify(loaded)[1]
+            phases[f"archive_{mode}"] = {
+                "detected": detected, "silently_wrong_samples": wrong,
+            }
+            shutil.rmtree(probe_dir, ignore_errors=True)
+
+        # Phase 4: full shutdown and cold reopen from the journals.
+        store.close()
+        store = ShardedStore(shards=shards, replication=replication,
+                             parallel=True, journal=wal_dir)
+        live_phase(store, "cold_reopen")
+        recovered = int(store.recovered_samples)
+    finally:
+        store.close()
+        if cleanup:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    lost = sum(p.get("lost_acked_samples", 0) for p in phases.values())
+    silent = sum(p["silently_wrong_samples"] for p in phases.values())
+    undetected = sum(
+        1 for p in phases.values() if p.get("detected", 1) == 0
+    )
+    return {
+        "seed": seed,
+        "config": {
+            "shards": shards, "replication": replication,
+            "series": series, "batches": batches,
+        },
+        "phases": phases,
+        "totals": {
+            "acked_samples": int(sum(acked.values())),
+            "lost_acked_samples": lost,
+            "silently_wrong_samples": silent,
+            "undetected_corruptions": undetected,
+            "recovered_samples": recovered,
+        },
+        "pass": lost == 0 and silent == 0 and undetected == 0,
+    }

@@ -2,11 +2,12 @@
 
 The storage-tier counterpart of the PR-1 sensor fault machinery
 (:mod:`repro.telemetry.faults`): where ``FaultySource`` corrupts what goes
-*into* the pipeline, :class:`ShardFault` kills and degrades the backends
-the pipeline writes to — the failure mode the replication/failover path
-exists for.  Faults can be applied immediately or scheduled on the
-discrete-event simulator so a shard dies (and optionally recovers) mid-run
-while collection continues.
+*into* the pipeline, :class:`ShardFault` kills and revives the backends
+the pipeline writes to, and crashes their worker processes — the failure
+modes the replication/failover and worker-restart paths exist for.
+Faults can be applied immediately or scheduled on the discrete-event
+simulator so a shard dies (and optionally recovers) mid-run while
+collection continues.
 
 Every action is recorded as a :class:`ShardFaultEvent` (ground truth for
 tests and benchmarks) and, when a bus is attached, announced as a one-sample
@@ -19,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.simulation.engine import Simulator
@@ -38,10 +37,8 @@ class ShardFaultKind(Enum):
     """Storage-backend pathologies."""
 
     KILL = "kill"        # member offline: misses writes, reads fail over
-    DEGRADE = "degrade"  # member sheds a fraction of its writes
     REVIVE = "revive"    # member back (optionally resynced from a peer)
     WORKER_CRASH = "worker_crash"  # parallel runtime: shard process dies
-    TORN_WAL = "torn_wal"  # crash + partially-written journal tail
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class ShardFaultEvent:
 
 
 class ShardFault:
-    """Kill/degrade/revive members of a :class:`ShardedStore`.
+    """Kill/revive members (and crash workers) of a :class:`ShardedStore`.
 
     ::
 
@@ -103,19 +100,6 @@ class ShardFault:
         self.store.replica_sets[shard].mark_down(member)
         self._record(now, shard, member, ShardFaultKind.KILL)
 
-    def degrade(
-        self,
-        shard: int,
-        drop_fraction: float,
-        rng: np.random.Generator,
-        member: int = 0,
-        now: float = 0.0,
-    ) -> None:
-        """Make one member shed a (seeded) fraction of its writes."""
-        self._check_target(shard, member)
-        self.store.replica_sets[shard].degrade(drop_fraction, rng, member)
-        self._record(now, shard, member, ShardFaultKind.DEGRADE)
-
     def revive(
         self,
         shard: int,
@@ -149,44 +133,6 @@ class ShardFault:
         self.store.runtime.crash_worker(shard)
         self._record(now, shard, -1, ShardFaultKind.WORKER_CRASH)
 
-    def tear_wal(
-        self,
-        shard: int,
-        now: float = 0.0,
-        nbytes: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Crash a shard worker *and* tear the tail of its journal.
-
-        Models the classic torn-write crash: the process dies mid-append
-        and the last journal bytes never reach the disk.  Recovery must
-        detect the torn tail via CRC framing, drop only the damaged
-        records and replay the rest — acked-but-unsynced samples inside
-        the torn span are honestly lost and show up in the recovery
-        stats, never as silently-wrong reads.
-        """
-        import os as _os
-
-        from repro.telemetry.durability import tear_wal_tail
-
-        if self.store.runtime is None:
-            raise ConfigurationError(
-                "tear_wal requires a parallel ShardedStore (parallel=True)"
-            )
-        journal = self.store.journal
-        if journal is None:
-            raise ConfigurationError(
-                "tear_wal requires a journaled store (pass journal=...)"
-            )
-        if not 0 <= shard < self.store.shards:
-            raise ConfigurationError(
-                f"no shard {shard} (store has {self.store.shards})"
-            )
-        self.store.runtime.crash_worker(shard)
-        wal_dir = _os.path.join(journal["base_dir"], f"shard{shard}", "wal")
-        tear_wal_tail(wal_dir, nbytes=nbytes, rng=rng)
-        self._record(now, shard, -1, ShardFaultKind.TORN_WAL)
-
     # ------------------------------------------------------------------
     # Scheduled (mid-run) actions
     # ------------------------------------------------------------------
@@ -215,38 +161,4 @@ class ShardFault:
             at,
             lambda s: self.revive(shard, member, resync=resync, now=s.now),
             label=f"shardfault:revive:{shard}.{member}",
-        )
-
-    def schedule_crash_worker(
-        self, sim: Simulator, at: float, shard: int
-    ) -> None:
-        """Crash a shard worker process at absolute simulation time ``at``."""
-        if self.store.runtime is None:
-            raise ConfigurationError(
-                "crash_worker requires a parallel ShardedStore "
-                "(parallel=True)"
-            )
-        sim.schedule_at(
-            at,
-            lambda s: self.crash_worker(shard, now=s.now),
-            label=f"shardfault:worker_crash:{shard}",
-        )
-
-    def schedule_tear_wal(
-        self,
-        sim: Simulator,
-        at: float,
-        shard: int,
-        nbytes: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        """Crash a worker and tear its journal tail at sim time ``at``."""
-        if self.store.runtime is None:
-            raise ConfigurationError(
-                "tear_wal requires a parallel ShardedStore (parallel=True)"
-            )
-        sim.schedule_at(
-            at,
-            lambda s: self.tear_wal(shard, now=s.now, nbytes=nbytes, rng=rng),
-            label=f"shardfault:torn_wal:{shard}",
         )

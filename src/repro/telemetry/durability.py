@@ -57,6 +57,7 @@ import json
 import os
 import struct
 import time as _time
+import zipfile
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -601,8 +602,34 @@ def tear_wal_tail(directory: str, *, nbytes: int | None = None, rng=None) -> Dur
     )
 
 
+def _payload_spans(path: str) -> list[tuple[int, int]]:
+    """``[start, end)`` byte spans of a zip archive's member payloads.
+
+    A span runs from the end of a member's local header (fixed part, file
+    name and extra field, as stored in the local header itself) to the end
+    of its compressed data.  A flip in a span reaches the decoded bytes the
+    zip CRC-32 and a store archive's array checksums cover — except a few
+    deflate bits per member (such as the final-block flag and the bits
+    after the last decoded byte) whose flip decodes to identical bytes; the
+    headers and the central directory are covered by neither.
+    """
+    spans = []
+    with zipfile.ZipFile(path) as archive, open(path, "rb") as fh:
+        for info in archive.infolist():
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            start = info.header_offset + 30 + name_len + extra_len
+            spans.append((start, start + info.compress_size))
+    return spans
+
+
 def corrupt_artifact(path: str, *, mode: str = "bitflip", rng=None) -> DurabilityFaultEvent:
-    """Damage a persisted artifact: flip one byte or truncate the file."""
+    """Damage a persisted artifact: flip one bit or truncate the file.
+
+    On a zip archive (``.npz``) the flipped bit lands in a member payload
+    span (:func:`_payload_spans`), the bytes a loader verifies; elsewhere it
+    may land anywhere in the file.
+    """
     if mode not in ("bitflip", "truncate"):
         raise ValueError(f"unknown corruption mode {mode!r}")
     rng = rng if rng is not None else np.random.default_rng()
@@ -610,7 +637,11 @@ def corrupt_artifact(path: str, *, mode: str = "bitflip", rng=None) -> Durabilit
     if size == 0:
         raise JournalError(f"cannot corrupt empty artifact {path!r}")
     if mode == "bitflip":
-        offset = int(rng.integers(0, size))
+        spans = _payload_spans(path) if zipfile.is_zipfile(path) else [(0, size)]
+        lengths = np.cumsum([end - start for start, end in spans])
+        pick = int(rng.integers(0, lengths[-1]))
+        i = int(np.searchsorted(lengths, pick, side="right"))
+        offset = spans[i][1] - int(lengths[i] - pick)
         with open(path, "r+b") as fh:
             fh.seek(offset)
             byte = fh.read(1)

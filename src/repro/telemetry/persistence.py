@@ -360,8 +360,8 @@ def _member_stores(store, name: str):
 class _ArchiveReader:
     """Checksum-verifying array access over one open ``.npz``.
 
-    Damage (CRC mismatch, undecompressable member) returns ``None`` and is
-    counted in :attr:`damaged`.
+    Damage (CRC mismatch, undecompressable or missing member) returns
+    ``None`` and is counted in :attr:`damaged`.
     """
 
     def __init__(self, archive, meta: dict, path: str):
@@ -370,16 +370,11 @@ class _ArchiveReader:
         self.checksums = meta.get("checksums") or {}
         self.damaged: List[str] = []
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.archive
-
     def get(self, key: str) -> Optional[np.ndarray]:
         try:
             arr = self.archive[key]
-        except KeyError:
-            raise
-        except Exception as exc:
-            self._degrade(key, f"undecodable ({exc})")
+        except Exception as exc:  # missing, undecompressable, bad zip CRC
+            self._degrade(key, f"unreadable ({exc})")
             return None
         expected = self.checksums.get(key)
         if expected is not None and _array_crc(arr) != int(expected):
@@ -399,18 +394,16 @@ def _load_cold_chunks(reader: _ArchiveReader, name: str, metas):
     """Decode-free chunk reconstruction; damaged arrays degrade, not fail."""
     chunks, missing = [], 0
     for i, chunk_meta in enumerate(metas):
-        keys = {f: f"__cold__::{name}::{i}::{f}" for f in _COLD_FIELDS}
-        if any(key not in reader for key in keys.values()):
-            missing += 1
-            log.warning(
-                "%s: cold chunk %d of series %r is missing from the "
-                "archive; loading degraded (%d samples lost)",
-                reader.path, i, name, int(chunk_meta.get("count", 0)),
-            )
-            continue
-        arrays = {f: reader.get(key) for f, key in keys.items()}
+        arrays = {
+            f: reader.get(f"__cold__::{name}::{i}::{f}") for f in _COLD_FIELDS
+        }
         if any(a is None for a in arrays.values()):
             missing += 1
+            log.warning(
+                "%s: cold chunk %d of series %r is missing or corrupt; "
+                "loading degraded (%d samples lost)",
+                reader.path, i, name, int(chunk_meta.get("count", 0)),
+            )
             continue
         chunks.append(ColdChunk.from_meta(chunk_meta, arrays))
     return chunks, missing

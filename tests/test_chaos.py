@@ -36,6 +36,13 @@ class TestChaosFaultValidation:
         with pytest.raises(ConfigurationError):
             ChaosFault("network", "x", "raise", 0.0, 10.0)
 
+    def test_durability_is_a_drill_not_a_pillar(self):
+        from repro.oda.chaos import PILLARS
+
+        assert PILLARS == ("controller", "facility", "node", "shard")
+        with pytest.raises(ConfigurationError):
+            ChaosFault("durability", "0", "worker_kill", 0.0, 10.0)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             ChaosFault("controller", "x", "outage", 0.0, 10.0)

@@ -136,6 +136,39 @@ class TestNodeFaultModel:
         crashed = crashes[0].source.split(".")[-1]
         assert any(f.node == crashed for f in model.faults)
 
+    def test_stochastic_trace_is_pinned(self, sim, trace):
+        """Stochastic and injected degradations share one apply/clear path;
+        the seeded two-day trace (and node health hour by hour) is pinned
+        to its digest so RNG draw order and trace events cannot drift."""
+        import hashlib
+
+        rng = np.random.default_rng(31)
+        system = build_system(racks=2, nodes_per_rack=8)
+        system.attach(sim, trace, rng)
+        model = NodeFaultModel(sim, trace, rng, system.nodes,
+                               base_rate_per_node_day=0.5,
+                               degradation_rate_per_node_day=2.0)
+        model.start()
+        for i, kind in enumerate(NodeFaultKind):
+            model.inject(system.nodes[i], kind, start=3600.0 * (i + 1),
+                         duration=7200.0, severity=0.3)
+        digest = hashlib.sha256()
+        for hour in range(1, 49):
+            sim.run_until(3600.0 * hour)
+            digest.update(repr([
+                (n.mem_bw_health, n.cpu_health, n.thermal_resistance, n.up)
+                for n in system.nodes
+            ]).encode())
+        for r in trace:
+            digest.update(repr(
+                (r.time, r.source, r.kind, sorted(r.detail.items()))
+            ).encode())
+        kinds = {r.kind for r in trace}
+        assert {"node_degradation", "degradation_clear", "node_crash"} <= kinds
+        assert digest.hexdigest() == (
+            "8ab2af975b8b68f31601fe7f62fa25ede434334cfb303048b8b613ead3a4127e"
+        )
+
     def test_thermal_acceleration_raises_hazard(self, sim, trace, rng):
         system = build_system(racks=1, nodes_per_rack=1)
         model = NodeFaultModel(sim, trace, rng, system.nodes)

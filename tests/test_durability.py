@@ -3,9 +3,12 @@ anti-entropy repair, and the loss-accounting audit across repair paths."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import struct
 import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -472,6 +475,78 @@ class TestChecksummedPersistence:
             ot, ov = sharded.query(name)
             assert _bits_equal(t, ot) and _bits_equal(v, ov)
 
+    @staticmethod
+    def _local_spans(data: bytes):
+        """(local header, member payload) byte spans, read straight from the
+        zip local headers ("PK\\x03\\x04" records)."""
+        with zipfile.ZipFile(io.BytesIO(data)) as z:
+            infos = z.infolist()
+        headers, payloads = [], []
+        for info in infos:
+            at = info.header_offset
+            assert data[at:at + 4] == b"PK\x03\x04"
+            name_len, extra_len = struct.unpack_from("<HH", data, at + 26)
+            start = at + 30 + name_len + extra_len
+            headers.append((at, start))
+            payloads.append((start, start + info.compress_size))
+        return headers, payloads
+
+    def _two_shard_archive(self, tmp_path):
+        store = ShardedStore(shards=2)
+        rng = np.random.default_rng(5)
+        names = tuple(f"c.s{i}" for i in range(6))
+        for t in range(40):
+            store.ingest("t", SampleBatch(float(t), names,
+                                          rng.normal(100.0, 15.0, 6)))
+        store.flush()
+        path = str(tmp_path / "a.npz")
+        save_store(store, path)
+        return store, path, str(tmp_path / "a.shard0.npz")
+
+    def test_composed_store_never_serves_a_damaged_byte(self, tmp_path):
+        """Any one damaged byte of a shard archive — every local-header
+        byte plus 512 seeded offsets — is refused, counted, or harmless."""
+        store, path, victim = self._two_shard_archive(tmp_path)
+        original = open(victim, "rb").read()
+        headers, _ = self._local_spans(original)
+        offsets = {o for a, b in headers for o in range(a, b)}
+        offsets.update(
+            np.random.default_rng(0).integers(0, len(original), 512).tolist()
+        )
+        reference = {n: store.query(n) for n in store.names()}
+        outcomes = {"refused": 0, "degraded": 0, "identical": 0}
+        for offset in sorted(offsets):
+            damaged = bytearray(original)
+            damaged[offset] ^= 0xFF
+            with open(victim, "wb") as fh:
+                fh.write(damaged)
+            try:
+                loaded = load_store(path)
+            except PersistenceError:
+                outcomes["refused"] += 1
+                continue
+            if loaded.corrupt_artifacts >= 1:
+                outcomes["degraded"] += 1
+                continue
+            assert sorted(loaded.names()) == sorted(reference), offset
+            for name, (t, v) in reference.items():
+                lt, lv = loaded.query(name)
+                assert _bits_equal(lt, t) and _bits_equal(lv, v), offset
+            outcomes["identical"] += 1
+        assert outcomes["degraded"] > 0 and outcomes["identical"] > 0
+
+    def test_bitflip_lands_in_a_member_payload(self, tmp_path):
+        _, _, victim = self._two_shard_archive(tmp_path)
+        original = open(victim, "rb").read()
+        _, payloads = self._local_spans(original)
+        for seed in range(100):
+            event = corrupt_artifact(victim, mode="bitflip",
+                                     rng=np.random.default_rng(seed))
+            offset = event.detail["offset"]
+            assert any(a <= offset < b for a, b in payloads), (seed, offset)
+            with open(victim, "wb") as fh:
+                fh.write(original)
+
     def test_save_is_atomic_over_existing_archive(self, tmp_path):
         from repro.ioutil import commit_hook
 
@@ -705,17 +780,49 @@ class TestWorkerWalRecovery:
 
 
 class TestDurabilityDrill:
-    def test_drill_loses_no_acked_samples(self, tmp_path, capsys):
+    ARCHIVE_PHASES = ("archive_bitflip", "archive_truncate")
+    LIVE_PHASES = ("worker_kill", "torn_wal", "cold_reopen")
+
+    def test_drill_loses_no_acked_samples(self):
         """Regression: the torn-tail phase cut fsynced records whenever the
-        unacked tail had not reached the file, losing acked samples."""
+        unacked tail had not reached the file, losing acked samples; and a
+        bitflip in an unchecked zip header byte went undetected (seed 8)."""
+        from repro.oda.chaos import durability_drill
+
+        for seed in range(10):
+            card = durability_drill(seed)
+            phases = card["phases"]
+            assert card["pass"], (seed, card)
+            for phase in self.LIVE_PHASES:
+                assert phases[phase]["lost_acked_samples"] == 0, (seed, phases)
+            for phase in self.ARCHIVE_PHASES:
+                assert phases[phase]["detected"] >= 1, (seed, phases)
+                assert phases[phase]["silently_wrong_samples"] == 0
+
+    def test_cli_prints_and_writes_the_card(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "card.json"
-        for seed in range(10):
-            main(["durability", "--seed", str(seed), "--out", str(out)])
-            phases = json.loads(out.read_text())["phases"]
-            for phase in ("worker_kill", "torn_wal", "cold_reopen"):
-                assert phases[phase]["lost_acked_samples"] == 0, (seed, phases)
+        assert main(["durability", "--seed", "8", "--out", str(out)]) == 0
+        card = json.loads(out.read_text())
+        assert set(card) == {"seed", "config", "phases", "totals", "pass"}
+        assert set(card["phases"]) == set(self.LIVE_PHASES + self.ARCHIVE_PHASES)
+        assert set(card["totals"]) == {
+            "acked_samples", "lost_acked_samples", "silently_wrong_samples",
+            "undetected_corruptions", "recovered_samples",
+        }
+        assert "durability drill PASSED" in capsys.readouterr().out
+
+    def test_loader_bug_is_not_detection(self, monkeypatch):
+        """Only a typed refusal counts as detecting the damage."""
+        import repro.oda.chaos as chaos
+
+        def broken(path):
+            raise TypeError("loader bug")
+
+        monkeypatch.setattr(chaos, "load_store", broken)
+        with pytest.raises(TypeError, match="loader bug"):
+            chaos.durability_drill(0, batches=8)
 
 
 # ---------------------------------------------------------------------------
