@@ -281,7 +281,7 @@ def test_bench_failover_queries():
     assert RESULTS["failover"]["failover_reads"] > 0
 
 
-def test_bench_fleet_parallel_ingest():
+def test_bench_fleet_parallel_ingest(monkeypatch):
     """Fleet-scale scrape ingest: parallel shard workers vs single store.
 
     One batch = one fleet-wide scrape of 10k+ node power sensors.  The
@@ -289,8 +289,11 @@ def test_bench_fleet_parallel_ingest():
     worker stages them in its member stores' columnar blocks, off the
     producer's process; the single store stages the same way in-process.
     """
-    from repro.telemetry import RuntimeConfig
+    from repro.telemetry.runtime import parallel as parallel_runtime
 
+    # A 512-slot ring (the runtime runs 256): a whole timed run fits
+    # without backpressure, so the producer side is what gets measured.
+    monkeypatch.setattr(parallel_runtime, "RING_CAPACITY", 512)
     n_batches = P["fleet_batches"]
     names = tuple(
         f"fleet.rack{i // 64}.node{i}.power" for i in range(FLEET_NODES)
@@ -345,10 +348,7 @@ def test_bench_fleet_parallel_ingest():
 
     for shards in (1, 2, 8):
         gc.collect()
-        store = ShardedStore(
-            shards=shards, parallel=True,
-            parallel_config=RuntimeConfig(ring_capacity=512),
-        )
+        store = ShardedStore(shards=shards, parallel=True)
         try:
             best, best_ingest = best_run(store)
             # Parity spot-check: the workers hold exactly what the single

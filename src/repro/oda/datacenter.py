@@ -111,7 +111,6 @@ class DataCenter:
         shards: Optional[int] = None,
         replication: int = 0,
         parallel: bool = False,
-        parallel_config=None,
         rollups=None,
         archive=None,
         journal=None,
@@ -144,7 +143,6 @@ class DataCenter:
         self.telemetry = TelemetrySystem(
             store_retention=store_retention, shards=shards,
             replication=replication, parallel=parallel,
-            parallel_config=parallel_config,
             rollups=rollups, archive=archive, journal=journal,
         )
         self.runtime: Optional[NodeRuntime] = None

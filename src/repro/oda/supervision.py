@@ -653,10 +653,11 @@ class Supervisor:
         """Put a :class:`~repro.telemetry.runtime.ParallelShardRuntime`
         under watchdog supervision (idempotent).
 
-        Every watchdog tick sweeps the runtime's worker processes; a dead
-        worker is traced as a ``worker_crash`` event and — when the
-        runtime's ``auto_restart`` is set — restarted with journal
-        recovery and ring replay.
+        Every watchdog tick sweeps the runtime's worker processes.  The
+        sweep restarts every dead worker (journal recovery, then ring
+        replay) and each crash is traced as a ``worker_crash`` event whose
+        ``restarted`` flag says whether the shard's worker is alive after
+        the sweep.
         """
         if runtime not in self.runtimes:
             self.runtimes.append(runtime)
@@ -735,7 +736,7 @@ class Supervisor:
             for shard in runtime.check_workers(now):
                 self.emit(
                     now, "supervisor.runtime", "worker_crash",
-                    shard=shard, restarted=runtime.config.auto_restart,
+                    shard=shard, restarted=runtime.worker_alive(shard),
                 )
         for frontend in self.frontends:
             for kind, detail in frontend.watchdog_check():

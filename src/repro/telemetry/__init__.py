@@ -57,7 +57,6 @@ from repro.telemetry.distributed import (
 from repro.telemetry.faults import FaultySource, SensorFault, SensorFaultKind
 from repro.telemetry.runtime import (
     ParallelShardRuntime,
-    RuntimeConfig,
     SampleRing,
 )
 from repro.telemetry.health import HEALTH_TOPIC, HealthMonitor
@@ -125,7 +124,6 @@ __all__ = [
     "tear_wal_tail",
     "corrupt_artifact",
     "ParallelShardRuntime",
-    "RuntimeConfig",
     "SampleRing",
     "HealthMonitor",
     "HEALTH_TOPIC",

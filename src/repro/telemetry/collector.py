@@ -285,7 +285,6 @@ class TelemetrySystem:
         shards: Optional[int] = None,
         replication: int = 0,
         parallel: bool = False,
-        parallel_config=None,
         rollups=None,
         archive=None,
         journal=None,
@@ -312,7 +311,6 @@ class TelemetrySystem:
                 retention_slack=store_retention_slack,
                 flush_threshold=store_flush_threshold,
                 parallel=parallel,
-                parallel_config=parallel_config,
                 rollups=rollups,
                 archive=archive,
                 journal=journal,
@@ -410,8 +408,8 @@ class TelemetrySystem:
         """Stop collection and shut the store down.
 
         For a parallel sharded store this gracefully drains the shard
-        worker processes (every pushed batch is applied and flushed — or
-        checkpointed — before the workers exit); otherwise it is
+        worker processes (every pushed batch is applied, flushed and, with
+        a journal, acknowledged before the workers exit); otherwise it is
         equivalent to :meth:`stop_all`.
         """
         self.stop_all()

@@ -117,7 +117,7 @@ class ShardFault:
 
         Unlike :meth:`kill` — which models a storage member going offline
         while the process keeps running — this makes the whole shard
-        worker die abruptly (no flush, no checkpoint), exercising crash
+        worker die abruptly (no flush, no ack), exercising crash
         detection, restart and ring replay in
         :class:`~repro.telemetry.runtime.ParallelShardRuntime`.
         """

@@ -37,12 +37,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
+from repro.telemetry.archive import ArchiveConfig
 from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.distributed.partition import HashPartitioner, Partitioner
 from repro.telemetry.distributed.replica import ReplicaSet
 from repro.telemetry.durability import JournalConfig
+from repro.telemetry.rollup import RollupConfig
 from repro.telemetry.sample import SampleBatch
-from repro.telemetry.store import SeriesBuffer, TimeSeriesStore
+from repro.telemetry.store import SeriesBuffer, TimeSeriesStore, tier_config
 
 __all__ = ["ShardedStore"]
 
@@ -51,24 +53,6 @@ _SPLIT_CACHE_CAP = 1024
 
 #: One split-plan entry: (shard_id, names sub-tuple, value index array).
 _SplitPlan = List[Tuple[int, Tuple[str, ...], np.ndarray]]
-
-
-def _config_dict(value, kind: str):
-    """Normalize a rollups/archive knob to a picklable form (None, True,
-    or a plain dict) so it can ship to shard worker processes."""
-    if not value:
-        return None
-    if value is True:
-        return True
-    if isinstance(value, dict):
-        return dict(value)
-    to_dict = getattr(value, "to_dict", None)
-    if to_dict is None:
-        raise ConfigurationError(
-            f"{kind} must be a bool, a dict, or a config object with "
-            f"to_dict(), got {type(value).__name__}"
-        )
-    return to_dict()
 
 
 def _journal_dict(value) -> Optional[dict]:
@@ -171,14 +155,11 @@ class ShardedStore:
         federated query results are bit-identical to the in-process path;
         call :meth:`close` (or use the owning system's ``close``) for a
         graceful drain at shutdown.
-    parallel_config:
-        Optional :class:`~repro.telemetry.runtime.RuntimeConfig` tuning
-        ring sizes, backpressure timeout and durability.
     rollups / archive:
         Per-member rollup cascade / compressed cold tier, identical in
-        meaning to :class:`~repro.telemetry.store.TimeSeriesStore`.
-        Accepted in bool/dict/config form; in parallel mode the config is
-        normalized to a picklable dict and rebuilt inside each worker.
+        meaning to :class:`~repro.telemetry.store.TimeSeriesStore` and
+        normalized by :func:`~repro.telemetry.store.tier_config` into
+        :attr:`rollup_config` / :attr:`archive_config`.
     journal:
         Enable per-member write-ahead journaling under a base directory
         (pass the directory, a :class:`~repro.telemetry.durability.JournalConfig`
@@ -186,8 +167,9 @@ class ShardedStore:
         Each member journals to ``<base>/shard<i>/member<j>``; opening a
         new ``ShardedStore`` over the same base replays the journals, so
         acked ingest survives a crash of the owning process.  In parallel
-        mode the workers journal on their side of the ring and a restarted
-        worker recovers its un-flushed window from the journal.
+        mode each worker instead journals the slots it applies to
+        ``<base>/shard<i>/wal``, and a restarted worker recovers from that
+        journal; without a journal a worker crash loses what it applied.
     """
 
     def __init__(
@@ -199,7 +181,6 @@ class ShardedStore:
         retention_slack: float = 0.25,
         flush_threshold: int = 256,
         parallel: bool = False,
-        parallel_config=None,
         rollups=None,
         archive=None,
         journal=None,
@@ -215,8 +196,8 @@ class ShardedStore:
         self.retention = retention
         self.retention_slack = retention_slack
         self.flush_threshold = flush_threshold
-        self.rollups = rollups
-        self.archive = archive
+        self.rollup_config = tier_config(rollups, RollupConfig)
+        self.archive_config = tier_config(archive, ArchiveConfig)
         self.parallel = parallel
         self.runtime = None
         self.journal = _journal_dict(journal)
@@ -224,41 +205,23 @@ class ShardedStore:
         self.partitioner: Partitioner = (
             partitioner if partitioner is not None else HashPartitioner(shards)
         )
+        store_kwargs = {
+            "retention": retention,
+            "retention_slack": retention_slack,
+            "flush_threshold": flush_threshold,
+            "rollups": self.rollup_config,
+            "archive": self.archive_config,
+        }
         if parallel:
-            from repro.telemetry.runtime import (
-                ParallelShardRuntime,
-                RuntimeConfig,
-            )
+            from repro.telemetry.runtime import ParallelShardRuntime
 
-            if self.journal is not None:
-                # Journaling in parallel mode means worker-side WALs: the
-                # workers own the stores, so they must own the durability.
-                if parallel_config is None:
-                    parallel_config = RuntimeConfig(durability="wal")
-                elif parallel_config.durability == "none":
-                    parallel_config.durability = "wal"
             self.runtime = ParallelShardRuntime(
                 shards,
                 replication,
-                store_config={
-                    "retention": retention,
-                    "retention_slack": retention_slack,
-                    "flush_threshold": flush_threshold,
-                    "rollups": _config_dict(rollups, "rollups"),
-                    "archive": _config_dict(archive, "archive"),
-                    "journal": self.journal,
-                },
-                config=parallel_config,
+                store_config={**store_kwargs, "journal": self.journal},
             )
             self.replica_sets = self.runtime.replica_sets
         else:
-            store_kwargs = {
-                "retention": retention,
-                "retention_slack": retention_slack,
-                "flush_threshold": flush_threshold,
-                "rollups": rollups,
-                "archive": archive,
-            }
             self.replica_sets: List[ReplicaSet] = [
                 ReplicaSet(
                     i,
@@ -274,31 +237,6 @@ class ShardedStore:
             OrderedDict()
         )
         self._metrics: Optional[MetricsRegistry] = None
-
-    # ------------------------------------------------------------------
-    # Configuration introspection
-    # ------------------------------------------------------------------
-    @property
-    def rollup_config(self):
-        """Normalized :class:`~repro.telemetry.rollup.RollupConfig` (or
-        ``None``) regardless of the bool/dict/config form passed in."""
-        from repro.telemetry.rollup import RollupConfig
-
-        val = _config_dict(self.rollups, "rollups")
-        if val is None:
-            return None
-        return RollupConfig() if val is True else RollupConfig.from_dict(val)
-
-    @property
-    def archive_config(self):
-        """Normalized :class:`~repro.telemetry.archive.ArchiveConfig` (or
-        ``None``) regardless of the bool/dict/config form passed in."""
-        from repro.telemetry.archive import ArchiveConfig
-
-        val = _config_dict(self.archive, "archive")
-        if val is None:
-            return None
-        return ArchiveConfig() if val is True else ArchiveConfig.from_dict(val)
 
     # ------------------------------------------------------------------
     # Routing

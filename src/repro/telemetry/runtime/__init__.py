@@ -15,7 +15,6 @@ from repro.telemetry.runtime.parallel import (
     ParallelReplicaSet,
     ParallelShardRuntime,
     RemoteStoreProxy,
-    RuntimeConfig,
 )
 from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.runtime.worker import ShardWorker, worker_main
@@ -24,7 +23,6 @@ __all__ = [
     "ParallelShardRuntime",
     "ParallelReplicaSet",
     "RemoteStoreProxy",
-    "RuntimeConfig",
     "SampleRing",
     "ShardWorker",
     "worker_main",

@@ -20,8 +20,8 @@ pipe.  The pieces the rest of the codebase sees:
   path by construction.
 
 Backpressure is explicit: a full ring makes the producer wait (bounded by
-``push_timeout``) and then *drop and count* rather than raise — the same
-never-raise write contract as the in-process replica tier — and every
+:data:`PUSH_TIMEOUT_S`) and then *drop and count* rather than raise — the
+same never-raise write contract as the in-process replica tier — and every
 state of the pipeline is observable via the ``telemetry.runtime.*``
 registry (pushed/dropped batches, waits, backlog, worker crashes/restarts,
 replayed slots).
@@ -30,9 +30,11 @@ Worker death is detected by :meth:`ParallelShardRuntime.check_workers`
 (polled by the :class:`~repro.oda.supervision.Supervisor` watchdog once
 wired via ``watch_runtime``) and heals by restarting the worker: the
 replacement inherits the name-interning table and fault mirror, replays
-its journal (on top of the last snapshot, if any) when durability is
-``"wal"``, and replays the ring window ``[acked, head)`` that the producer
-never reclaimed.
+its journal when the store config carries one, and replays the ring
+window ``[acked, head)`` that the producer never reclaimed.
+
+The runtime has no settings of its own: the constants below are what
+every deployment runs with.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from __future__ import annotations
 import gc
 import logging
 import multiprocessing as mp
-import os
 import threading
 import time as _time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -60,7 +61,6 @@ __all__ = [
     "ParallelShardRuntime",
     "ParallelReplicaSet",
     "RemoteStoreProxy",
-    "RuntimeConfig",
 ]
 
 log = logging.getLogger(__name__)
@@ -68,33 +68,14 @@ log = logging.getLogger(__name__)
 #: Sleep while waiting out ring backpressure / command replies.
 _POLL_S = 0.0005
 
-
-class RuntimeConfig:
-    """Tunables for the parallel runtime (picklable plain object)."""
-
-    def __init__(
-        self,
-        ring_capacity: int = 256,
-        slot_width: int = 4096,
-        durability: str = "none",
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_interval: int = 64,
-        push_timeout: float = 5.0,
-        command_timeout: float = 60.0,
-        auto_restart: bool = True,
-    ):
-        if durability not in ("none", "wal"):
-            raise ConfigurationError(
-                f"durability must be 'none' or 'wal', got {durability!r}"
-            )
-        self.ring_capacity = ring_capacity
-        self.slot_width = slot_width
-        self.durability = durability
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_interval = checkpoint_interval
-        self.push_timeout = push_timeout
-        self.command_timeout = command_timeout
-        self.auto_restart = auto_restart
+#: Slots per shard ring: the backpressure horizon.
+RING_CAPACITY = 256
+#: Values per ring slot; wider batches chunk across slots.
+SLOT_WIDTH = 4096
+#: Seconds a push waits on a full ring before dropping the batch.
+PUSH_TIMEOUT_S = 5.0
+#: Seconds a command waits for its worker's reply.
+COMMAND_TIMEOUT_S = 60.0
 
 
 class RemoteStoreProxy:
@@ -103,9 +84,10 @@ class RemoteStoreProxy:
     Mirrors the :class:`~repro.telemetry.store.TimeSeriesStore` read/flush
     surface (query/names/select/series/latest/value_at/resample/align/
     flush/len/contains plus the counters and config attributes persistence
-    reads), fetching raw sample arrays over the command pipe and running
-    the shared resample kernels locally — so anything computed from a
-    proxy is bit-identical to computing it on the worker's actual store.
+    reads).  ``query``/``series`` fetch raw sample arrays over the command
+    pipe; ``resample``/``align``/``resample_column`` run in the worker on
+    its actual store, so anything computed from a proxy is bit-identical
+    to computing it in-process.
     """
 
     def __init__(self, runtime: "ParallelShardRuntime", shard: int, member: int):
@@ -116,36 +98,26 @@ class RemoteStoreProxy:
     def _call(self, op: str, *payload):
         return self._runtime._call(self.shard, op, payload)
 
-    # -- config attributes (persistence reads these) -------------------
+    # -- config attributes (persistence reads these from the worker) ----
     @property
     def retention(self) -> Optional[float]:
-        return self._runtime.store_config.get("retention")
+        return self._call("stat", self.member, "retention")
 
     @property
     def retention_slack(self) -> float:
-        return self._runtime.store_config.get("retention_slack", 0.25)
+        return self._call("stat", self.member, "retention_slack")
 
     @property
     def flush_threshold(self) -> int:
-        return self._runtime.store_config.get("flush_threshold", 256)
+        return self._call("stat", self.member, "flush_threshold")
 
     @property
     def rollup_config(self):
-        val = self._runtime.store_config.get("rollups")
-        if not val:
-            return None
-        from repro.telemetry.rollup import RollupConfig
-
-        return RollupConfig() if val is True else RollupConfig.from_dict(val)
+        return self._call("stat", self.member, "rollup_config")
 
     @property
     def archive_config(self):
-        val = self._runtime.store_config.get("archive")
-        if not val:
-            return None
-        from repro.telemetry.archive import ArchiveConfig
-
-        return ArchiveConfig() if val is True else ArchiveConfig.from_dict(val)
+        return self._call("stat", self.member, "archive_config")
 
     # -- reads ---------------------------------------------------------
     def query(
@@ -445,32 +417,27 @@ class ParallelReplicaSet:
 
 
 class ParallelShardRuntime:
-    """One worker process per shard, fed by shared-memory sample rings."""
+    """One worker process per shard, fed by shared-memory sample rings.
+
+    ``store_config`` holds the member stores' keyword arguments; a
+    ``journal`` entry (``{"base_dir": ..., **tuning}``) makes every worker
+    journal its slots to ``<base_dir>/shard<i>/wal``.
+    """
 
     def __init__(
         self,
         shards: int,
         replication: int,
         store_config: dict,
-        config: Optional[RuntimeConfig] = None,
     ):
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         self.replication = replication
         self.store_config = dict(store_config)
-        self.config = config or RuntimeConfig()
-        if self.config.durability == "wal" and not (
-            self.store_config.get("journal") or self.config.checkpoint_dir
-        ):
-            raise ConfigurationError(
-                "durability='wal' requires a journal base dir in the store "
-                "config or a checkpoint_dir"
-            )
         self._ctx = mp.get_context()
         self.rings: List[SampleRing] = [
-            SampleRing(self.config.ring_capacity, self.config.slot_width)
-            for _ in range(shards)
+            SampleRing(RING_CAPACITY, SLOT_WIDTH) for _ in range(shards)
         ]
         self._conns: List = [None] * shards
         self._procs: List = [None] * shards
@@ -511,16 +478,14 @@ class ParallelShardRuntime:
         self._metrics: Optional[MetricsRegistry] = None
         for shard in range(shards):
             self._spawn(shard)
+        if self.store_config.get("journal"):
+            # A journaled worker first rebases its fresh ring onto the
+            # journal's sequence; nothing may be pushed before it has.
+            self.drain()
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _checkpoint_dir(self, shard: int) -> Optional[str]:
-        base = self.config.checkpoint_dir
-        if base is None:
-            return None
-        return os.path.join(base, f"shard{shard}")
-
     def _spawn(self, shard: int, names_table: Optional[dict] = None) -> None:
         # Collect before forking so the child inherits as little garbage as
         # possible (the worker freezes the inherited heap at startup).
@@ -534,9 +499,6 @@ class ParallelShardRuntime:
                 child_conn,
                 self.replication,
                 self.store_config,
-                self.config.durability,
-                self._checkpoint_dir(shard),
-                self.config.checkpoint_interval,
                 names_table,
                 self._fault_state(shard) if names_table is not None else None,
             ),
@@ -569,8 +531,8 @@ class ParallelShardRuntime:
 
         The replacement gets the complete interning table and the fault
         mirror up front (slots already in the ring reference them), and —
-        under ``"wal"`` durability — replays its journal before the ring,
-        so no acknowledged batch is lost.
+        when the store config carries a journal — replays it before the
+        ring, so no acknowledged batch is lost.
         """
         proc = self._procs[shard]
         if proc is not None:
@@ -589,7 +551,7 @@ class ParallelShardRuntime:
         self._bump()
 
     def check_workers(self, now: float = 0.0) -> List[int]:
-        """Detect dead workers; restart them when ``auto_restart`` is set.
+        """Detect dead workers and restart them.
 
         Returns the shard ids found crashed on this sweep (the supervisor
         watchdog calls this every tick and traces what it returns).
@@ -600,7 +562,7 @@ class ParallelShardRuntime:
         for shard in range(self.shards):
             if not self.worker_alive(shard):
                 if shard in self._counted_dead:
-                    continue  # already reported; not restarted by design
+                    continue  # already reported, not yet replaced
                 self._counted_dead.add(shard)
                 crashed.append(shard)
                 self.worker_crashes += 1
@@ -611,8 +573,7 @@ class ParallelShardRuntime:
                 )
                 if self.on_crash is not None:
                     self.on_crash(shard)
-                if self.config.auto_restart:
-                    self.restart_worker(shard)
+                self.restart_worker(shard)
         if crashed:
             self._bump()
         return crashed
@@ -634,7 +595,7 @@ class ParallelShardRuntime:
     ) -> List[Tuple[Tuple[str, ...], slice]]:
         plan = self._chunks.get(names)
         if plan is None:
-            width = self.config.slot_width
+            width = self.rings[0].slot_width
             plan = [
                 (names[i : i + width], slice(i, i + width))
                 for i in range(0, len(names), width)
@@ -666,7 +627,7 @@ class ParallelShardRuntime:
     def push(self, shard: int, batch: SampleBatch) -> bool:
         """Queue one batch for a shard worker; returns False if dropped.
 
-        Blocks up to ``push_timeout`` while the ring is full
+        Blocks up to :data:`PUSH_TIMEOUT_S` while the ring is full
         (backpressure), then drops and counts — writes never raise, the
         same contract as :meth:`ReplicaSet.ingest`.
         """
@@ -677,7 +638,7 @@ class ParallelShardRuntime:
             names_id = self._intern_names(shard, chunk_names)
             chunk_values = values[sl]
             if not ring.try_push(names_id, batch.time, chunk_values):
-                deadline = _time.monotonic() + self.config.push_timeout
+                deadline = _time.monotonic() + PUSH_TIMEOUT_S
                 self.backpressure_waits += 1
                 while not ring.try_push(names_id, batch.time, chunk_values):
                     if not self.worker_alive(shard):
@@ -691,7 +652,7 @@ class ParallelShardRuntime:
                             "shard %d ring full for %.1fs: dropping batch "
                             "(%d samples)",
                             shard,
-                            self.config.push_timeout,
+                            PUSH_TIMEOUT_S,
                             len(chunk_names),
                         )
                         break
@@ -723,7 +684,7 @@ class ParallelShardRuntime:
                 conn.send(("reg",) + payload)
                 return None
             conn.send(("cmd", self.rings[shard].head, op, payload))
-            deadline = _time.monotonic() + self.config.command_timeout
+            deadline = _time.monotonic() + COMMAND_TIMEOUT_S
             while not conn.poll(0.01):
                 if not self.worker_alive(shard):
                     raise ShardDownError(
@@ -748,7 +709,7 @@ class ParallelShardRuntime:
         self._mutations += 1
 
     # Fault counters live only in the worker's ReplicaSet memory (they are
-    # never checkpointed), so a restart would reset them to zero and the
+    # not journaled), so a restart would reset them to zero and the
     # published metrics would run backwards.  On restart the last-known
     # values fold into these parent-side offsets instead.
     _OFFSET_LISTS = ("missed_writes", "dropped_writes", "repaired_samples")
@@ -778,8 +739,8 @@ class ParallelShardRuntime:
     def _accumulate_offsets(self, shard: int) -> None:
         """Fold the last cached stats of a dead worker into the offsets.
 
-        Best effort: counter deltas since the last snapshot die with the
-        worker, exactly like un-checkpointed samples do.
+        Best effort: counter deltas since the last cached stats die with
+        the worker.
         """
         last = self._stats_cache[shard]
         if last is None:
@@ -822,16 +783,9 @@ class ParallelShardRuntime:
         for shard in range(self.shards):
             self._call(shard, "ping", ())
 
-    def checkpoint(self) -> List[int]:
-        """Force a checkpoint on every worker; returns acked sequences."""
-        return [
-            int(self._call(shard, "checkpoint", ()))
-            for shard in range(self.shards)
-        ]
-
     def close(self, timeout: float = 10.0) -> None:
-        """Graceful drain and shutdown: stop workers after they apply and
-        flush (or checkpoint) everything pushed so far."""
+        """Graceful drain and shutdown: stop workers after they apply,
+        flush and acknowledge everything pushed so far."""
         if self._closed:
             return
         for shard in range(self.shards):

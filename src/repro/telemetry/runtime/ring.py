@@ -158,6 +158,11 @@ class SampleRing:
         """Advance the reclaim watermark to ``seq`` (consumer only)."""
         self._acked.value = seq
 
+    def rebase(self, seq: int) -> None:
+        """Start an unused ring's sequence at ``seq`` (consumer only; the
+        producer must not push before this returns)."""
+        self._head.value = self._applied.value = self._acked.value = seq
+
     def reset_consumer(self, seq: Optional[int] = None) -> None:
         """Rewind the consumer cursor after a worker restart.
 

@@ -10,37 +10,30 @@ Each worker owns one real :class:`~repro.telemetry.distributed.replica.ReplicaSe
    tier, and fault bookkeeping (``missed_writes``/``dropped_writes``/
    ``lost_batches``) is the replica set's own, sample for sample,
 2. serves commands from the parent over a pipe (reads, flushes, fault
-   injection, checkpoints, shutdown).  Every command carries the ring
-   sequence the parent had published when it sent the command; the worker
-   drains the ring to that point before executing, and member stores
-   flush staged rows on read, so a read observes every batch
-   acknowledged to the producer before it — queries are linearized
-   against ingest despite the async transport.
+   injection, shutdown).  Every command carries the ring sequence the
+   parent had published when it sent the command; the worker drains the
+   ring to that point before executing, and member stores flush staged
+   rows on read, so a read observes every batch acknowledged to the
+   producer before it — queries are linearized against ingest despite the
+   async transport.
 
-Durability is selected by the parent:
-
-* ``"none"`` — a slot is acknowledged as soon as it is applied; a worker
-  crash loses the shard's in-memory contents (replayed data is only what
-  is still unreclaimed in the ring).  Fast, honest, counted.
-* ``"wal"`` — every applied ring slot is framed into a per-shard
-  write-ahead journal (:mod:`repro.telemetry.durability`) *before* it is
-  ingested, and ``acked`` advances (every ``checkpoint_interval`` slots)
-  only after the journal buffer reaches the OS — so acknowledgement costs
-  one buffered file write, the ring retains everything newer, and member
-  stores stage freely between acks.  A restarted worker replays the
-  journal's batch records through the same ingest path into its healthy
-  members (periodic MARK records anchor journal records to ring
-  sequences) and then resumes the ring from the journal frontier — no
-  acknowledged batch is ever lost.  Explicit checkpoints persist ``.npz``
-  snapshots when a ``checkpoint_dir`` is configured, and prune journal
-  segments wholly covered by the snapshot; recovery then replays only the
-  journal suffix on top of the reloaded snapshot.
+Without a journal in the store config a slot is acknowledged as soon as
+it is applied, and a worker crash loses the shard's in-memory contents
+(only what is still unreclaimed in the ring replays).  With a journal
+every applied ring slot is framed into a per-shard write-ahead journal
+(:mod:`repro.telemetry.durability`) *before* it is ingested, and
+``acked`` advances (every :data:`ACK_INTERVAL` slots) only after the
+journal buffer reaches the OS — so acknowledgement costs one buffered
+file write, the ring retains everything newer, and member stores stage
+freely between acks.  A restarted worker replays the journal's batch
+records through the same ingest path into its healthy members (MARK
+records anchor batch records to ring sequences) and then resumes the ring
+from the journal frontier — no acknowledged batch is ever lost.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import traceback
 from collections import deque
@@ -49,25 +42,29 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import StoreError
-from repro.ioutil import atomic_write_json
 from repro.telemetry.distributed.replica import ReplicaSet
 from repro.telemetry.durability import (
     JournalConfig,
     RecoveryStats,
     WriteAheadJournal,
     iter_records,
-    read_watermark,
 )
-from repro.telemetry.persistence import load_store, save_store
 from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.sample import SampleBatch
 from repro.telemetry.store import TimeSeriesStore
 
-__all__ = ["ShardWorker", "worker_main"]
+__all__ = ["ACK_INTERVAL", "ShardWorker", "worker_main"]
+
+#: Applied slots between journal acknowledgements (journaled shards only).
+ACK_INTERVAL = 64
 
 
 class ShardWorker:
-    """The event loop run inside each shard worker process."""
+    """The event loop run inside each shard worker process.
+
+    ``names_table`` and ``fault_state`` are passed to a replacement for a
+    dead worker; a first start gets neither and finds its ring fresh.
+    """
 
     def __init__(
         self,
@@ -76,23 +73,17 @@ class ShardWorker:
         conn,
         replication: int,
         store_config: dict,
-        durability: str = "none",
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_interval: int = 256,
         names_table: Optional[Dict[int, Tuple[str, ...]]] = None,
         fault_state: Optional[dict] = None,
     ):
         self.shard_id = shard_id
         self.ring = ring
         self.conn = conn
-        self.durability = durability
-        self.checkpoint_dir = checkpoint_dir
+        self._fresh_ring = names_table is None
         # An ack must trigger well before the ring fills, or the producer
         # would block on unacked slots that can only be released by an ack
         # that never comes.
-        self.checkpoint_interval = min(
-            checkpoint_interval, max(1, ring.capacity // 2)
-        )
+        self.ack_interval = min(ACK_INTERVAL, max(1, ring.capacity // 2))
         # The shard journal replaces per-member journaling inside workers:
         # one WAL covers the whole replica set (members hold identical
         # data), so the member stores are built journal-free.
@@ -102,29 +93,11 @@ class ShardWorker:
         self._wal_cfg: Optional[JournalConfig] = None
         self._wal_names: set = set()
         self.recovery: Optional[RecoveryStats] = None
-        if durability == "wal":
-            if journal is not None:
-                wal_dir = os.path.join(
-                    journal["base_dir"], f"shard{shard_id}", "wal"
-                )
-                tuning = {
-                    k: journal[k]
-                    for k in (
-                        "segment_max_bytes",
-                        "sync",
-                        "sync_interval_s",
-                        "group_bytes",
-                    )
-                    if k in journal
-                }
-            elif checkpoint_dir:
-                wal_dir, tuning = os.path.join(checkpoint_dir, "wal"), {}
-            else:
-                raise ValueError(
-                    "durability='wal' requires a journal base dir or a "
-                    "checkpoint_dir"
-                )
-            self._wal_cfg = JournalConfig(dir=wal_dir, **tuning)
+        if journal is not None:
+            self._wal_cfg = JournalConfig(
+                dir=os.path.join(journal["base_dir"], f"shard{shard_id}", "wal"),
+                **{k: v for k, v in journal.items() if k != "base_dir"},
+            )
         self.rs = ReplicaSet(
             shard_id,
             replication,
@@ -155,39 +128,23 @@ class ShardWorker:
                         self.rs.degrade(fraction, self._degrade_rng, member)
 
     # ------------------------------------------------------------------
-    # Recovery / checkpointing
+    # Recovery / acknowledgement
     # ------------------------------------------------------------------
-    def _manifest_path(self) -> str:
-        return os.path.join(self.checkpoint_dir, "manifest.json")
-
-    def _member_path(self, member: int) -> str:
-        return os.path.join(self.checkpoint_dir, f"member{member}.npz")
-
-    def _load_manifest(self) -> Optional[dict]:
-        if not self.checkpoint_dir:
-            return None
-        manifest = self._manifest_path()
-        if not os.path.exists(manifest):
-            return None
-        with open(manifest) as fh:
-            meta = json.load(fh)
-        for i in range(len(self.rs.members)):
-            path = self._member_path(i)
-            if os.path.exists(path):
-                self.rs.members[i] = load_store(path)
-        return meta
-
     def recover(self) -> None:
-        """Resume the consumer cursor; reload durable state if any exists.
+        """Replay the journal (if any) and resume the consumer cursor.
 
-        Under ``"wal"`` durability the journal is replayed on top of the
-        (optional) checkpoint and ring replay resumes from
-        ``max(acked, journal frontier)`` — this also covers a crash that
-        landed between a journal flush and advancing ``acked``.
+        Ring replay resumes from ``max(acked, journal frontier)`` — this
+        also covers a crash that landed between a journal flush and
+        advancing ``acked``.  A fresh ring continues the journal's
+        sequence, so ring positions stay comparable across restarts of
+        the owning process; the parent pushes nothing into a journaled
+        ring before this has run.
         """
         resume = self.ring.acked
-        if self.durability == "wal":
+        if self._wal_cfg is not None:
             resume = max(resume, self._recover_wal())
+            if self._fresh_ring:
+                self.ring.rebase(resume)
             self.wal = WriteAheadJournal(self._wal_cfg)
             # Anchor this incarnation's records: batches that follow map to
             # ring sequences counted up from this mark.
@@ -202,30 +159,28 @@ class ShardWorker:
         """Replay the shard journal into healthy members; return the ring
         sequence the journal covers.
 
-        MARK records carry the ring sequence acknowledged when they were
-        written; each BATCH record between marks advances the position by
-        one slot, so the journal frontier is exact even after a torn tail.
-        Records at or below the checkpoint's ``wal_seq`` are already inside
-        the reloaded ``.npz`` snapshot and are skipped.  Replay stops at
-        the first sequence gap (damage mid-journal): everything past it is
-        left to the ring replay window, which still covers ``[acked, head)``.
-        Batch records go through the members' ingest path, so replay
-        accepts and refuses exactly what live ingest did; a refused record
-        is counted in ``replay_conflicts``.
+        A MARK record carries a ring sequence and each BATCH record after
+        it is the next slot, so a batch's position is known while no
+        sequence gap separates it from a mark.  Damage mid-journal leaves
+        a gap, and positions stay unknown until the next MARK: if that
+        mark is at or below ``acked`` (or the ring is fresh) the ring no
+        longer holds those slots and replay continues from it; otherwise
+        replay stops, because the ring still holds every slot from
+        ``acked`` on.  A mark below the replayed frontier — a later
+        incarnation journaling the slots it replayed from the ring —
+        skips the batches already applied.  A batch whose position is
+        unknown is never applied.  Batch records go through the members'
+        ingest path, so replay accepts and refuses exactly what live
+        ingest did; a refused record is counted in ``replay_conflicts``.
         """
         stats = RecoveryStats()
         self.recovery = stats
-        base_seq = 0
-        wal_cut = read_watermark(self._wal_cfg.dir)
-        meta = self._load_manifest()
-        if meta is not None:
-            base_seq = int(meta.get("seq", 0))
-            wal_cut = max(wal_cut, int(meta.get("wal_seq", 0)))
         healthy = [
             m for i, m in enumerate(self.rs.members) if not self.rs.is_down(i)
         ]
-        resume = base_seq
-        pos: Optional[int] = None
+        reachable = float("inf") if self._fresh_ring else self.ring.acked
+        resume = 0  # every slot below this is applied (or unrecoverable)
+        pos: Optional[int] = None  # ring position of the next batch record
         expected: Optional[int] = None
 
         def replay(op: str, *args) -> None:
@@ -237,38 +192,30 @@ class ShardWorker:
                     refused = True
             stats.replay_conflicts += refused
 
-        for rec in iter_records(
-            self._wal_cfg.dir, stats=stats, min_seq=wal_cut
-        ):
+        for rec in iter_records(self._wal_cfg.dir, stats=stats):
             kind, seq = rec[0], rec[1]
-            if kind == "names" and seq <= wal_cut:
-                # Interning records below the watermark are re-yielded so
-                # later batches stay resolvable; they sit outside the
-                # contiguous above-watermark chain, so register them
-                # without touching the gap check.
-                self._names[rec[2]] = tuple(rec[3])
-                continue
             if expected is not None and seq != expected:
-                break
+                pos = None
             expected = seq + 1
             if kind == "names":
+                # Ids are global to the parent's interning table.
                 self._names[rec[2]] = tuple(rec[3])
             elif kind == "mark":
-                pos = int(rec[2])
+                mark = int(rec[2])
+                if pos is None and mark > reachable:
+                    break
+                pos = mark
                 resume = max(resume, pos)
+            elif pos is None:
+                continue
             elif kind == "batch":
-                _, _, names_id, time, values = rec
-                if pos is None:
-                    # The anchoring mark was pruned with its segment at the
-                    # last checkpoint; batches resume exactly at its seq.
-                    pos = base_seq
-                if pos >= base_seq:
+                if pos >= resume:
+                    _, _, names_id, time, values = rec
                     names = self._names.get(names_id)
                     if names is None:
-                        # The NAMES record for this id was lost with the
-                        # damaged prefix: treat it like a sequence gap and
-                        # stop, so the remaining slots fall back to ring
-                        # replay instead of being advanced past as applied.
+                        # The NAMES record for this id was lost with
+                        # damage: stop, so the remaining slots fall back
+                        # to ring replay instead of being passed over.
                         break
                     replay("ingest", "", SampleBatch(time, names, values))
                 pos += 1
@@ -278,7 +225,7 @@ class ShardWorker:
                 replay("append_many", name, times, values)
         return resume
 
-    def _wal_ack(self) -> int:
+    def _wal_ack(self) -> None:
         """Acknowledge everything applied: one MARK plus a buffer flush.
 
         The flush hands the journal to the OS, which survives a worker
@@ -289,46 +236,6 @@ class ShardWorker:
         self.wal.append_mark(applied)
         self.wal.flush()
         self.ring.mark_acked(applied)
-        return applied
-
-    def checkpoint(self) -> int:
-        """Flush everything and persist member stores; advance ``acked``.
-
-        Returns the acknowledged sequence.  Under ``"wal"`` durability the
-        journal is flushed first; the ``.npz`` snapshot is written only
-        when a ``checkpoint_dir`` is configured, and only after its
-        manifest (the commit record) is fully written are the journal
-        segments it covers pruned, so a crash mid-checkpoint recovers from
-        the previous snapshot plus the journal.
-        """
-        applied = self.ring.applied
-        self.rs.flush()
-        if self.wal is not None:
-            self.wal.append_mark(applied)
-            wal_seq = self.wal.flush()
-            if self.checkpoint_dir:
-                os.makedirs(self.checkpoint_dir, exist_ok=True)
-                for i, member in enumerate(self.rs.members):
-                    save_store(member, self._member_path(i))
-                atomic_write_json(
-                    self._manifest_path(),
-                    {
-                        "seq": applied,
-                        "shard": self.shard_id,
-                        "wal_seq": wal_seq,
-                    },
-                )
-                # Pass the journaled interning table: pruning may delete
-                # the segments holding the original NAMES records while
-                # post-checkpoint batches still reference those ids.
-                self.wal.mark_durable(
-                    wal_seq,
-                    names={
-                        nid: self._names[nid] for nid in sorted(self._wal_names)
-                    },
-                )
-        self.ring.mark_acked(applied)
-        return applied
 
     # ------------------------------------------------------------------
     # Ingest
@@ -362,9 +269,9 @@ class ShardWorker:
         names = self._resolve_names(names_id)
         if self.wal is not None:
             # Journal before mutate: the WAL record is the durable copy of
-            # this slot until the next checkpoint, including slots a down
-            # member misses (replay only feeds healthy members, mirroring
-            # the fault accounting taken below).
+            # this slot, including slots a down member misses (replay only
+            # feeds healthy members, mirroring the fault accounting taken
+            # below).
             if names_id not in self._wal_names:
                 self.wal.append_names(names_id, names)
                 self._wal_names.add(names_id)
@@ -383,7 +290,7 @@ class ShardWorker:
         target = self.ring.head if upto is None else upto
         seq = self.ring.applied
         applied = 0
-        instant_ack = self.durability == "none"
+        instant_ack = self.wal is None
         while seq < target:
             self._apply_slot(seq)
             seq += 1
@@ -396,7 +303,7 @@ class ShardWorker:
         if (
             applied
             and not instant_ack
-            and seq - self.ring.acked >= self.checkpoint_interval
+            and seq - self.ring.acked >= self.ack_interval
         ):
             self._wal_ack()
         return applied
@@ -404,11 +311,11 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # Command server
     # ------------------------------------------------------------------
-    def _stat(self, member: int, attr: str) -> float:
+    def _stat(self, member: int, attr: str):
         store = self.rs.members[member]
         if attr == "len":
-            return float(len(store))
-        return float(getattr(store, attr))
+            return len(store)
+        return getattr(store, attr)
 
     def _rs_stats(self) -> dict:
         return {
@@ -521,15 +428,14 @@ class ShardWorker:
             return rs.anti_entropy(window_s=window_s, now=now)
         if op == "sync_journal":
             return self.wal.sync() if self.wal is not None else 0
-        if op == "checkpoint":
-            return self.checkpoint()
         if op == "crash":
-            # Chaos hook: die like a SIGKILLed daemon — no flush, no
-            # checkpoint, no reply.
+            # Chaos hook: die like a SIGKILLed daemon — no flush, no ack,
+            # no reply.
             os._exit(17)
         if op == "stop":
-            self.checkpoint()
+            rs.flush()
             if self.wal is not None:
+                self._wal_ack()
                 self.wal.close()
             self._running = False
             return self.slots_applied
@@ -578,9 +484,6 @@ def worker_main(
     conn,
     replication: int,
     store_config: dict,
-    durability: str,
-    checkpoint_dir: Optional[str],
-    checkpoint_interval: int,
     names_table: Optional[Dict[int, Tuple[str, ...]]] = None,
     fault_state: Optional[dict] = None,
 ) -> None:
@@ -597,9 +500,6 @@ def worker_main(
         conn,
         replication,
         store_config,
-        durability=durability,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
         names_table=names_table,
         fault_state=fault_state,
     )

@@ -50,7 +50,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StoreError, UnknownMetricError
+from repro.errors import ConfigurationError, StoreError, UnknownMetricError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.archive import ArchiveConfig, ArchiveTier
@@ -73,6 +73,7 @@ __all__ = [
     "resample_onto",
     "forward_fill",
     "check_resample_args",
+    "tier_config",
 ]
 
 
@@ -159,6 +160,26 @@ def check_resample_args(step: float, agg: str) -> None:
         raise StoreError(
             f"unknown aggregation {agg!r}; valid: {sorted(AGGREGATIONS)}"
         )
+
+
+def tier_config(value, cls):
+    """Normalize a ``rollups``/``archive`` argument to ``None`` or a
+    ``cls`` instance (:class:`RollupConfig` / :class:`ArchiveConfig`).
+
+    ``None``, ``False`` and ``{}`` turn the tier off; ``True`` means the
+    defaults; a dict is the ``to_dict()`` form.  Any other type raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    if isinstance(value, cls):
+        return value
+    if value is None or isinstance(value, (bool, dict)):
+        if not value:
+            return None
+        return cls() if value is True else cls.from_dict(value)
+    raise ConfigurationError(
+        f"expected None, a bool, a dict or a {cls.__name__}, "
+        f"got {type(value).__name__}"
+    )
 
 
 def resample_onto(
@@ -449,28 +470,18 @@ class TimeSeriesStore:
         self.retention = retention
         self.retention_slack = retention_slack
         self.flush_threshold = flush_threshold
+        rollup_cfg = tier_config(rollups, RollupConfig)
+        archive_cfg = tier_config(archive, ArchiveConfig)
         self.rollups: Optional[RollupEngine] = None
-        if rollups:
-            if isinstance(rollups, RollupConfig):
-                cfg = rollups
-            elif isinstance(rollups, dict):
-                cfg = RollupConfig.from_dict(rollups)
-            else:
-                cfg = RollupConfig()
+        if rollup_cfg is not None:
             self.rollups = RollupEngine(
-                cfg,
+                rollup_cfg,
                 fetch=self._rollup_fetch,
                 query_fetch=self._tiered_range,
             )
         self.archive: Optional[ArchiveTier] = None
-        if archive:
-            if isinstance(archive, ArchiveConfig):
-                acfg = archive
-            elif isinstance(archive, dict):
-                acfg = ArchiveConfig.from_dict(archive)
-            else:
-                acfg = ArchiveConfig()
-            self.archive = ArchiveTier(acfg)
+        if archive_cfg is not None:
+            self.archive = ArchiveTier(archive_cfg)
         self.samples_ingested = 0
         self.flushes = 0
         self.retention_trims = 0

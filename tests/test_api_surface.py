@@ -7,6 +7,8 @@ uninstrumented baselines; none of that is checked by anything that runs
 the code, so all three are pinned here.
 So is the single self-metrics accessor: a component's registry is reached
 as ``.metrics``, never through a dict view or a second accessor name.
+And so are the constructor parameter lists of the store stack: a new
+setting has to show up as a reviewed change to the golden lists below.
 """
 
 from __future__ import annotations
@@ -23,7 +25,13 @@ import pytest
 
 import repro
 import repro.telemetry as telemetry
-from repro.telemetry import ShardedStore, TimeSeriesStore
+from repro.oda import DataCenter
+from repro.telemetry import (
+    ParallelShardRuntime,
+    ShardedStore,
+    TelemetrySystem,
+    TimeSeriesStore,
+)
 from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.runtime.parallel import RemoteStoreProxy
 
@@ -164,3 +172,41 @@ class TestOneSelfMetricsAccessor:
                         for attr in self.RETIRED if hasattr(cls, attr)
                     )
         assert offenders == []
+
+
+class TestNoNewKnobs:
+    GOLDEN = {
+        TimeSeriesStore: [
+            "retention", "retention_slack", "flush_threshold", "rollups",
+            "archive", "journal",
+        ],
+        ShardedStore: [
+            "shards", "replication", "partitioner", "retention",
+            "retention_slack", "flush_threshold", "parallel", "rollups",
+            "archive", "journal",
+        ],
+        TelemetrySystem: [
+            "store_retention", "health_period", "store_retention_slack",
+            "store_flush_threshold", "shards", "replication", "parallel",
+            "rollups", "archive", "journal",
+        ],
+        DataCenter: [
+            "seed", "racks", "nodes_per_rack", "policy", "telemetry_period",
+            "scheduler_tick", "facility_tick", "cluster_tick",
+            "enable_faults", "noisy_node_fraction", "catalog",
+            "store_retention", "cooling_loops", "start_time",
+            "sensor_noise_floor_w", "health_period", "shards", "replication",
+            "parallel", "rollups", "archive", "journal",
+        ],
+        ParallelShardRuntime: ["shards", "replication", "store_config"],
+    }
+
+    @pytest.mark.parametrize("cls", list(GOLDEN), ids=lambda c: c.__name__)
+    def test_constructor_parameters_are_pinned(self, cls):
+        params = list(inspect.signature(cls.__init__).parameters)[1:]
+        assert params == self.GOLDEN[cls]
+
+    def test_runtime_exports_no_config_object(self):
+        # The parallel tier is configured by ShardedStore's own arguments.
+        exported = [n for n in telemetry.__all__ if "Runtime" in n]
+        assert exported == ["ParallelShardRuntime"]

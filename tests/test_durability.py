@@ -714,44 +714,76 @@ class TestWorkerWalRecovery:
         finally:
             store.close()
 
-    def test_checkpoint_then_crash_keeps_post_checkpoint_batches(
-        self, tmp_path
-    ):
-        # After a checkpoint advances the WAL watermark (and prunes
-        # segments), post-checkpoint batches reference NAMES interned
-        # before it; a restarted worker must still resolve and replay them.
-        from repro.telemetry.runtime import RuntimeConfig
-
-        names = tuple(f"w.s{i}" for i in range(6))
-        rng = np.random.default_rng(34)
+    def test_replay_continues_past_a_mid_journal_gap(self, tmp_path):
+        # A byte flipped mid-journal drops the rest of its segment.  The
+        # first restart replays up to the gap and takes the rest from the
+        # ring; the next incarnation journals after the gap, so the replay
+        # after a second crash must pick up at that incarnation's MARK.
+        names = tuple(f"w.s{i}" for i in range(16))
+        rng = np.random.default_rng(35)
+        base = str(tmp_path / "wal")
         store = ShardedStore(
-            shards=2, replication=1, parallel=True,
-            journal=str(tmp_path / "wal"),
-            parallel_config=RuntimeConfig(
-                durability="wal",
-                checkpoint_dir=str(tmp_path / "ckpt"),
-            ),
+            shards=1, parallel=True,
+            journal={"dir": base, "segment_max_bytes": 2048,
+                     "group_bytes": 256},
         )
         try:
-            self._ingest(store, names, rng, 0, 40)
+            self._ingest(store, names, rng, 0, 60)
             store.flush()
-            store.runtime.checkpoint()  # snapshot + watermark + prune
-            self._ingest(store, names, rng, 40, 30)
+            store.sync_journal()
+            store.runtime.crash_worker(0)
+            wal = os.path.join(base, "shard0", "wal")
+            segments = sorted(os.listdir(wal))
+            assert len(segments) == 5
+            victim = os.path.join(wal, segments[1])
+            with open(victim, "r+b") as fh:
+                fh.seek(os.path.getsize(victim) // 2)
+                byte = fh.read(1)
+                fh.seek(-1, os.SEEK_CUR)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            store.runtime.restart_worker(0)
+            self._ingest(store, names, rng, 60, 40)
             store.flush()
             store.sync_journal()
             acked = {n: store.query(n) for n in names}
-            for shard in range(2):
-                store.runtime.crash_worker(shard)
-                store.runtime.restart_worker(shard)
-            store.flush()
+            assert all(t.size == 100 for t, _ in acked.values())
+            store.runtime.crash_worker(0)
+            store.runtime.restart_worker(0)
             for name in names:
                 t, v = store.query(name)
                 at, av = acked[name]
-                assert t.size >= at.size
-                assert _bits_equal(t[: at.size], at)
-                assert _bits_equal(v[: at.size], av)
+                assert _bits_equal(t, at) and _bits_equal(v, av)
         finally:
             store.close()
+
+    def test_cold_reopen_keeps_ingesting(self, tmp_path):
+        # A reopened store's fresh rings continue the journal's sequence:
+        # the first batches after the reopen are applied, not passed over
+        # as positions the journal already covers.
+        names = tuple(f"w.s{i}" for i in range(4))
+        rng = np.random.default_rng(36)
+        base = str(tmp_path / "wal")
+        store = ShardedStore(
+            shards=2, replication=1, parallel=True, journal=base,
+        )
+        self._ingest(store, names, rng, 0, 10)
+        store.close()
+        reopened = ShardedStore(
+            shards=2, replication=1, parallel=True, journal=base,
+        )
+        try:
+            self._ingest(reopened, names, rng, 10, 5)
+            reopened.flush()
+            reopened.sync_journal()
+            for name in names:
+                assert reopened.query(name)[0].tolist() == list(range(15))
+            for shard in range(2):
+                reopened.runtime.crash_worker(shard)
+                reopened.runtime.restart_worker(shard)
+            for name in names:
+                assert reopened.query(name)[0].tolist() == list(range(15))
+        finally:
+            reopened.close()
 
     def test_cold_reopen_replays_journals(self, tmp_path):
         names = tuple(f"w.s{i}" for i in range(4))
@@ -894,11 +926,8 @@ class TestReplayMatchesLiveIngest:
             reopened.close()
 
     def _parallel_store(self, tmp_path):
-        from repro.telemetry.runtime import RuntimeConfig
-
         return ShardedStore(
             shards=1, parallel=True, journal=str(tmp_path / "wal"),
-            parallel_config=RuntimeConfig(durability="wal"),
         )
 
     def _crash_and_restart(self, store):

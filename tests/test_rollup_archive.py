@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import StoreError, UnknownMetricError
+from repro.errors import ConfigurationError, StoreError, UnknownMetricError
 from repro.telemetry import (
     ArchiveConfig,
     ArchiveTier,
@@ -20,7 +20,11 @@ from repro.telemetry import (
     RollupConfig,
     RollupEngine,
     SERVABLE_AGGREGATIONS,
+    SampleBatch,
+    ShardedStore,
     TimeSeriesStore,
+    load_store,
+    save_store,
 )
 from tests.reference import scalar_resample
 
@@ -60,6 +64,37 @@ class TestRollupConfig:
         store = TimeSeriesStore(rollups={"steps": [2.0, 4.0]})
         assert store.rollup_config.steps == (2.0, 4.0)
         assert TimeSeriesStore().rollup_config is None
+
+    @pytest.mark.parametrize("kind", ["rollups", "archive"])
+    @pytest.mark.parametrize("value", ["5m", 3, ["steps"]])
+    def test_other_types_refused_at_construction(self, kind, value):
+        with pytest.raises(ConfigurationError):
+            TimeSeriesStore(**{kind: value})
+        with pytest.raises(ConfigurationError):
+            ShardedStore(shards=2, **{kind: value})
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_sharded_store_saves_the_config_it_was_built_with(
+        self, tmp_path, parallel
+    ):
+        store = ShardedStore(
+            shards=2, parallel=parallel, retention_slack=0.5,
+            rollups={"steps": [2.0, 4.0]}, archive=ArchiveConfig(512, 4),
+        )
+        try:
+            for t in range(8):
+                store.ingest("t", SampleBatch(float(t), ("a", "b"), np.ones(2)))
+            member = store.replica_sets[0].primary
+            assert member.rollup_config.steps == (2.0, 4.0)
+            assert member.archive_config.chunk_samples == 512
+            assert member.retention_slack == 0.5
+            assert member.flush_threshold == 256
+            save_store(store, str(tmp_path / "s.npz"))
+        finally:
+            store.close()
+        loaded = load_store(str(tmp_path / "s.npz"))
+        assert loaded.rollup_config.steps == (2.0, 4.0)
+        assert loaded.archive_config.to_dict() == ArchiveConfig(512, 4).to_dict()
 
 
 class TestRollupServing:

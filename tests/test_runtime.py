@@ -1,6 +1,10 @@
 """Tests for the process-parallel shard runtime: shared-memory rings,
-worker lifecycle (crash / detect / restart / replay), backpressure, durable
-checkpointing, and bit-for-bit parity with the in-process sharded store."""
+worker lifecycle (crash / detect / restart / replay), backpressure, journal
+durability, and bit-for-bit parity with the in-process sharded store.
+
+The runtime has no settings; tests that need a smaller ring, a narrower
+slot, a shorter push timeout or a shorter ack interval patch the module
+constants."""
 
 from __future__ import annotations
 
@@ -13,13 +17,14 @@ from repro.errors import ConfigurationError, ShardDownError
 from repro.oda import DataCenter
 from repro.telemetry import (
     ParallelShardRuntime,
-    RuntimeConfig,
     SampleBatch,
     SampleRing,
     ShardedStore,
     TelemetrySystem,
     TimeSeriesStore,
 )
+from repro.telemetry.runtime import parallel as parallel_runtime
+from repro.telemetry.runtime import worker as shard_worker
 
 NAMES = tuple(f"cluster.rack{r}.node{n}.power" for r in range(2) for n in range(6))
 
@@ -33,16 +38,19 @@ def make_batches(n_batches: int = 50, names: tuple = NAMES, seed: int = 0):
 
 
 @pytest.fixture
-def parallel_store(request):
-    """Factory for parallel ShardedStores that are always closed."""
+def parallel_store(monkeypatch):
+    """Factory for parallel ShardedStores that are always closed.
+
+    Keyword overrides name constants of
+    :mod:`repro.telemetry.runtime.parallel` (``RING_CAPACITY=64``).
+    """
     opened = []
 
-    def build(shards: int, replication: int = 0, **cfg) -> ShardedStore:
+    def build(shards: int, replication: int = 0, **overrides) -> ShardedStore:
+        for name, value in overrides.items():
+            monkeypatch.setattr(parallel_runtime, name, value)
         store = ShardedStore(
-            shards=shards,
-            replication=replication,
-            parallel=True,
-            parallel_config=RuntimeConfig(**cfg) if cfg else None,
+            shards=shards, replication=replication, parallel=True,
         )
         opened.append(store)
         return store
@@ -235,19 +243,12 @@ class TestWorkerLifecycle:
         par.runtime.check_workers()
         assert seen == [0]
 
-    def test_auto_restart_disabled_leaves_worker_down(self, parallel_store):
-        par = parallel_store(1, auto_restart=False)
-        par.runtime.crash_worker(0)
-        assert par.runtime.check_workers() == [0]
-        assert not par.runtime.worker_alive(0)
-        assert par.runtime.worker_restarts == 0
-
     def test_restart_replays_unacked_backlog(self, parallel_store):
-        # durability="none": data already applied lives only in the dead
+        # No journal: data already applied lives only in the dead
         # worker's memory and is lost, but the un-acked ring window
         # survives the crash and replays into the replacement — nothing
         # still sitting in the ring is ever dropped.
-        par = parallel_store(1, ring_capacity=64)
+        par = parallel_store(1, RING_CAPACITY=64)
         for batch in make_batches(10):
             par.ingest("t", batch)
         par.runtime.drain()
@@ -262,15 +263,13 @@ class TestWorkerLifecycle:
         np.testing.assert_array_equal(t, [105.0, 106.0, 107.0, 108.0, 109.0])
         assert par.runtime.replayed_slots >= 5
 
-    def test_checkpoint_durability_loses_no_acked_batch(self, tmp_path):
+    def test_checkpoint_durability_loses_no_acked_batch(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(parallel_runtime, "RING_CAPACITY", 64)
+        monkeypatch.setattr(shard_worker, "ACK_INTERVAL", 8)
         par = ShardedStore(
-            shards=2, replication=1, parallel=True,
-            parallel_config=RuntimeConfig(
-                durability="wal",
-                checkpoint_dir=str(tmp_path),
-                checkpoint_interval=8,
-                ring_capacity=64,
-            ),
+            shards=2, replication=1, parallel=True, journal=str(tmp_path),
         )
         try:
             for batch in make_batches(40):
@@ -332,14 +331,37 @@ class TestWorkerLifecycle:
         finally:
             runtime.close()
 
-    def test_supervised_datacenter_survives_mid_run_crash(self, tmp_path):
+    def test_watchdog_reports_a_worker_left_dead(self, monkeypatch):
+        # The trace says what the sweep achieved: a restart that did not
+        # bring the worker back is reported as not restarted.
+        from repro.oda.supervision import Supervisor
+        from repro.simulation.engine import Simulator
+        from repro.simulation.trace import TraceLog
+
+        sim = Simulator()
+        trace = TraceLog()
+        runtime = ParallelShardRuntime(1, 0, {})
+        try:
+            monkeypatch.setattr(runtime, "restart_worker", lambda shard: None)
+            sup = Supervisor(sim, trace=trace).start()
+            sup.watch_runtime(runtime)
+            runtime.crash_worker(0)
+            sim.run(601.0)
+            events = trace.select(
+                source="supervisor.runtime", kind="worker_crash"
+            )
+            assert [e.detail["restarted"] for e in events] == [False]
+            assert not runtime.worker_alive(0)
+        finally:
+            runtime.close()
+
+    def test_supervised_datacenter_survives_mid_run_crash(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(shard_worker, "ACK_INTERVAL", 8)
         dc = DataCenter(
             seed=11, racks=2, nodes_per_rack=2, shards=2, replication=1,
-            parallel=True,
-            parallel_config=RuntimeConfig(
-                durability="wal", checkpoint_dir=str(tmp_path),
-                checkpoint_interval=8,
-            ),
+            parallel=True, journal=str(tmp_path),
         )
         try:
             dc.enable_supervision()
@@ -363,11 +385,13 @@ class TestWorkerLifecycle:
 # Backpressure and chunking
 # ---------------------------------------------------------------------------
 class TestBackpressure:
-    def test_full_ring_drops_after_timeout_never_raises(self, parallel_store):
-        par = parallel_store(
-            1, ring_capacity=4, push_timeout=0.05, auto_restart=False,
-        )
-        par.runtime.crash_worker(0)  # nobody drains: ring fills for real
+    def test_full_ring_drops_after_timeout_never_raises(
+        self, parallel_store, monkeypatch
+    ):
+        par = parallel_store(1, RING_CAPACITY=4, PUSH_TIMEOUT_S=0.05)
+        # Nobody drains: the worker stays dead and the ring fills for real.
+        monkeypatch.setattr(par.runtime, "restart_worker", lambda shard: None)
+        par.runtime.crash_worker(0)
         for batch in make_batches(12):
             par.ingest("t", batch)  # must not raise
         rt = par.runtime
@@ -379,7 +403,7 @@ class TestBackpressure:
         assert metrics["telemetry.runtime.backlog"] == 4.0
 
     def test_wide_batches_chunk_across_slots(self, parallel_store):
-        par = parallel_store(1, slot_width=8)
+        par = parallel_store(1, SLOT_WIDTH=8)
         names = tuple(f"wide.m{i}" for i in range(20))  # 3 slots at width 8
         rng = np.random.default_rng(2)
         expect = {}
@@ -473,16 +497,6 @@ class TestRuntimeValidation:
     def test_parallel_requires_shards_in_telemetry_system(self):
         with pytest.raises(ConfigurationError):
             TelemetrySystem(parallel=True)
-
-    def test_checkpoint_durability_requires_dir(self, tmp_path):
-        # Snapshots ride on "wal" (+ checkpoint_dir); a checkpoint-only
-        # mode is as unknown as any other value, with or without a dir.
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(durability="checkpoint")
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(durability="checkpoint", checkpoint_dir=str(tmp_path))
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(durability="paxos")
 
     def test_runtime_rejects_bad_topology(self):
         with pytest.raises(ConfigurationError):
