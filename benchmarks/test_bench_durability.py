@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.telemetry import SampleBatch, TimeSeriesStore
 from repro.telemetry.distributed import ReplicaSet
-from repro.telemetry.durability import JournalConfig
 
 SCALE = os.environ.get("BENCH_SCALE", "small")
 
@@ -84,11 +83,7 @@ def _ingest_run(journal_dir) -> float:
         SampleBatch(float(t), names, rng.normal(100.0, 10.0, len(names)))
         for t in range(P["batches"])
     ]
-    journal = (
-        JournalConfig(dir=journal_dir, sync="interval")
-        if journal_dir else None
-    )
-    store = TimeSeriesStore(journal=journal)
+    store = TimeSeriesStore(journal=journal_dir)
     t0 = time.perf_counter()
     for batch in batches:
         store.ingest("bench", batch)
@@ -123,7 +118,7 @@ def test_wal_ingest_overhead(tmp_path):
 def test_recovery_replay_rate(tmp_path):
     """Crash recovery replays the journal at bulk (vectorized) rates."""
     wal_dir = str(tmp_path / "replay-wal")
-    store = TimeSeriesStore(journal=JournalConfig(dir=wal_dir, sync="never"))
+    store = TimeSeriesStore(journal=wal_dir)
     rng = np.random.default_rng(11)
     chunk = P["replay_chunk"]
     clock = 0.0
@@ -142,7 +137,7 @@ def test_recovery_replay_rate(tmp_path):
     del store
 
     t0 = time.perf_counter()
-    recovered = TimeSeriesStore(journal=JournalConfig(dir=wal_dir))
+    recovered = TimeSeriesStore(journal=wal_dir)
     elapsed = time.perf_counter() - t0
     stats = recovered.recovery
     rate = stats.replayed_samples / elapsed

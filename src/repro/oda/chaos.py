@@ -50,7 +50,12 @@ from repro.obs.metrics import MetricsRegistry
 from repro.oda.datacenter import DataCenter
 from repro.oda.supervision import ControllerFaultKind, Supervisor
 from repro.telemetry.distributed import ShardedStore
-from repro.telemetry.durability import corrupt_artifact, tail_segment, tear_wal_tail
+from repro.telemetry.durability import (
+    corrupt_artifact,
+    journal_dir,
+    tail_segment,
+    tear_wal_tail,
+)
 from repro.telemetry.persistence import load_store, save_store
 from repro.telemetry.sample import SampleBatch
 
@@ -560,7 +565,7 @@ def durability_drill(seed: int, shards: int = 2, replication: int = 1,
         # handed to the file first (without acking it in the drill's
         # books); otherwise it can die in the worker's buffer, leaving no
         # bytes past the ack point, and a tear would cut acked records.
-        shard0_wal = os.path.join(wal_dir, "shard0", "wal")
+        shard0_wal = journal_dir(wal_dir, 0)
         ingest(store, batches)
         ack(store)
         acked_path, acked_size = tail_segment(shard0_wal)

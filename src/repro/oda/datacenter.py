@@ -84,8 +84,8 @@ class DataCenter:
         are served from pre-aggregated tiers and expired raw samples are
         demoted to cold chunks instead of deleted.
     journal:
-        Write-ahead journal base directory (or config dict) for the
-        telemetry store; acked ingest survives a crash of the owning
+        Write-ahead journal base directory for the telemetry store (or
+        ``None`` for none); acked ingest survives a crash of the owning
         process and, with ``parallel``, of individual shard workers (see
         :mod:`repro.telemetry.durability`).
     """

@@ -39,7 +39,6 @@ from repro.telemetry.export import (
     write_spans_jsonl,
 )
 from repro.telemetry.durability import (
-    JournalConfig,
     RecoveryStats,
     WriteAheadJournal,
     corrupt_artifact,
@@ -117,7 +116,6 @@ __all__ = [
     "FaultySource",
     "SensorFault",
     "SensorFaultKind",
-    "JournalConfig",
     "RecoveryStats",
     "WriteAheadJournal",
     "scan_journal",

@@ -273,15 +273,15 @@ class TelemetrySystem:
     ``rollups`` / ``archive`` enable the materialized downsample cascade
     and the compressed columnar cold tier on the store (single or
     sharded), in the same bool/dict/config forms accepted by
-    :class:`~repro.telemetry.store.TimeSeriesStore`.
+    :class:`~repro.telemetry.store.TimeSeriesStore`.  ``journal`` is the
+    write-ahead journal directory (the base directory of a sharded store's
+    per-shard journals), or ``None`` for no journal.
     """
 
     def __init__(
         self,
         store_retention: Optional[float] = None,
         health_period: Optional[float] = None,
-        store_retention_slack: float = 0.25,
-        store_flush_threshold: int = 256,
         shards: Optional[int] = None,
         replication: int = 0,
         parallel: bool = False,
@@ -308,8 +308,6 @@ class TelemetrySystem:
                 shards=shards,
                 replication=replication,
                 retention=store_retention,
-                retention_slack=store_retention_slack,
-                flush_threshold=store_flush_threshold,
                 parallel=parallel,
                 rollups=rollups,
                 archive=archive,
@@ -318,8 +316,6 @@ class TelemetrySystem:
         else:
             self.store = TimeSeriesStore(
                 retention=store_retention,
-                retention_slack=store_retention_slack,
-                flush_threshold=store_flush_threshold,
                 rollups=rollups,
                 archive=archive,
                 journal=journal,

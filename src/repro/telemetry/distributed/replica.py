@@ -20,26 +20,32 @@ Failure semantics mirror real collectors:
   :class:`~repro.errors.ShardDownError`,
 * **revival resyncs** — a revived member missed writes while down, so by
   default it is rebuilt from a healthy peer before serving again.
+
+Members are built by the set itself from the member stores' keyword
+arguments.  With a ``journal`` base directory every member journals to
+:func:`~repro.telemetry.durability.journal_dir` ``(journal, shard_id, j)``,
+so a set rebuilt over the same base replays each journal into the member
+that wrote it.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Callable, List, Optional
+import shutil
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShardDownError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
+from repro.telemetry.durability import journal_dir
 from repro.telemetry.sample import SampleBatch
 from repro.telemetry.store import TimeSeriesStore
 
 __all__ = ["ReplicaSet"]
 
 log = logging.getLogger(__name__)
-
-StoreFactory = Callable[[], TimeSeriesStore]
 
 
 def replica_metrics(rs) -> MetricsRegistry:
@@ -89,21 +95,22 @@ class ReplicaSet:
         self,
         shard_id: int,
         replication: int = 0,
-        store_factory: StoreFactory = TimeSeriesStore,
+        retention: Optional[float] = None,
+        rollups=None,
+        archive=None,
+        journal=None,
     ):
         if replication < 0:
             raise ConfigurationError(
                 f"replication must be >= 0, got {replication}"
             )
         self.shard_id = shard_id
-        self._factory = store_factory
-        # A factory advertising ``per_member`` gets the member slot index,
-        # pinning each member to stable per-slot state (e.g. its WAL
-        # directory, which is what makes crash recovery land the right
-        # journal in the right member).
-        self._per_member = bool(getattr(store_factory, "per_member", False))
+        self._store_kwargs = {
+            "retention": retention, "rollups": rollups, "archive": archive,
+        }
+        self._journal = journal
         self.members: List[TimeSeriesStore] = [
-            self._make_member(i) for i in range(replication + 1)
+            self._new_member(i) for i in range(replication + 1)
         ]
         self._down = [False] * len(self.members)
         self._drop_fraction = [0.0] * len(self.members)
@@ -120,15 +127,12 @@ class ReplicaSet:
         self.repaired_samples = [0] * len(self.members)
         self._metrics: Optional[MetricsRegistry] = None
 
-    def _make_member(self, member: int) -> TimeSeriesStore:
-        return self._factory(member=member) if self._per_member else self._factory()
-
-    def _fresh_member(self, member: int) -> TimeSeriesStore:
-        """Build an *empty* replacement store for a resync rebuild."""
-        fresh = getattr(self._factory, "fresh", None)
-        if fresh is not None:
-            return fresh(member)
-        return self._make_member(member)
+    def _new_member(self, member: int) -> TimeSeriesStore:
+        """Open member ``member``'s store (replaying its journal, if any)."""
+        journal = None
+        if self._journal is not None:
+            journal = journal_dir(self._journal, self.shard_id, member)
+        return TimeSeriesStore(**self._store_kwargs, journal=journal)
 
     # ------------------------------------------------------------------
     # Topology
@@ -198,13 +202,18 @@ class ReplicaSet:
             )
             if source is not None:
                 source.flush()
-                fresh = self._fresh_member(member)
-                both_tiered = (
-                    getattr(source, "archive", None) is not None
-                    and getattr(fresh, "archive", None) is not None
+                fresh = self._rebuild(member)
+                # Encoded cold chunks can be adopted only by a journal-free
+                # member (a shard worker's, whose shard WAL covers it): an
+                # adopt is not journaled, so a journaled member takes its
+                # peer's whole history through its journaled write path.
+                adopt = (
+                    fresh.journal is None
+                    and source.archive is not None
+                    and fresh.archive is not None
                 )
                 for name in source.names():
-                    if both_tiered and name in source.archive:
+                    if adopt and name in source.archive:
                         # Ship cold history as already-encoded chunks (no
                         # decode/re-encode round trip), then copy only the
                         # hot tail; rollups rebuild from the merged tiers
@@ -239,6 +248,17 @@ class ReplicaSet:
                     self.shard_id, member, self.missed_writes[member],
                 )
         self._down[member] = False
+
+    def _rebuild(self, member: int) -> TimeSeriesStore:
+        """An *empty* replacement for ``member``: its stale journal is
+        wiped, since the peer copy re-journals everything it receives."""
+        self.members[member].close()
+        if self._journal is not None:
+            shutil.rmtree(
+                journal_dir(self._journal, self.shard_id, member),
+                ignore_errors=True,
+            )
+        return self._new_member(member)
 
     # ------------------------------------------------------------------
     # Writes: fan out to every healthy member

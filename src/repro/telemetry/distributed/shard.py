@@ -28,7 +28,6 @@ values are fancy-indexed straight into per-shard batches.
 from __future__ import annotations
 
 import os
-import shutil
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +40,6 @@ from repro.telemetry.archive import ArchiveConfig
 from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.distributed.partition import HashPartitioner, Partitioner
 from repro.telemetry.distributed.replica import ReplicaSet
-from repro.telemetry.durability import JournalConfig
 from repro.telemetry.rollup import RollupConfig
 from repro.telemetry.sample import SampleBatch
 from repro.telemetry.store import SeriesBuffer, TimeSeriesStore, tier_config
@@ -53,83 +51,6 @@ _SPLIT_CACHE_CAP = 1024
 
 #: One split-plan entry: (shard_id, names sub-tuple, value index array).
 _SplitPlan = List[Tuple[int, Tuple[str, ...], np.ndarray]]
-
-
-def _journal_dict(value) -> Optional[dict]:
-    """Normalize the journal knob to ``{"base_dir": ..., **tuning}``.
-
-    Accepts a directory path, a :class:`JournalConfig` (its ``dir`` becomes
-    the base directory), or a dict with a ``dir`` key plus tuning fields —
-    all picklable, so the config ships to shard worker processes as-is.
-    """
-    if not value:
-        return None
-    if isinstance(value, JournalConfig):
-        d = {
-            "base_dir": value.dir,
-            "segment_max_bytes": value.segment_max_bytes,
-            "sync": value.sync,
-            "sync_interval_s": value.sync_interval_s,
-            "group_bytes": value.group_bytes,
-        }
-        return d
-    if isinstance(value, dict):
-        d = dict(value)
-        if "base_dir" not in d:
-            if "dir" not in d:
-                raise ConfigurationError(
-                    "journal dict needs a 'dir' (base directory) key"
-                )
-            d["base_dir"] = d.pop("dir")
-        return d
-    return {"base_dir": os.fspath(value)}
-
-
-def member_journal_config(journal: dict, shard: int, member: int) -> JournalConfig:
-    """The per-member WAL config under a deployment's journal base dir.
-
-    Deterministic layout (``<base>/shard<i>/member<j>``) is what makes
-    crash recovery work: a rebuilt deployment opens the same directories
-    its predecessor journaled into and replays them.
-    """
-    kwargs = {k: v for k, v in journal.items() if k != "base_dir"}
-    return JournalConfig(
-        dir=os.path.join(journal["base_dir"], f"shard{shard}", f"member{member}"),
-        **kwargs,
-    )
-
-
-class _MemberFactory:
-    """Per-shard member builder, optionally journaling each member.
-
-    ``per_member`` advertises the ``(member=i)`` calling convention to
-    :class:`ReplicaSet`, which pins each member to a stable journal
-    directory.  ``fresh`` is the resync path: a member rebuilt from a
-    healthy peer starts from an *empty* journal (the peer copy re-journals
-    everything it receives), so the stale pre-failure journal is wiped
-    rather than replayed on the next open.
-    """
-
-    per_member = True
-
-    def __init__(self, store_kwargs: dict, journal: Optional[dict], shard_id: int):
-        self._kwargs = store_kwargs
-        self._journal = journal
-        self._shard = shard_id
-
-    def __call__(self, member: Optional[int] = None) -> TimeSeriesStore:
-        if self._journal is None or member is None:
-            return TimeSeriesStore(**self._kwargs)
-        return TimeSeriesStore(
-            **self._kwargs,
-            journal=member_journal_config(self._journal, self._shard, member),
-        )
-
-    def fresh(self, member: int) -> TimeSeriesStore:
-        if self._journal is not None:
-            cfg = member_journal_config(self._journal, self._shard, member)
-            shutil.rmtree(cfg.dir, ignore_errors=True)
-        return self(member)
 
 
 class ShardedStore:
@@ -145,8 +66,8 @@ class ShardedStore:
     partitioner:
         ``name -> shard_id`` callable; defaults to CRC-32 hashing
         (:class:`~repro.telemetry.distributed.partition.HashPartitioner`).
-    retention / retention_slack / flush_threshold:
-        Per-shard store configuration, identical in meaning to
+    retention:
+        Per-member retention, identical in meaning to
         :class:`~repro.telemetry.store.TimeSeriesStore`.
     parallel:
         Run each replica set in its own worker process, fed by
@@ -161,10 +82,9 @@ class ShardedStore:
         normalized by :func:`~repro.telemetry.store.tier_config` into
         :attr:`rollup_config` / :attr:`archive_config`.
     journal:
-        Enable per-member write-ahead journaling under a base directory
-        (pass the directory, a :class:`~repro.telemetry.durability.JournalConfig`
-        whose ``dir`` is the base, or a dict with ``dir`` + tuning keys).
-        Each member journals to ``<base>/shard<i>/member<j>``; opening a
+        Base directory for write-ahead journaling, or ``None`` for none.
+        Each member journals to ``<base>/shard<i>/member<j>``
+        (:func:`~repro.telemetry.durability.journal_dir`); opening a
         new ``ShardedStore`` over the same base replays the journals, so
         acked ingest survives a crash of the owning process.  In parallel
         mode each worker instead journals the slots it applies to
@@ -178,8 +98,6 @@ class ShardedStore:
         replication: int = 0,
         partitioner: Optional[Partitioner] = None,
         retention: Optional[float] = None,
-        retention_slack: float = 0.25,
-        flush_threshold: int = 256,
         parallel: bool = False,
         rollups=None,
         archive=None,
@@ -194,21 +112,17 @@ class ShardedStore:
         self.shards = shards
         self.replication = replication
         self.retention = retention
-        self.retention_slack = retention_slack
-        self.flush_threshold = flush_threshold
         self.rollup_config = tier_config(rollups, RollupConfig)
         self.archive_config = tier_config(archive, ArchiveConfig)
         self.parallel = parallel
         self.runtime = None
-        self.journal = _journal_dict(journal)
+        self.journal = os.fspath(journal) if journal is not None else None
         self.corrupt_artifacts = 0  # damaged artifacts degraded at load
         self.partitioner: Partitioner = (
             partitioner if partitioner is not None else HashPartitioner(shards)
         )
         store_kwargs = {
             "retention": retention,
-            "retention_slack": retention_slack,
-            "flush_threshold": flush_threshold,
             "rollups": self.rollup_config,
             "archive": self.archive_config,
         }
@@ -223,11 +137,7 @@ class ShardedStore:
             self.replica_sets = self.runtime.replica_sets
         else:
             self.replica_sets: List[ReplicaSet] = [
-                ReplicaSet(
-                    i,
-                    replication,
-                    _MemberFactory(store_kwargs, self.journal, i),
-                )
+                ReplicaSet(i, replication, journal=self.journal, **store_kwargs)
                 for i in range(shards)
             ]
         self.federation = FederatedQueryEngine(self)

@@ -27,18 +27,19 @@ and ``MARK`` an opaque external watermark (the parallel runtime stores ring
 sequence numbers there so a restarted worker knows where ring replay should
 resume).
 
-Group commit & sync policy
---------------------------
+Group commit & sync cadence
+---------------------------
 
-Appends are encoded into an in-process buffer and written to the OS in
-batches (``group_bytes``), so the hot path pays one ``write(2)`` per group,
-not per record.  ``sync`` selects the durability/latency trade-off:
-
-- ``"always"`` — flush + fsync on every append (survives power loss; slow)
-- ``"interval"`` — flush on group boundaries, fsync at most every
-  ``sync_interval_s`` seconds (bounded loss window)
-- ``"never"`` — flush on group boundaries, never fsync (survives process
-  kill via the OS page cache; not power loss)
+Appends are encoded into an in-process buffer and handed to the OS in one
+``write(2)`` per :data:`GROUP_BYTES`, not per record.  Every append also
+checks the fsync deadline: once :data:`SYNC_INTERVAL_S` has passed since
+the last fsync, the append flushes the buffer and fsyncs.  The loss window
+on power failure is therefore bounded only *while appends continue* — the
+deadline is checked by the next append, so records buffered just before
+the writer goes quiet stay unsynced until it appends again or calls
+:meth:`WriteAheadJournal.flush` (survives a process kill),
+:meth:`WriteAheadJournal.sync` or :meth:`WriteAheadJournal.close` (survive
+power loss).
 
 ``flushed_seq`` is the highest sequence handed to the OS; ``synced_seq``
 the highest fsynced.  Acknowledgement protocols should ack no further than
@@ -67,11 +68,13 @@ from repro.errors import JournalError
 from repro.ioutil import CRC_ALGO, atomic_write_json, crc32, fsync_dir
 
 __all__ = [
-    "JournalConfig",
+    "GROUP_BYTES",
+    "SYNC_INTERVAL_S",
+    "SEGMENT_MAX_BYTES",
     "RecoveryStats",
     "WriteAheadJournal",
     "DurabilityFaultEvent",
-    "SYNC_POLICIES",
+    "journal_dir",
     "iter_records",
     "scan_journal",
     "read_watermark",
@@ -99,31 +102,24 @@ _WATERMARK_FILE = "DURABLE"
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".seg"
 
-SYNC_POLICIES = ("never", "interval", "always")
+#: Buffered journal bytes handed to the OS in one write (group commit).
+GROUP_BYTES = 64 * 1024
+#: Longest gap between fsyncs while appends continue.
+SYNC_INTERVAL_S = 0.05
+#: A segment rotates once it holds this many bytes.
+SEGMENT_MAX_BYTES = 4 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class JournalConfig:
-    """Tuning knobs for a :class:`WriteAheadJournal`.
+def journal_dir(base, shard: int, member: int | None = None) -> str:
+    """The journal directory of one shard of a deployment under ``base``.
 
-    ``dir`` is the journal directory (created on demand).  A store opened
-    against a directory that already holds segments replays them first —
-    that is the crash-recovery path.
+    An in-process member journals to ``<base>/shard<i>/member<j>``; a shard
+    worker journals its whole replica set to ``<base>/shard<i>/wal``.  The
+    layout is fixed so a reopened deployment replays each journal into the
+    member (or worker) that wrote it.
     """
-
-    dir: str
-    segment_max_bytes: int = 4 * 1024 * 1024
-    sync: str = "interval"
-    sync_interval_s: float = 0.05
-    group_bytes: int = 64 * 1024
-
-    def __post_init__(self):
-        if self.sync not in SYNC_POLICIES:
-            raise JournalError(
-                f"unknown sync policy {self.sync!r}; expected one of {SYNC_POLICIES}"
-            )
-        if self.segment_max_bytes < 256:
-            raise JournalError("segment_max_bytes must be >= 256")
+    leaf = "wal" if member is None else f"member{member}"
+    return os.path.join(os.fspath(base), f"shard{shard}", leaf)
 
 
 @dataclass
@@ -179,20 +175,22 @@ def read_watermark(directory: str) -> int:
 class WriteAheadJournal:
     """Append-only CRC-framed journal with group commit and rotation.
 
-    Not thread-safe by itself; the owning store serialises access under its
-    own lock (matching every other store internal).
+    ``directory`` is created on demand; a journal opened over segments a
+    previous incarnation left continues their sequence numbering in a new
+    segment.  Not thread-safe by itself; the owning store serialises
+    access under its own lock (matching every other store internal).
     """
 
-    def __init__(self, config: JournalConfig, *, start_seq: int | None = None):
-        self.config = config
-        os.makedirs(config.dir, exist_ok=True)
-        segments = _list_segments(config.dir)
+    def __init__(self, directory, *, start_seq: int | None = None):
+        self.dir = os.fspath(directory)
+        os.makedirs(self.dir, exist_ok=True)
+        segments = _list_segments(self.dir)
         if start_seq is None:
             # Resume numbering after whatever the existing journal holds.
             start_seq = 1
             if segments:
                 stats = RecoveryStats()
-                for _ in iter_records(config.dir, stats=stats, min_seq=0):
+                for _ in iter_records(self.dir, stats=stats, min_seq=0):
                     pass
                 start_seq = max(stats.last_seq + 1, segments[-1][0])
         self._next_seq = max(1, int(start_seq))
@@ -258,27 +256,20 @@ class WriteAheadJournal:
             self._buffer_first_seq = self._next_seq - 1
         self._buffer += frame
         self.records += 1
-        seq = self._next_seq - 1
-        if self.config.sync == "always":
-            self.sync()
-        else:
-            # The interval deadline is checked on every append, not only on
-            # group boundaries: a trickle writer that never fills the group
-            # buffer still gets its bounded-loss-window fsync.
-            sync_due = (
-                self.config.sync == "interval"
-                and _time.monotonic() - self._last_sync >= self.config.sync_interval_s
-            )
-            if sync_due or len(self._buffer) >= self.config.group_bytes:
-                self._flush_buffer()
-                if sync_due:
-                    self._fsync()
-        return seq
+        # The fsync deadline is checked on every append, not only on group
+        # boundaries: a trickle writer that never fills the group buffer
+        # still gets its fsync once the interval has passed.
+        sync_due = _time.monotonic() - self._last_sync >= SYNC_INTERVAL_S
+        if sync_due or len(self._buffer) >= GROUP_BYTES:
+            self._flush_buffer()
+            if sync_due:
+                self._fsync()
+        return self._next_seq - 1
 
     def _flush_buffer(self) -> None:
         if not self._buffer:
             return
-        if self._segment_bytes >= self.config.segment_max_bytes:
+        if self._segment_bytes >= SEGMENT_MAX_BYTES:
             self._rotate()
         assert self._fh is not None
         self._fh.write(self._buffer)
@@ -314,7 +305,7 @@ class WriteAheadJournal:
             os.fsync(self._fh.fileno())
             self._fh.close()
         self._segment_start = self._next_seq
-        path = _segment_path(self.config.dir, self._segment_start)
+        path = _segment_path(self.dir, self._segment_start)
         if os.path.exists(path):
             # A colliding segment can only be a dataless tail from a prior
             # incarnation (header-only, or fully torn): any intact record in
@@ -334,7 +325,7 @@ class WriteAheadJournal:
         self._fh.flush()
         self._segment_bytes = _HEADER.size
         self.rotations += 1
-        fsync_dir(self.config.dir)
+        fsync_dir(self.dir)
 
     # -- truncation -------------------------------------------------------
 
@@ -357,13 +348,12 @@ class WriteAheadJournal:
             for names_id, name_tuple in names.items():
                 self.append_names(names_id, name_tuple)
             self._flush_buffer()
-            if self.config.sync != "never":
-                self._fsync()
+            self._fsync()
         atomic_write_json(
-            os.path.join(self.config.dir, _WATERMARK_FILE), {"seq": seq}, indent=None
+            os.path.join(self.dir, _WATERMARK_FILE), {"seq": seq}, indent=None
         )
         pruned = 0
-        segments = _list_segments(self.config.dir)
+        segments = _list_segments(self.dir)
         for i, (start, path) in enumerate(segments):
             if start == self._segment_start:
                 continue
@@ -375,7 +365,7 @@ class WriteAheadJournal:
                 except OSError:
                     pass
         if pruned:
-            fsync_dir(self.config.dir)
+            fsync_dir(self.dir)
         return pruned
 
     def close(self) -> None:

@@ -9,10 +9,11 @@ Single-store format (v4, the only one written or read): one compressed
 small JSON header under ``__meta__``.  The header records the store
 configuration and the tiered-storage state:
 
-* ``retention`` / ``retention_slack`` / ``flush_threshold`` and the
-  ``rollups`` / ``archive`` configuration dicts round-trip through the
-  header, so a reloaded store trims, demotes and pre-aggregates exactly
-  like the saved one,
+* ``retention`` and the ``rollups`` / ``archive`` configuration dicts
+  round-trip through the header, so a reloaded store trims, demotes and
+  pre-aggregates exactly like the saved one (older headers also carry the
+  staging threshold and retention slack, which are now store constants;
+  loading ignores them),
 * cold chunks are persisted **still encoded** (delta-of-delta timestamps,
   XOR-packed values) under ``__cold__::<name>::<i>::{tp,vb,vp}`` with
   their codec parameters in the header — saving and loading never pays a
@@ -64,9 +65,7 @@ remaining shards still load.
 Parallel deployments (worker-process members) are saved through the
 member proxies, which merge cold and hot samples into one raw stream per
 series; the configuration still round-trips, so a reload re-demotes old
-samples into fresh cold chunks as retention advances.  (Worker-side
-checkpoints operate on the real member stores and keep full chunk/rollup
-fidelity.)
+samples into fresh cold chunks as retention advances.
 """
 
 from __future__ import annotations
@@ -170,8 +169,6 @@ def _tier_config_dict(store, attr: str) -> Optional[dict]:
 def _config_meta(store) -> dict:
     return {
         "retention": store.retention,
-        "retention_slack": store.retention_slack,
-        "flush_threshold": store.flush_threshold,
         "rollups": _tier_config_dict(store, "rollup_config"),
         "archive": _tier_config_dict(store, "archive_config"),
     }
@@ -337,10 +334,7 @@ def _store_kwargs(meta: dict) -> dict:
     """Constructor arguments recorded by :func:`_config_meta`."""
     return {
         key: meta[key]
-        for key in (
-            "retention", "retention_slack", "flush_threshold",
-            "rollups", "archive",
-        )
+        for key in ("retention", "rollups", "archive")
     }
 
 

@@ -104,14 +104,6 @@ class RemoteStoreProxy:
         return self._call("stat", self.member, "retention")
 
     @property
-    def retention_slack(self) -> float:
-        return self._call("stat", self.member, "retention_slack")
-
-    @property
-    def flush_threshold(self) -> int:
-        return self._call("stat", self.member, "flush_threshold")
-
-    @property
     def rollup_config(self):
         return self._call("stat", self.member, "rollup_config")
 
@@ -420,8 +412,9 @@ class ParallelShardRuntime:
     """One worker process per shard, fed by shared-memory sample rings.
 
     ``store_config`` holds the member stores' keyword arguments; a
-    ``journal`` entry (``{"base_dir": ..., **tuning}``) makes every worker
-    journal its slots to ``<base_dir>/shard<i>/wal``.
+    ``journal`` entry (a base directory) makes every worker journal its
+    slots to ``<base>/shard<i>/wal``
+    (:func:`~repro.telemetry.durability.journal_dir`).
     """
 
     def __init__(

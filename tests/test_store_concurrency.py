@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.telemetry import SampleBatch, TimeSeriesStore
+from repro.telemetry import store as store_module
 from repro.telemetry.distributed import ShardedStore
 
 NAMES = tuple(f"s.rack{r}.node{n}.w" for r in range(2) for n in range(4))
@@ -43,8 +44,9 @@ def run_threads(targets):
 
 
 class TestSingleStoreConcurrency:
-    def test_ingest_and_reads_race_free(self):
-        store = TimeSeriesStore(flush_threshold=8)
+    def test_ingest_and_reads_race_free(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 8)
+        store = TimeSeriesStore()
         n = 400
         done = threading.Event()
         for name in NAMES[:2]:  # readers may arrive before the writers
@@ -81,8 +83,9 @@ class TestSingleStoreConcurrency:
             assert np.array_equal(values, times * 0.5)
         assert store.samples_ingested == 2 * (n + 1)
 
-    def test_concurrent_readers_see_identical_staged_data(self):
-        store = TimeSeriesStore(flush_threshold=10_000)
+    def test_concurrent_readers_see_identical_staged_data(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 10_000)
+        store = TimeSeriesStore()
         rng = np.random.default_rng(0)
         for t in range(100):
             store.ingest("t", SampleBatch(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StoreError, UnknownMetricError
 from repro.telemetry import SampleBatch, SeriesBuffer, TimeSeriesStore
+from repro.telemetry import store as store_module
 
 
 class TestSeriesBuffer:
@@ -235,8 +236,9 @@ class TestVersionStampTracksContent:
 class TestStagedIngest:
     """Batch ingest stages samples per series and flushes vectorized."""
 
-    def test_staged_samples_visible_to_queries(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_staged_samples_visible_to_queries(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         for t in range(10):
             store.ingest("topic", SampleBatch.from_mapping(float(t), {"a": float(t)}))
         assert store.staged_samples == 10  # nothing flushed yet
@@ -244,29 +246,33 @@ class TestStagedIngest:
         assert times.tolist() == [float(t) for t in range(10)]
         assert store.staged_samples == 0  # read flushed the series
 
-    def test_flush_threshold_triggers_vectorized_flush(self):
-        store = TimeSeriesStore(flush_threshold=4)
+    def test_flush_threshold_triggers_vectorized_flush(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 4)
+        store = TimeSeriesStore()
         for t in range(10):
             store.ingest("topic", SampleBatch.from_mapping(float(t), {"a": 1.0}))
         assert store.flushes >= 2
         assert len(store.series("a")) == 10
 
-    def test_staged_series_listed_before_flush(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_staged_series_listed_before_flush(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("topic", SampleBatch.from_mapping(0.0, {"a": 1.0, "b": 2.0}))
         assert store.names() == ["a", "b"]
         assert "a" in store and len(store) == 2
 
-    def test_equal_timestamp_ingest_is_last_writer_wins(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_equal_timestamp_ingest_is_last_writer_wins(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t1", SampleBatch.from_mapping(1.0, {"a": 1.0}))
         store.ingest("t2", SampleBatch.from_mapping(1.0, {"a": 9.0}))
         times, values = store.query("a")
         assert times.tolist() == [1.0]
         assert values.tolist() == [9.0]
 
-    def test_lww_across_flush_boundary(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_lww_across_flush_boundary(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t", SampleBatch.from_mapping(1.0, {"a": 1.0}))
         store.flush()
         store.ingest("t", SampleBatch.from_mapping(1.0, {"a": 9.0}))
@@ -274,21 +280,24 @@ class TestStagedIngest:
         assert times.tolist() == [1.0]
         assert values.tolist() == [9.0]
 
-    def test_out_of_order_ingest_raises_immediately(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_out_of_order_ingest_raises_immediately(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t", SampleBatch.from_mapping(5.0, {"a": 1.0}))
         with pytest.raises(StoreError):
             store.ingest("t", SampleBatch.from_mapping(4.0, {"a": 2.0}))
 
-    def test_out_of_order_vs_flushed_data_raises(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_out_of_order_vs_flushed_data_raises(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t", SampleBatch.from_mapping(5.0, {"a": 1.0}))
         store.flush()
         with pytest.raises(StoreError):
             store.ingest("t", SampleBatch.from_mapping(4.0, {"a": 2.0}))
 
-    def test_interleaved_ingest_and_direct_append(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_interleaved_ingest_and_direct_append(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t", SampleBatch.from_mapping(1.0, {"a": 1.0}))
         store.append("a", 2.0, 2.0)  # flushes staging first, stays ordered
         store.ingest("t", SampleBatch.from_mapping(3.0, {"a": 3.0}))
@@ -296,21 +305,24 @@ class TestStagedIngest:
         assert times.tolist() == [1.0, 2.0, 3.0]
         assert values.tolist() == [1.0, 2.0, 3.0]
 
-    def test_direct_append_older_than_staged_rejected(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_direct_append_older_than_staged_rejected(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t", SampleBatch.from_mapping(10.0, {"a": 1.0}))
         with pytest.raises(StoreError):
             store.append("a", 5.0, 0.0)
 
-    def test_flush_returns_sample_count(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_flush_returns_sample_count(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         store.ingest("t", SampleBatch.from_mapping(0.0, {"a": 1.0, "b": 2.0}))
         store.ingest("t", SampleBatch.from_mapping(1.0, {"a": 1.0, "b": 3.0}))
         assert store.flush() == 4
         assert store.flush() == 0
 
-    def test_interleaved_overlapping_shapes_keep_per_series_order(self):
-        store = TimeSeriesStore(flush_threshold=1000)
+    def test_interleaved_overlapping_shapes_keep_per_series_order(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore()
         for t in range(4):
             names = ("a", "b") if t % 2 == 0 else ("b", "c")
             store.ingest("t", SampleBatch(float(t), names, np.array([t, -t])))
@@ -353,8 +365,9 @@ class TestStagedIngest:
         assert store.flush() == 0
         assert store.latest_time == 3.0 and store.names() == []
 
-    def test_health_metrics_expose_staging(self):
-        store = TimeSeriesStore(retention=10.0, flush_threshold=1000)
+    def test_health_metrics_expose_staging(self, monkeypatch):
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1000)
+        store = TimeSeriesStore(retention=10.0)
         store.ingest("t", SampleBatch.from_mapping(0.0, {"a": 1.0}))
         metrics = store.metrics.snapshot()
         assert metrics["telemetry.store.samples"] == 1.0
@@ -363,16 +376,18 @@ class TestStagedIngest:
 
 
 class TestRetentionWatermark:
-    def test_reads_enforce_exact_cutoff(self):
-        store = TimeSeriesStore(retention=10.0, retention_slack=0.9)
+    def test_reads_enforce_exact_cutoff(self, monkeypatch):
+        monkeypatch.setattr(store_module, "RETENTION_SLACK", 0.9)
+        store = TimeSeriesStore(retention=10.0)
         for t in range(100):
             store.ingest("t", SampleBatch.from_mapping(float(t), {"a": 0.0}))
         times, _ = store.query("a")
         assert times[0] >= 89.0  # exact on read, whatever the slack
 
-    def test_ingest_path_defers_until_watermark(self):
-        store = TimeSeriesStore(retention=10.0, retention_slack=0.9,
-                                flush_threshold=1)
+    def test_ingest_path_defers_until_watermark(self, monkeypatch):
+        monkeypatch.setattr(store_module, "RETENTION_SLACK", 0.9)
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1)
+        store = TimeSeriesStore(retention=10.0)
         for t in range(30):
             store.ingest("t", SampleBatch.from_mapping(float(t), {"a": 0.0}))
         # Stale fraction (~2/3) is under the 0.9 watermark: no trim yet.
@@ -381,18 +396,20 @@ class TestRetentionWatermark:
         times, _ = store.query("a")
         assert times[0] >= 19.0
 
-    def test_zero_slack_trims_on_flush(self):
-        store = TimeSeriesStore(retention=10.0, retention_slack=0.0,
-                                flush_threshold=1)
+    def test_zero_slack_trims_on_flush(self, monkeypatch):
+        monkeypatch.setattr(store_module, "RETENTION_SLACK", 0.0)
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1)
+        store = TimeSeriesStore(retention=10.0)
         for t in range(100):
             store.ingest("t", SampleBatch.from_mapping(float(t), {"a": 0.0}))
         assert len(store._series["a"]) <= 12
         assert store.retention_trims > 0
         assert store.samples_trimmed > 0
 
-    def test_cold_series_swept_round_robin(self):
-        store = TimeSeriesStore(retention=10.0, retention_slack=0.1,
-                                flush_threshold=1)
+    def test_cold_series_swept_round_robin(self, monkeypatch):
+        monkeypatch.setattr(store_module, "RETENTION_SLACK", 0.1)
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 1)
+        store = TimeSeriesStore(retention=10.0)
         store.ingest("t", SampleBatch.from_mapping(0.0, {"cold": 1.0}))
         store.flush()
         # Only "hot" receives data; the sweep must still reclaim "cold".
@@ -401,9 +418,11 @@ class TestRetentionWatermark:
         assert len(store._series["cold"]) == 0  # reclaimed without a read
 
     def test_invalid_slack_rejected(self):
-        with pytest.raises(StoreError):
+        # Staging threshold and retention slack are store constants: the
+        # constructor takes no value for either.
+        with pytest.raises(TypeError):
             TimeSeriesStore(retention_slack=1.5)
-        with pytest.raises(StoreError):
+        with pytest.raises(TypeError):
             TimeSeriesStore(flush_threshold=0)
 
 

@@ -16,6 +16,7 @@ from repro.software import (
     replay,
 )
 from repro.telemetry import SampleBatch, TimeSeriesStore, load_store, save_store
+from repro.telemetry import store as store_module
 
 
 def trace(jobs_per_day=24.0, days=0.5, seed=7, max_nodes=16):
@@ -106,21 +107,46 @@ class TestPersistence:
             load_store(path)
 
     def test_config_round_trips(self, tmp_path):
-        """Archives persist retention/flush/slack and restore them."""
+        """Archives persist retention and restore it."""
         path = str(tmp_path / "configured.npz")
-        store = TimeSeriesStore(retention=3600.0, retention_slack=0.125,
-                                flush_threshold=32)
+        store = TimeSeriesStore(retention=3600.0)
         store.append_many("a.power", np.arange(10.0), np.ones(10))
         save_store(store, path)
         loaded = load_store(path)
         assert loaded.retention == 3600.0
-        assert loaded.retention_slack == 0.125
-        assert loaded.flush_threshold == 32
 
-    def test_staged_only_store_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_header_with_retired_store_keys_loads(
+        self, tmp_path, monkeypatch, sharded
+    ):
+        """Archives written while the store took a staging threshold and a
+        retention slack carry both in the header; loading ignores them."""
+        from repro.telemetry import ShardedStore, persistence
+
+        config_meta = persistence._config_meta
+        monkeypatch.setattr(
+            persistence, "_config_meta",
+            lambda store: {**config_meta(store),
+                           "retention_slack": 0.125, "flush_threshold": 32},
+        )
+        path = str(tmp_path / "old.npz")
+        store = (ShardedStore(shards=2, retention=3600.0) if sharded
+                 else TimeSeriesStore(retention=3600.0))
+        store.append_many("a.power", np.arange(10.0), np.arange(10.0))
+        save_store(store, path)
+        with np.load(path) as archive:
+            header = persistence._read_meta(archive, path)
+        assert header["retention_slack"] == 0.125
+        assert header["flush_threshold"] == 32
+        loaded = load_store(path)
+        assert loaded.retention == 3600.0
+        assert loaded.query("a.power")[1].tolist() == list(np.arange(10.0))
+
+    def test_staged_only_store_round_trips(self, tmp_path, monkeypatch):
         """Regression: un-flushed staged samples must reach the archive."""
         path = str(tmp_path / "staged.npz")
-        store = TimeSeriesStore(flush_threshold=10_000)  # never auto-flushes
+        monkeypatch.setattr(store_module, "FLUSH_THRESHOLD", 10_000)
+        store = TimeSeriesStore()  # never auto-flushes
         batch_names = ("a.power", "b.temp")
         for t in range(5):
             store.ingest("t", SampleBatch(float(t), batch_names, np.ones(2) * t))
@@ -171,8 +197,7 @@ class TestShardedPersistence:
     def make_sharded(self, replication=1):
         from repro.telemetry import SampleBatch, ShardedStore
 
-        store = ShardedStore(shards=3, replication=replication,
-                             retention_slack=0.125)
+        store = ShardedStore(shards=3, replication=replication)
         names = tuple(f"rack{r}.node{n}.power" for r in range(2) for n in range(4))
         rng = np.random.default_rng(5)
         for t in range(20):
@@ -193,7 +218,6 @@ class TestShardedPersistence:
         loaded = load_store(path)
         assert isinstance(loaded, ShardedStore)
         assert loaded.shards == 3 and loaded.replication == 1
-        assert loaded.retention_slack == 0.125
         assert loaded.names() == original.names()
         for name in original.names():
             t0, v0 = original.query(name)
