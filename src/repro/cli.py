@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "buffers (requires --shards)")
     simulate.add_argument("--rollups", action="store_true",
                           help="maintain materialized downsample tiers "
-                               "(10s/1m/1h mean-min-max-sum-count) at ingest "
+                               "(10s/1m/5m/1h mean-min-max-sum-count) at ingest "
                                "so long resample/align queries are served "
                                "pre-aggregated")
     simulate.add_argument("--archive", action="store_true",

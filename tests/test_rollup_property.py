@@ -111,8 +111,8 @@ def _make_series(seed: int, period: float, hours: float, gap: bool):
 
 query_params = st.tuples(
     st.sampled_from(sorted(SERVABLE_AGGREGATIONS)),
-    st.sampled_from([60.0, 600.0, 3600.0]),
-    st.sampled_from([5.0, 10.0, 30.0]),       # ingest period
+    st.sampled_from([60.0, 300.0, 600.0, 3600.0]),
+    st.sampled_from([1.0, 5.0, 10.0, 30.0]),  # ingest period
     st.booleans(),                            # gap in the middle
     st.integers(min_value=0, max_value=2**31),
 )
