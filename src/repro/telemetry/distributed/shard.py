@@ -231,12 +231,7 @@ class ShardedStore:
         """Flush staged samples on every shard member; returns samples
         flushed on the primaries-and-replicas of the touched shard(s)."""
         if name is not None:
-            rs = self.replica_sets[self.shard_of(name)]
-            return sum(
-                store.flush(name)
-                for i, store in enumerate(rs.members)
-                if not rs.is_down(i)
-            )
+            return self.replica_sets[self.shard_of(name)].flush(name)
         return sum(rs.flush() for rs in self.replica_sets)
 
     # ------------------------------------------------------------------
@@ -271,35 +266,13 @@ class ShardedStore:
         In-process deployments sync each member's journal; parallel
         deployments sync the per-shard worker WALs.
         """
-        seq = 0
-        if self.runtime is not None:
-            for shard in range(self.shards):
-                seq = max(
-                    seq, int(self.runtime._call(shard, "sync_journal", ()))
-                )
-            return seq
-        for rs in self.replica_sets:
-            for i, member in enumerate(rs.members):
-                if not rs.is_down(i) and hasattr(member, "sync_journal"):
-                    seq = max(seq, member.sync_journal())
-        return seq
+        return max((rs.sync_journal() for rs in self.replica_sets), default=0)
 
     @property
     def recovered_samples(self) -> int:
         """Samples replayed from journals when this store (or its current
         worker incarnations) opened."""
-        if self.runtime is not None:
-            return sum(
-                int(self.runtime.shard_stats(s).get("recovered_samples", 0))
-                for s in range(self.shards)
-            )
-        total = 0
-        for rs in self.replica_sets:
-            for member in rs.members:
-                recovery = getattr(member, "recovery", None)
-                if recovery is not None:
-                    total += recovery.replayed_samples
-        return total
+        return sum(rs.recovered_samples for rs in self.replica_sets)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -411,7 +384,7 @@ class ShardedStore:
             return
         for rs in self.replica_sets:
             for i, member in enumerate(rs.members):
-                if not rs.is_down(i) and hasattr(member, "close"):
+                if not rs.is_down(i):
                     member.close()
 
     # ------------------------------------------------------------------

@@ -9,23 +9,31 @@ Each worker owns one real :class:`~repro.telemetry.distributed.replica.ReplicaSe
    stages it in its per-shape columnar block exactly like the in-process
    tier, and fault bookkeeping (``missed_writes``/``dropped_writes``/
    ``lost_batches``) is the replica set's own, sample for sample,
-2. serves commands from the parent over a pipe (reads, flushes, fault
-   injection, shutdown).  Every command carries the ring sequence the
-   parent had published when it sent the command; the worker drains the
-   ring to that point before executing, and member stores flush staged
-   rows on read, so a read observes every batch acknowledged to the
-   producer before it — queries are linearized against ingest despite the
-   async transport.
+2. serves commands from the parent over a pipe.  The command set is
+   :data:`OPS`: one ``member`` command reads a member store (it calls or
+   reads one attribute named in :data:`MEMBER_CALLS` on one member and
+   replies with the result), and the rest drive the replica set itself —
+   flush, journaled appends, fault injection, anti-entropy, stats, journal
+   sync and shutdown.  Every command carries the ring sequence the parent
+   had published when it sent the command; the worker drains the ring to
+   that point before executing, and member stores flush staged rows on
+   read, so a read observes every batch acknowledged to the producer
+   before it — queries are linearized against ingest despite the async
+   transport.  A failed command replies with its exception, which the
+   parent raises as it is (an error outside :mod:`repro.errors` arrives as
+   a :class:`~repro.errors.StoreError` carrying its message).
 
 Without a journal in the store config a slot is acknowledged as soon as
 it is applied, and a worker crash loses the shard's in-memory contents
 (only what is still unreclaimed in the ring replays).  With a journal
 every applied ring slot is framed into a per-shard write-ahead journal
 (:mod:`repro.telemetry.durability`) *before* it is ingested, and
-``acked`` advances (every :data:`ACK_INTERVAL` slots) only after the
-journal buffer reaches the OS — so acknowledgement costs one buffered
-file write, the ring retains everything newer, and member stores stage
-freely between acks.  A restarted worker replays the journal's batch
+``acked`` advances only after the journal buffer reaches the OS — so
+acknowledgement costs one buffered file write, the ring retains
+everything newer, and member stores stage freely between acks.  Acks
+fall at fixed ring positions (every :data:`ACK_INTERVAL` slots from where
+the worker resumed), so the journal's records do not depend on how the
+ring happened to be drained.  A restarted worker replays the journal's batch
 records through the same ingest path into its healthy members (MARK
 records anchor batch records to ring sequences) and then resumes the ring
 from the journal frontier — no acknowledged batch is ever lost.
@@ -35,13 +43,12 @@ from __future__ import annotations
 
 import gc
 import os
-import traceback
 from collections import deque
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.telemetry.distributed.replica import ReplicaSet
 from repro.telemetry.durability import (
     RecoveryStats,
@@ -52,10 +59,30 @@ from repro.telemetry.durability import (
 from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.sample import SampleBatch
 
-__all__ = ["ACK_INTERVAL", "ShardWorker", "worker_main"]
+__all__ = ["ACK_INTERVAL", "MEMBER_CALLS", "OPS", "ShardWorker", "worker_main"]
 
 #: Applied slots between journal acknowledgements (journaled shards only).
 ACK_INTERVAL = 64
+
+#: The commands a worker serves; ``op`` runs ``ShardWorker._<op>`` with the
+#: command's payload as its arguments.  (``reg`` is not a command: it
+#: carries no ring sequence and gets no reply.)
+OPS = (
+    "ping", "member", "flush", "append", "append_many", "mark_down",
+    "degrade", "revive", "rs_stats", "anti_entropy", "sync_journal",
+    "crash", "stop",
+)
+
+#: What the ``member`` command may call or read on a member store: the read
+#: surface, ``flush``, and the stat and config attributes.  Anything else
+#: is refused, so the pipe never reaches a member's write or repair path
+#: around the replica set's fault bookkeeping.
+MEMBER_CALLS = frozenset({
+    "query", "series", "names", "select", "latest", "value_at", "resample",
+    "resample_column", "align", "flush", "__len__", "__contains__",
+    "version_stamp", "retention", "rollup_config", "archive_config",
+    "samples_ingested", "staged_samples", "latest_time",
+})
 
 
 class ShardWorker:
@@ -97,6 +124,7 @@ class ShardWorker:
         self.rs = ReplicaSet(shard_id, replication, **store_config)
         self._degrade_rng: Optional[np.random.Generator] = None
         self.slots_applied = 0
+        self._resumed_at = 0
         self.slots_replayed = 0
         self.ingest_errors = 0
         self._running = True
@@ -144,6 +172,7 @@ class ShardWorker:
             self.wal.flush()
         if resume > self.ring.acked:
             self.ring.mark_acked(resume)
+        self._resumed_at = resume
         self.slots_replayed = self.ring.head - resume
         self.ring.reset_consumer(resume)
 
@@ -277,58 +306,35 @@ class ShardWorker:
             self.ingest_errors += 1
         self.slots_applied += 1
 
-    def drain(self, upto: Optional[int] = None) -> int:
-        """Apply ring slots up to ``upto`` (default: everything pushed)."""
+    def drain(self, upto: Optional[int] = None) -> None:
+        """Apply ring slots up to ``upto`` (default: everything pushed).
+
+        A journaled worker acknowledges inside the loop at fixed ring
+        positions, every ``ack_interval`` slots from where it resumed, so
+        the same slots give the same journal records however they were
+        drained, and a producer blocked on a full ring sees space free up
+        mid-drain.
+        """
         target = self.ring.head if upto is None else upto
         seq = self.ring.applied
-        applied = 0
-        instant_ack = self.wal is None
         while seq < target:
             self._apply_slot(seq)
             seq += 1
             self.ring.mark_applied(seq)
-            if instant_ack:
-                # Ack per slot so a producer blocked on a full ring sees
-                # space free up mid-drain.
+            if self.wal is None:
                 self.ring.mark_acked(seq)
-            applied += 1
-        if (
-            applied
-            and not instant_ack
-            and seq - self.ring.acked >= self.ack_interval
-        ):
-            self._wal_ack()
-        return applied
+            elif (seq - self._resumed_at) % self.ack_interval == 0:
+                self._wal_ack()
 
     # ------------------------------------------------------------------
     # Command server
     # ------------------------------------------------------------------
-    def _stat(self, member: int, attr: str):
-        store = self.rs.members[member]
-        if attr == "len":
-            return len(store)
-        return getattr(store, attr)
-
     def _rs_stats(self) -> dict:
         return {
-            "down": list(self.rs._down),
-            "drop_fraction": list(self.rs._drop_fraction),
-            "missed_writes": list(self.rs.missed_writes),
-            "dropped_writes": list(self.rs.dropped_writes),
-            "lost_batches": self.rs.lost_batches,
-            "lost_samples": self.rs.lost_samples,
-            "failover_reads": self.rs.failover_reads,
-            "resync_failures": getattr(self.rs, "resync_failures", 0),
-            "samples_ingested": [m.samples_ingested for m in self.rs.members],
-            "series": [len(m) for m in self.rs.members],
-            "latest_time": [m.latest_time for m in self.rs.members],
+            **self.rs.stats(),
             "slots_applied": self.slots_applied,
             "slots_replayed": self.slots_replayed,
             "ingest_errors": self.ingest_errors,
-            "anti_entropy_sweeps": self.rs.anti_entropy_sweeps,
-            "diverged_windows": self.rs.diverged_windows,
-            "repaired_windows": self.rs.repaired_windows,
-            "repaired_samples": list(self.rs.repaired_samples),
             "recovered_samples": (
                 self.recovery.replayed_samples if self.recovery else 0
             ),
@@ -336,102 +342,65 @@ class ShardWorker:
             "wal_bytes": self.wal.bytes_written if self.wal else 0,
         }
 
+    def _ping(self) -> str:
+        return "pong"
+
+    def _member(self, member: int, attr: str, args: tuple):
+        if attr not in MEMBER_CALLS:
+            raise StoreError(
+                f"shard {self.shard_id}: member attribute {attr!r} is not "
+                "served over the command pipe"
+            )
+        value = getattr(self.rs.members[member], attr)
+        return value(*args) if callable(value) else value
+
+    def _flush(self, name: Optional[str] = None) -> int:
+        return self.rs.flush(name)
+
+    def _append(self, name: str, time: float, value: float) -> None:
+        if self.wal is not None:
+            self.wal.append_many(name, (float(time),), (float(value),))
+        self.rs.append(name, time, value)
+
+    def _append_many(self, name: str, times, values) -> None:
+        if self.wal is not None:
+            self.wal.append_many(name, times, values)
+        self.rs.append_many(name, times, values)
+
+    def _mark_down(self, member: int) -> None:
+        self.rs.mark_down(member)
+
+    def _degrade(self, member: int, fraction: float, seed: int) -> None:
+        if self._degrade_rng is None:
+            self._degrade_rng = np.random.default_rng(seed)
+        self.rs.degrade(fraction, self._degrade_rng, member)
+
+    def _revive(self, member: int, resync: bool) -> None:
+        self.rs.revive(member, resync=resync)
+
+    def _anti_entropy(self, window_s: float, now: Optional[float]) -> dict:
+        return self.rs.anti_entropy(window_s=window_s, now=now)
+
+    def _sync_journal(self) -> int:
+        return self.wal.sync() if self.wal is not None else 0
+
+    def _crash(self) -> None:
+        # Chaos hook: die like a SIGKILLed daemon — no flush, no ack, no
+        # reply.
+        os._exit(17)
+
+    def _stop(self) -> int:
+        self.rs.flush()
+        if self.wal is not None:
+            self._wal_ack()
+            self.wal.close()
+        self._running = False
+        return self.slots_applied
+
     def _execute(self, op: str, payload: tuple):
-        rs = self.rs
-        if op == "ping":
-            return "pong"
-        if op == "query":
-            member, name, since, until = payload
-            t, v = rs.members[member].query(name, since, until)
-            return t.copy(), v.copy()
-        if op == "series":
-            member, name = payload
-            buf = rs.members[member].series(name)
-            return buf.times.copy(), buf.values.copy()
-        if op == "names":
-            return rs.members[payload[0]].names()
-        if op == "select":
-            member, pattern = payload
-            return rs.members[member].select(pattern)
-        if op == "contains":
-            member, name = payload
-            return name in rs.members[member]
-        if op == "latest":
-            member, name = payload
-            return rs.members[member].latest(name)
-        if op == "value_at":
-            member, name, time = payload
-            return rs.members[member].value_at(name, time)
-        if op == "resample":
-            member, name, since, until, step, agg = payload
-            grid, vals = rs.members[member].resample(
-                name, since, until, step, agg=agg
-            )
-            return grid, vals
-        if op == "resample_column":
-            member, name, since, until, step, agg, edges = payload
-            return rs.members[member].resample_column(
-                name, since, until, step, agg, edges
-            )
-        if op == "align":
-            member, names, since, until, step, agg, fill = payload
-            grid, matrix = rs.members[member].align(
-                names, since, until, step, agg=agg, fill=fill
-            )
-            return grid, matrix
-        if op == "stat":
-            return self._stat(*payload)
-        if op == "version":
-            return tuple(rs.members[payload[0]].version_stamp())
-        if op == "member_flush":
-            member, name = payload
-            return rs.members[member].flush(name)
-        if op == "flush":
-            return rs.flush()
-        if op == "append":
-            name, time, value = payload
-            if self.wal is not None:
-                self.wal.append_many(name, (float(time),), (float(value),))
-            rs.append(name, time, value)
-            return None
-        if op == "append_many":
-            name, times, values = payload
-            if self.wal is not None:
-                self.wal.append_many(name, times, values)
-            rs.append_many(name, times, values)
-            return None
-        if op == "mark_down":
-            rs.mark_down(payload[0])
-            return None
-        if op == "degrade":
-            member, fraction, seed = payload
-            if self._degrade_rng is None:
-                self._degrade_rng = np.random.default_rng(seed)
-            rs.degrade(fraction, self._degrade_rng, member)
-            return None
-        if op == "revive":
-            member, resync = payload
-            rs.revive(member, resync=resync)
-            return None
-        if op == "rs_stats":
-            return self._rs_stats()
-        if op == "anti_entropy":
-            window_s, now = payload
-            return rs.anti_entropy(window_s=window_s, now=now)
-        if op == "sync_journal":
-            return self.wal.sync() if self.wal is not None else 0
-        if op == "crash":
-            # Chaos hook: die like a SIGKILLed daemon — no flush, no ack,
-            # no reply.
-            os._exit(17)
-        if op == "stop":
-            rs.flush()
-            if self.wal is not None:
-                self._wal_ack()
-                self.wal.close()
-            self._running = False
-            return self.slots_applied
-        raise ValueError(f"unknown worker op {op!r}")
+        if op not in OPS:
+            raise ValueError(f"unknown worker op {op!r}")
+        return getattr(self, f"_{op}")(*payload)
 
     def _serve_one(self, msg) -> None:
         kind = msg[0]
@@ -444,13 +413,12 @@ class ShardWorker:
         # command; member stores flush staged rows on read.
         self.drain(upto=max(seq, self.ring.applied))
         try:
-            result = self._execute(op, payload)
-        except Exception as exc:  # propagate as (type, message)
-            self.conn.send(
-                ("err", type(exc).__name__, f"{exc}", traceback.format_exc())
-            )
-            return
-        self.conn.send(("ok", result))
+            reply = ("ok", self._execute(op, payload))
+        except ReproError as exc:
+            reply = ("err", exc)
+        except Exception as exc:  # the worker keeps serving; the caller raises
+            reply = ("err", StoreError(f"{exc}"))
+        self.conn.send(reply)
 
     def run(self) -> None:
         self.recover()

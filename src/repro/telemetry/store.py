@@ -263,6 +263,11 @@ class SeriesBuffer:
     def __len__(self) -> int:
         return self._size
 
+    def __reduce__(self):
+        # Pickled (a shard worker's reply), a buffer ships its samples, not
+        # its spare capacity.
+        return _buffer_of, (self.name, self.times, self.values)
+
     @property
     def times(self) -> np.ndarray:
         """View of the stored timestamps (do not mutate)."""
@@ -374,6 +379,12 @@ class SeriesBuffer:
         self._values[:keep] = self._values[lo : self._size]
         self._size = keep
         return lo
+
+
+def _buffer_of(name: str, times: np.ndarray, values: np.ndarray) -> SeriesBuffer:
+    buf = SeriesBuffer(name, capacity=max(1, times.size))
+    buf.append_many(times, values)
+    return buf
 
 
 class _Block:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, ShardDownError
+from repro.errors import ConfigurationError, ShardDownError, StoreError
 from repro.oda import DataCenter
 from repro.telemetry import (
     ParallelShardRuntime,
@@ -23,6 +23,7 @@ from repro.telemetry import (
     TelemetrySystem,
     TimeSeriesStore,
 )
+from repro.telemetry.distributed.replica import MEMBER_COUNTERS, SET_COUNTERS
 from repro.telemetry.runtime import parallel as parallel_runtime
 from repro.telemetry.runtime import worker as shard_worker
 
@@ -218,6 +219,54 @@ class TestParallelParity:
             np.testing.assert_array_equal(v0, v1)
 
 
+    # The proxy forwards every read to the worker's store unchecked, so
+    # refusals and empty answers must come from that store, unchanged.
+    EDGE_READS = {
+        "unknown_agg": lambda s: s.resample(NAMES[0], 0.0, 9.0, 1.0, agg="nope"),
+        "zero_step": lambda s: s.resample(NAMES[0], 0.0, 9.0, 0.0),
+        "negative_step": lambda s: s.align(NAMES[:2], 0.0, 9.0, -1.0),
+        "unknown_fill": lambda s: s.align(NAMES[:2], 0.0, 9.0, 1.0, fill="nope"),
+        "empty_resample_range": lambda s: s.resample(NAMES[0], 9.0, 9.0, 1.0),
+        "inverted_align_range": lambda s: s.align(NAMES[:2], 9.0, 2.0, 1.0),
+        "no_names": lambda s: s.align([], 0.0, 9.0, 1.0),
+        "unknown_query": lambda s: s.query("no.such.series"),
+        "unknown_latest": lambda s: s.latest("no.such.series"),
+        "unknown_value_at": lambda s: s.value_at("no.such.series", 1.0),
+    }
+
+    @staticmethod
+    def _outcome(read, store):
+        try:
+            out = read(store)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return [(np.shape(a), np.asarray(a).tolist()) for a in out]
+
+    @pytest.mark.parametrize("level", ["store", "member"])
+    @pytest.mark.parametrize("read", list(EDGE_READS), ids=str)
+    def test_invalid_and_edge_reads_match_in_process(
+        self, parallel_store, read, level
+    ):
+        par = parallel_store(1)
+        inproc = ShardedStore(shards=1)
+        for batch in make_batches(10):
+            par.ingest("t", batch)
+            inproc.ingest("t", batch)
+        if level == "member":  # a proxy against the plain store it stands for
+            par, inproc = par.replica_sets[0].primary, inproc.replica_sets[0].primary
+        read = self.EDGE_READS[read]
+        assert self._outcome(read, par) == self._outcome(read, inproc)
+
+    @pytest.mark.parametrize("attr", ["close", "append", "replace_window"])
+    def test_member_call_outside_the_allow_list_is_refused(
+        self, parallel_store, attr
+    ):
+        par = parallel_store(1)
+        with pytest.raises(StoreError, match="not served"):
+            par.runtime._call(0, "member", (0, attr, ()))
+        assert par.runtime.worker_alive(0)
+
+
 # ---------------------------------------------------------------------------
 # Worker lifecycle: crash, detection, restart, replay, durability
 # ---------------------------------------------------------------------------
@@ -379,6 +428,102 @@ class TestWorkerLifecycle:
             assert "oda_supervisor_worker_crashes 1.0" in dc.prometheus()
         finally:
             dc.close()
+
+
+    def test_journal_does_not_depend_on_how_the_ring_was_drained(
+        self, tmp_path
+    ):
+        # Acks fall at fixed ring positions, so the same slots give the
+        # same journal whether the worker met them in one burst or one by
+        # one.
+        batches = make_batches(300)
+
+        def journal(label, stepped):
+            par = ShardedStore(
+                shards=1, parallel=True, journal=str(tmp_path / label),
+            )
+            try:
+                for batch in batches:
+                    par.ingest("t", batch)
+                    if stepped:
+                        par.runtime.drain()
+                par.sync_journal()
+                stats = par.runtime.shard_stats(0)
+                return stats["wal_records"], stats["wal_bytes"]
+            finally:
+                par.close()
+
+        assert journal("burst", False) == journal("stepped", True)
+
+    def test_recovered_samples_counts_only_the_current_replay(self, tmp_path):
+        par = ShardedStore(shards=1, parallel=True, journal=str(tmp_path))
+        try:
+            for batch in make_batches(40, names=NAMES[:10]):
+                par.ingest("t", batch)
+            par.sync_journal()
+            assert par.recovered_samples == 0
+            seen = []
+            for _ in range(2):
+                par.runtime.crash_worker(0)
+                par.runtime.check_workers()
+                seen.append(par.recovered_samples)
+            assert seen == [400, 400]
+        finally:
+            par.close()
+
+
+class TestCountersSurviveRestart:
+    """Replica counters live in the worker; a restart must not reset them."""
+
+    @pytest.fixture(scope="class")
+    def restart(self, tmp_path_factory):
+        par = ShardedStore(
+            shards=1, replication=1, parallel=True,
+            journal=str(tmp_path_factory.mktemp("wal")),
+        )
+        try:
+            rs = par.replica_sets[0]
+            batches = iter(make_batches(60))
+
+            def ingest(n):
+                for _ in range(n):
+                    par.ingest("t", next(batches))
+
+            rs.degrade(0.5, np.random.default_rng(9), member=1)
+            ingest(20)
+            par.anti_entropy(window_s=5.0)  # repairs what member 1 shed
+            ingest(10)  # still shedding
+            rs.mark_down(1)
+            ingest(10)  # missed by member 1
+            rs.mark_down(0)
+            ingest(10)  # lost
+            rs.revive(1, resync=True)  # no healthy peer: a resync failure
+            ingest(10)
+
+            def read():
+                counters = {
+                    k: getattr(rs, k) for k in MEMBER_COUNTERS + SET_COUNTERS
+                }
+                return counters, rs.metrics.snapshot()
+
+            before = read()
+            par.runtime.crash_worker(0)
+            assert par.runtime.check_workers() == [0]
+            yield before, read()
+        finally:
+            par.close()
+
+    @pytest.mark.parametrize("key", MEMBER_COUNTERS + SET_COUNTERS)
+    def test_counter_does_not_run_backwards(self, restart, key):
+        (before, _), (after, _) = restart
+        assert np.sum(before[key]) > 0, "the scenario must move every counter"
+        assert np.all(np.asarray(after[key]) >= np.asarray(before[key]))
+
+    def test_shard_metrics_do_not_run_backwards(self, restart):
+        (_, before), (_, after) = restart
+        assert set(after) == set(before)
+        went_back = {k: (before[k], after[k]) for k in before if after[k] < before[k]}
+        assert went_back == {}
 
 
 # ---------------------------------------------------------------------------
