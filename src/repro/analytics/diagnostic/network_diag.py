@@ -51,8 +51,8 @@ class NetworkDiagnostician:
     def _traffic_by_job(self) -> Dict[LinkKey, Dict[str, float]]:
         """Per-link traffic attribution: {link: {job_id: crossings}}."""
         attribution: Dict[LinkKey, Dict[str, float]] = {}
-        for job_id, links in self.fabric._flow_links.items():
-            for link in links:
+        for job_id in self.fabric.flow_ids():
+            for link in self.fabric.flow_links(job_id):
                 attribution.setdefault(link, {})
                 attribution[link][job_id] = attribution[link].get(job_id, 0.0) + 1.0
         return attribution
@@ -88,7 +88,7 @@ class NetworkDiagnostician:
     def interference_matrix(self, running: Sequence[Job]) -> Dict[Tuple[str, str], int]:
         """Shared-link counts per job pair — who can interfere with whom."""
         links_of: Dict[str, set] = {
-            job.job_id: set(self.fabric._flow_links.get(job.job_id, ())) for job in running
+            job.job_id: set(self.fabric.flow_links(job.job_id)) for job in running
         }
         out: Dict[Tuple[str, str], int] = {}
         ids = sorted(links_of)

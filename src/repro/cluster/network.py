@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -72,10 +73,23 @@ class FatTreeFabric:
                 self.graph.add_edge(name, leaf)
                 self._node_leaf[name] = leaf
 
-        # Offered load per link for the current step, bytes/s.
-        self._offered: Dict[LinkKey, float] = {}
-        # flow id -> links it crosses (so slowdowns can be attributed).
-        self._flow_links: Dict[str, List[LinkKey]] = {}
+        # The topology is static: index its links once.  Offered load is
+        # one bytes/s slot per link for the current step.
+        self._links: List[LinkKey] = [_canonical(a, b) for a, b in self.graph.edges]
+        self._link_index: Dict[LinkKey, int] = {
+            link: i for i, link in enumerate(self._links)
+        }
+        self._offered = np.zeros(len(self._links))
+        # flow id -> (sorted members, link index per pair crossing in pair
+        # order, distinct link indices in first-crossing order): a flow is
+        # routed once per member set, not once per step.
+        self._routes: Dict[str, Tuple[Tuple[str, ...], np.ndarray, np.ndarray]] = {}
+        # flow id -> its crossings, for flows offered this step.
+        self._flows: Dict[str, np.ndarray] = {}
+        # Distinct links of each offer this step, in offer order, and the
+        # links touched this step in first-touch order (built on demand).
+        self._step_links: List[np.ndarray] = []
+        self._touched: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def leaf_of(self, node_name: str) -> str:
@@ -106,9 +120,16 @@ class FatTreeFabric:
 
     # ------------------------------------------------------------------
     def begin_step(self) -> None:
-        """Reset offered loads before re-registering the current flows."""
-        self._offered.clear()
-        self._flow_links.clear()
+        """Reset offered loads before re-registering the current flows.
+
+        Cached routes of flows not offered in the step just ended are
+        dropped, so the cache is bounded by the running jobs.
+        """
+        self._routes = {f: self._routes[f] for f in self._flows}
+        self._offered.fill(0.0)
+        self._flows.clear()
+        self._step_links.clear()
+        self._touched = None
 
     def offer_flow(self, flow_id: str, members: Sequence[str], bytes_per_s: float) -> None:
         """Register a job's aggregate traffic among its allocated nodes.
@@ -119,24 +140,63 @@ class FatTreeFabric:
         pair's bidirectional rate is ``2 * bytes_per_s / (n * (n - 1))``
         and a member's access link carries exactly ``2 * bytes_per_s / n``
         (tx + rx) when uncontended.
+
+        Each pair crossing adds its rate to the link in turn (job order,
+        then pair order), so a link's load is the same sum, in the same
+        order, as routing every pair afresh.
         """
         n = len(members)
         if bytes_per_s <= 0 or n < 2:
             return
+        key = tuple(sorted(members))
+        cached = self._routes.get(flow_id)
+        if cached is None or cached[0] != key:
+            crossings = np.array([
+                self._link_index[link]
+                for src, dst in itertools.combinations(key, 2)
+                for link in self.route(src, dst)
+            ], dtype=np.intp)
+            _, first = np.unique(crossings, return_index=True)
+            cached = (key, crossings, crossings[np.sort(first)])
+            self._routes[flow_id] = cached
+        _, crossings, distinct = cached
         per_pair = 2.0 * bytes_per_s / (n * (n - 1))
-        links: List[LinkKey] = []
-        for src, dst in itertools.combinations(sorted(members), 2):
-            for link in self.route(src, dst):
-                self._offered[link] = self._offered.get(link, 0.0) + per_pair
-                links.append(link)
-        self._flow_links[flow_id] = links
+        np.add.at(self._offered, crossings, per_pair)
+        self._flows[flow_id] = crossings
+        self._step_links.append(distinct)
+        self._touched = None
+
+    def flow_ids(self) -> List[str]:
+        """Flows offered this step, in offer order."""
+        return list(self._flows)
+
+    def flow_links(self, flow_id: str) -> List[LinkKey]:
+        """Links a flow offered this step crosses: one per pair crossing,
+        in pair order (empty for a flow not offered)."""
+        links = self._links
+        return [links[i] for i in self._flows.get(flow_id, ())]
+
+    def _touched_links(self) -> np.ndarray:
+        """Indices of the links loaded this step, in first-touch order."""
+        if self._touched is None:
+            seen = np.zeros(len(self._links), dtype=bool)
+            order = []
+            for distinct in self._step_links:
+                fresh = distinct[~seen[distinct]]
+                seen[fresh] = True
+                order.append(fresh)
+            self._touched = (
+                np.concatenate(order) if order else np.zeros(0, dtype=np.intp)
+            )
+        return self._touched
 
     def link_utilization(self) -> Dict[LinkKey, float]:
-        """Offered load / capacity per link (can exceed 1 when saturated)."""
-        return {
-            link: offered / self.link_capacity
-            for link, offered in self._offered.items()
-        }
+        """Offered load / capacity per link (can exceed 1 when saturated),
+        for every link loaded this step, in first-touch order."""
+        touched = self._touched_links()
+        links = self._links
+        utilization = (self._offered[touched] / self.link_capacity).tolist()
+        return {links[i]: u for i, u in zip(touched.tolist(), utilization)}
 
     def flow_slowdown(self, flow_id: str) -> float:
         """Contention slowdown factor (>= 1) for a registered flow.
@@ -145,12 +205,10 @@ class FatTreeFabric:
         crosses — proportional-share sharing means a flow crossing a link
         offered at 2x capacity progresses at half speed.
         """
-        links = self._flow_links.get(flow_id)
-        if not links:
+        crossings = self._flows.get(flow_id)
+        if crossings is None:
             return 1.0
-        worst = max(
-            self._offered.get(link, 0.0) / self.link_capacity for link in links
-        )
+        worst = float(self._offered[crossings].max()) / self.link_capacity
         return max(worst, 1.0)
 
     def hot_links(self, threshold: float = 0.9) -> List[Tuple[LinkKey, float]]:

@@ -8,7 +8,8 @@ aggregates).  The software pillar drives it through :meth:`apply_loads`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,15 @@ _NODE_METRICS: Tuple[Tuple[str, Unit], ...] = (
     ("ctx_switches", Unit.COUNT),
     ("up", Unit.DIMENSIONLESS),
 )
+#: Rack, fabric and filesystem sensor keys, in their ``sensors()`` order.
+_RACK_SENSORS = ("power", "nodes_up", "max_temp", "mean_temp")
+_FABRIC_SENSORS = ("links_active", "max_link_util", "mean_link_util", "saturated_links")
+_PFS_SENSORS = ("bandwidth_demand", "bandwidth_granted", "utilization", "bytes_moved")
+
+_node_values = itemgetter(*(key for key, _ in _NODE_METRICS))
+_rack_values = itemgetter(*_RACK_SENSORS)
+_fabric_values = itemgetter(*_FABRIC_SENSORS)
+_pfs_values = itemgetter(*_PFS_SENSORS)
 
 
 class HPCSystem:
@@ -92,6 +102,8 @@ class HPCSystem:
         self._last_update: Optional[float] = None
         # job_id -> (node names, aggregate loads) registered this step.
         self._job_flows: Dict[str, Tuple[List[str], NodeLoad]] = {}
+        # Every sensor path, built once in the order _read_sensors fills it.
+        self._sensor_names: Tuple[str, ...] = tuple(self._sensor_paths())
 
     # ------------------------------------------------------------------
     # Topology access
@@ -216,23 +228,33 @@ class HPCSystem:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _read_sensors(self, now: float) -> Dict[str, float]:
-        readings: Dict[str, float] = {}
+    def _sensor_paths(self) -> List[str]:
+        """Sensor paths in scrape order: per rack its aggregates then each
+        node's counters, then fabric, filesystem and system totals."""
+        paths: List[str] = []
         for rack in self.racks:
             rbase = f"{self.name}.{rack.name}"
-            for key, value in rack.sensors().items():
-                readings[f"{rbase}.{key}"] = value
+            paths.extend(f"{rbase}.{key}" for key in _RACK_SENSORS)
             for node in rack.nodes:
                 nbase = f"{rbase}.{node.name}"
-                for key, value in node.counters().items():
-                    readings[f"{nbase}.{key}"] = value
-        for key, value in self.fabric.sensors().items():
-            readings[f"{self.name}.fabric.{key}"] = value
-        for key, value in self.filesystem.sensors().items():
-            readings[f"{self.name}.pfs.{key}"] = value
-        readings[f"{self.name}.it_power"] = self.it_power_w
-        readings[f"{self.name}.nodes_up"] = float(len(self.up_nodes()))
-        return readings
+                paths.extend(f"{nbase}.{key}" for key, _ in _NODE_METRICS)
+        paths.extend(f"{self.name}.fabric.{key}" for key in _FABRIC_SENSORS)
+        paths.extend(f"{self.name}.pfs.{key}" for key in _PFS_SENSORS)
+        paths.extend((f"{self.name}.it_power", f"{self.name}.nodes_up"))
+        return paths
+
+    def _read_sensors(self, now: float) -> Dict[str, float]:
+        """One reading per bound sensor path; a tick reads values only."""
+        values: List[float] = []
+        for rack in self.racks:
+            values.extend(_rack_values(rack.sensors()))
+            for node in rack.nodes:
+                values.extend(_node_values(node.counters()))
+        values.extend(_fabric_values(self.fabric.sensors()))
+        values.extend(_pfs_values(self.filesystem.sensors()))
+        values.append(self.it_power_w)
+        values.append(float(len(self.up_nodes())))
+        return dict(zip(self._sensor_names, values))
 
     def metric_specs(self) -> List[MetricSpec]:
         labels = {"pillar": "system_hardware"}
@@ -240,13 +262,13 @@ class HPCSystem:
             MetricSpec(f"{self.name}.it_power", Unit.WATT, low=0, labels=labels),
             MetricSpec(f"{self.name}.nodes_up", Unit.COUNT, low=0, labels=labels),
         ]
-        for key in ("links_active", "max_link_util", "mean_link_util", "saturated_links"):
+        for key in _FABRIC_SENSORS:
             specs.append(MetricSpec(f"{self.name}.fabric.{key}", labels=labels))
-        for key in ("bandwidth_demand", "bandwidth_granted", "utilization", "bytes_moved"):
+        for key in _PFS_SENSORS:
             specs.append(MetricSpec(f"{self.name}.pfs.{key}", labels=labels))
         for rack in self.racks:
             rbase = f"{self.name}.{rack.name}"
-            for key in ("power", "nodes_up", "max_temp", "mean_temp"):
+            for key in _RACK_SENSORS:
                 specs.append(MetricSpec(f"{rbase}.{key}", labels=labels))
             for node in rack.nodes:
                 nbase = f"{rbase}.{node.name}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SamplerTimeoutError
 from repro.obs import OBS as _OBS
@@ -26,7 +26,7 @@ from repro.obs.metrics import MetricsRegistry, prometheus_text
 from repro.simulation.engine import PeriodicHandle, Simulator
 from repro.telemetry.bus import MessageBus
 from repro.telemetry.metric import MetricRegistry, MetricSpec
-from repro.telemetry.sample import SampleBatch
+from repro.telemetry.sample import SampleBatch, bound_batch
 
 __all__ = ["Sampler", "CollectionAgent", "TelemetrySystem"]
 
@@ -66,13 +66,17 @@ class Sampler:
     suspended_until: float = float("-inf")
     #: Cumulative wall-clock seconds spent inside :meth:`scrape`.
     scrape_seconds: float = 0.0
+    #: The last batch's names, reused while the source's keys are unchanged.
+    _names: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def scrape(self, now: float) -> SampleBatch:
         """Read the source and package the result as a batch."""
         readings = self.source(now)
         self.scrapes += 1
         self.samples += len(readings)
-        return SampleBatch.from_mapping(now, readings)
+        batch = bound_batch(now, readings, self._names)
+        self._names = batch.names
+        return batch
 
 
 class CollectionAgent:

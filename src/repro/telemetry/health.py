@@ -20,12 +20,12 @@ Metric names follow the ``telemetry.*`` subtree::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simulation.engine import PeriodicHandle, Simulator
 from repro.telemetry.bus import MessageBus
-from repro.telemetry.sample import SampleBatch
+from repro.telemetry.sample import SampleBatch, bound_batch
 
 __all__ = ["HealthMonitor", "HEALTH_TOPIC"]
 
@@ -69,6 +69,8 @@ class HealthMonitor:
         self.last_probe_error = ""
         self._handle: Optional[PeriodicHandle] = None
         self._metrics: Optional[MetricsRegistry] = None
+        # The last batch's names, reused while the registries are unchanged.
+        self._names: Tuple[str, ...] = ()
 
     def _alert_engine(self):
         if callable(self._alerts):
@@ -114,7 +116,8 @@ class HealthMonitor:
     def collect(self, now: float) -> SampleBatch:
         """Publish one health batch and run staleness checks; returns it."""
         self.ticks += 1
-        batch = SampleBatch.from_mapping(now, self.snapshot())
+        batch = bound_batch(now, self.snapshot(), self._names)
+        self._names = batch.names
         self.bus.publish(self.topic, batch)
         engine = self._alert_engine()
         if engine is not None:

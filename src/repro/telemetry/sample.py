@@ -11,11 +11,11 @@ Python objects).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SampleBatch", "merge_batches"]
+__all__ = ["SampleBatch", "bound_batch", "merge_batches"]
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,9 @@ class SampleBatch:
             )
 
     @classmethod
-    def from_mapping(cls, time: float, mapping: Dict[str, float]) -> "SampleBatch":
+    def from_mapping(cls, time: float, mapping: Mapping[str, float]) -> "SampleBatch":
         """Build a batch from a ``{name: value}`` dict (iteration order kept)."""
-        names = tuple(mapping)
-        values = np.fromiter(mapping.values(), dtype=np.float64, count=len(names))
-        return cls(time=time, names=names, values=values)
+        return bound_batch(time, mapping, ())
 
     def _name_index(self) -> Dict[str, int]:
         """Lazy ``name -> position`` map; duplicate names keep the last
@@ -90,6 +88,22 @@ class SampleBatch:
         keep = [n for n in names if n in index]
         idx = np.fromiter((index[n] for n in keep), dtype=np.intp, count=len(keep))
         return SampleBatch(self.time, tuple(keep), self.values[idx])
+
+
+def bound_batch(
+    time: float, mapping: Mapping[str, float], names: Tuple[str, ...]
+) -> SampleBatch:
+    """A batch of ``mapping`` that carries ``names`` itself when the
+    mapping's keys equal it, in order.
+
+    A periodic publisher passes its previous batch's names, so a source
+    whose keys do not change yields one shared tuple: downstream caches
+    keyed on ``batch.names`` then match by identity, and retained batches
+    share one set of strings.  Changed keys get a fresh tuple.
+    """
+    keys = tuple(mapping)
+    values = np.fromiter(mapping.values(), dtype=np.float64, count=len(keys))
+    return SampleBatch(time, names if keys == names else keys, values)
 
 
 def merge_batches(batches: Sequence[SampleBatch]) -> SampleBatch:

@@ -80,6 +80,19 @@ class TestHPCSystem:
         readings = system._read_sensors(sim.now)
         assert set(readings) == {s.name for s in system.metric_specs()}
 
+    def test_sampler_emits_each_spec_once_and_binds_names(self, system, sim):
+        sampler = system.sampler()
+        sim.run(60)
+        first = sampler.scrape(sim.now)
+        sim.run(60)
+        second = sampler.scrape(sim.now)
+        assert len(set(first.names)) == len(first.names)
+        assert set(first.names) == {s.name for s in sampler.specs}
+        assert second.names is first.names
+        node = system.node("r0n1")
+        for key, value in node.counters().items():
+            assert second.get(system.node_metric("r0n1", key)) == value
+
     def test_node_metric_path(self, system):
         assert system.node_metric("r0n2", "power") == "cluster.rack0.r0n2.power"
 

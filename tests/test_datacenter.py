@@ -79,3 +79,39 @@ class TestDataCenterIntegration:
         registered = set(ran_dc.telemetry.registry.names())
         stored = set(ran_dc.store.names())
         assert stored <= registered
+
+    def test_delivered_batches_are_pinned(self):
+        """Every batch a busy seeded run delivers — topic, time, names and
+        value bytes — is pinned to its digest, so any reassociated float
+        sum in the fabric model or a reordered scrape fails loudly.  Three
+        racks of eight span two leaf switches, so jobs contend on spine
+        uplinks; two injected crashes fail running jobs."""
+        import hashlib
+
+        from repro.cluster.faults import NodeFaultKind
+
+        start = 10 * 3600.0  # mid-morning: the submission peak
+        dc = DataCenter(seed=5, racks=3, nodes_per_rack=8,
+                        enable_faults=True, start_time=start)
+        dc.generate_workload(days=0.25, jobs_per_day=300)
+        for i, at in enumerate((7200.0, 14_400.0)):
+            dc.system.fault_model.inject(
+                dc.system.nodes[5 + 9 * i], NodeFaultKind.CRASH,
+                start=start + at, duration=1800.0,
+            )
+        digest = hashlib.sha256()
+        saturated = []
+
+        def fold(topic, batch):
+            digest.update(repr((topic, batch.time, batch.names)).encode())
+            digest.update(batch.values.tobytes())
+            if topic == "cluster":
+                saturated.append(batch.get("cluster.fabric.saturated_links"))
+
+        dc.telemetry.bus.subscribe("#", fold)
+        dc.run(days=0.25)
+        assert sum(1 for s in saturated if s > 0) > len(saturated) // 4
+        assert any(j.state is JobState.FAILED for j in dc.scheduler.accounting)
+        assert digest.hexdigest() == (
+            "4118f8ac22d953e1e3cf6e746454312045c880e6c49e557c81d76b6a008cac58"
+        )

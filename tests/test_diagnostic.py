@@ -15,6 +15,7 @@ from repro.analytics.diagnostic import (
     IsolationForest,
     KNeighborsClassifier,
     MemoryLeakDetector,
+    NetworkDiagnostician,
     OsNoiseDetector,
     PcaReconstructionDetector,
     PeerDeviationDetector,
@@ -27,7 +28,10 @@ from repro.analytics.diagnostic import (
     detection_metrics,
     f1_score,
 )
+from repro.apps import JobRequest, default_catalog
+from repro.cluster import FatTreeFabric
 from repro.errors import InsufficientDataError, NotFittedError
+from repro.software import Job
 from repro.telemetry import TimeSeriesStore
 
 
@@ -302,3 +306,75 @@ class TestOsNoiseDetector:
             store.append_many(metric, t, 300.0 + rng.normal(0, 5, t.size))
             paths[f"n{i}"] = metric
         assert OsNoiseDetector(store).noisy_nodes(paths, 0.0, 600.0) == []
+
+
+class TestNetworkDiagnostician:
+    """Link-level contention on a saturated two-job fat-tree.
+
+    Job ``a`` spans both leaves of an 8-node, 4-per-leaf fabric at 100 B/s
+    per pair; job ``b`` is one cross-leaf pair that shares ``a``'s spine-1
+    uplinks (crc32 routing: ``n1``'s and ``n2``'s cross-leaf pairs take
+    spine 1).  Every link ``a`` touches is offered 2–3× capacity.
+    """
+
+    SHARED = (("leaf0", "spine1"), ("leaf1", "spine1"))
+
+    @pytest.fixture
+    def setup(self):
+        fabric = FatTreeFabric(
+            [f"n{i}" for i in range(8)], nodes_per_leaf=4,
+            spine_count=2, link_capacity=100.0,
+        )
+        fabric.begin_step()
+        fabric.offer_flow("a", ["n0", "n1", "n4", "n5"], 600.0)
+        fabric.offer_flow("b", ["n2", "n6"], 100.0)
+        profile = default_catalog().get("cfd_solver")
+        jobs = [
+            Job(JobRequest(job_id=j, submit_time=0.0, user="u", profile=profile,
+                           nodes=2, work_s=600.0, walltime_req_s=3600.0))
+            for j in ("a", "b", "idle")
+        ]
+        return fabric, NetworkDiagnostician(fabric), jobs
+
+    def test_routes_share_the_spine1_uplinks(self, setup):
+        fabric, _, _ = setup
+        assert set(fabric.route("n2", "n6")[1:3]) == set(self.SHARED)
+        assert set(fabric.route("n1", "n4")[1:3]) == set(self.SHARED)
+
+    def test_diagnose_names_link_utilisation_aggressor_and_victims(self, setup):
+        fabric, diag, _ = setup
+        incidents = diag.diagnose()
+        assert [i.link for i in incidents] == [
+            link for link, _ in fabric.hot_links(0.9)
+        ]
+        utils = [i.utilization for i in incidents]
+        assert utils == sorted(utils, reverse=True)
+        shared = [i for i in incidents if i.victims]
+        assert sorted(i.link for i in shared) == sorted(self.SHARED)
+        for incident in shared:
+            # a crosses each shared uplink twice (n1->n4, n1->n5), b once.
+            assert incident.utilization == 3.0
+            assert incident.jobs == ("a", "b")
+            assert incident.aggressor == "a"
+            assert incident.victims == ("b",)
+            assert "aggressor a" in incident.describe()
+        # a's access link to n0 carries its three n0 pairs and nothing else.
+        access = next(i for i in incidents if i.link == ("leaf0", "n0"))
+        assert (access.utilization, access.jobs, access.victims) == (3.0, ("a",), ())
+
+    def test_threshold_filters_incidents(self, setup):
+        fabric, _, _ = setup
+        strict = NetworkDiagnostician(fabric, saturation_threshold=2.5)
+        assert {i.utilization for i in strict.diagnose()} == {3.0}
+
+    def test_victim_slowdowns(self, setup):
+        _, diag, jobs = setup
+        # b alone would run at full speed; a's traffic on the shared
+        # uplinks slows it 3x.  A job with no flow is not slowed.
+        assert diag.victim_slowdowns(jobs) == {"a": 3.0, "b": 3.0, "idle": 1.0}
+
+    def test_interference_matrix(self, setup):
+        _, diag, jobs = setup
+        assert diag.interference_matrix(jobs) == {("a", "b"): 2}
+        assert diag.interference_matrix(jobs[::-1]) == {("a", "b"): 2}
+        assert diag.interference_matrix(jobs[1:]) == {}

@@ -30,6 +30,55 @@ class TestSampler:
         assert sampler.samples == 1
 
 
+class TestNameBinding:
+    """A periodic publisher binds its names tuple once and reuses it while
+    the source's keys stay the same."""
+
+    def test_stable_source_shares_one_names_tuple(self):
+        sampler = Sampler("s", lambda now: {"m.a": now, "m.b": 2 * now})
+        first, second = sampler.scrape(1.0), sampler.scrape(2.0)
+        assert second.names is first.names
+        assert second.as_dict() == {"m.a": 2.0, "m.b": 4.0}
+
+    def test_equal_keys_from_fresh_strings_still_share(self):
+        sampler = Sampler("s", lambda now: {"".join(["m.", "a"]): now})
+        assert sampler.scrape(1.0).names is sampler.scrape(2.0).names
+
+    def test_changed_keys_get_a_fresh_correct_tuple(self):
+        readings = {"m.a": 1.0}
+        sampler = Sampler("s", lambda now: dict(readings))
+        first = sampler.scrape(0.0)
+        readings["m.b"] = 2.0
+        grown = sampler.scrape(1.0)
+        assert grown.names == ("m.a", "m.b")
+        assert grown.values.tolist() == [1.0, 2.0]
+        assert first.names == ("m.a",)
+        del readings["m.a"]
+        readings["m.a"] = 3.0  # same key set, new order
+        reordered = sampler.scrape(2.0)
+        assert reordered.names == ("m.b", "m.a")
+        assert reordered.values.tolist() == [2.0, 3.0]
+        assert sampler.scrape(3.0).names is reordered.names
+
+    def test_counters_unchanged(self):
+        readings = {"m.a": 1.0}
+        agent = CollectionAgent("a", MessageBus(), period=10.0)
+        sampler = agent.add_sampler(Sampler("s", lambda now: dict(readings)))
+        agent.collect_once(0.0)
+        agent.collect_once(10.0)
+        readings["m.b"] = 2.0
+        agent.collect_once(20.0)
+        assert (sampler.scrapes, sampler.samples) == (3, 4)
+        metrics = agent.metrics.snapshot()
+        assert metrics["telemetry.agent.a.scrapes"] == 3.0
+        assert metrics["telemetry.agent.a.samples"] == 4.0
+
+    def test_bound_names_are_not_a_constructor_field(self):
+        with pytest.raises(TypeError):
+            Sampler("s", constant_source(1.0), _names=("m.x",))
+        assert "_names" not in repr(Sampler("s", constant_source(1.0)))
+
+
 class TestCollectionAgent:
     def test_collect_once_publishes(self):
         bus = MessageBus()

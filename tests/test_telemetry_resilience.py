@@ -152,6 +152,22 @@ class TestHealthMonitor:
         assert batch.as_dict()["custom.probe"] == 42.0
         assert bus.topic_count(HEALTH_TOPIC) == 1
 
+    def test_collect_reuses_names_while_registries_unchanged(self):
+        bus = MessageBus()
+        registries = [bus.metrics]
+        monitor = HealthMonitor(bus, registries, period=10.0)
+        first, second = monitor.collect(10.0), monitor.collect(20.0)
+        assert second.names is first.names
+        assert second.as_dict()["telemetry.health.ticks"] == 2.0
+        probe = MetricsRegistry()
+        probe.gauge("custom.probe", fn=lambda: 42.0)
+        registries.append(probe)
+        grown = monitor.collect(30.0)
+        assert grown.names is not first.names
+        assert grown.names == tuple(monitor.snapshot())
+        assert grown.as_dict()["custom.probe"] == 42.0
+        assert monitor.collect(40.0).names is grown.names
+
     def test_stop_all_stops_health(self, sim):
         telemetry = TelemetrySystem(health_period=10.0)
         telemetry.start_all(sim)
