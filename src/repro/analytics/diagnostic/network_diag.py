@@ -49,12 +49,13 @@ class NetworkDiagnostician:
         self.saturation_threshold = saturation_threshold
 
     def _traffic_by_job(self) -> Dict[LinkKey, Dict[str, float]]:
-        """Per-link traffic attribution: {link: {job_id: crossings}}."""
+        """Per-link traffic attribution: {link: {job_id: bytes/s}}."""
         attribution: Dict[LinkKey, Dict[str, float]] = {}
         for job_id in self.fabric.flow_ids():
+            rate = self.fabric.flow_rate(job_id)
             for link in self.fabric.flow_links(job_id):
-                attribution.setdefault(link, {})
-                attribution[link][job_id] = attribution[link].get(job_id, 0.0) + 1.0
+                jobs = attribution.setdefault(link, {})
+                jobs[job_id] = jobs.get(job_id, 0.0) + rate
         return attribution
 
     def diagnose(self) -> List[ContentionIncident]:

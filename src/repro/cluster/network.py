@@ -84,8 +84,10 @@ class FatTreeFabric:
         # order, distinct link indices in first-crossing order): a flow is
         # routed once per member set, not once per step.
         self._routes: Dict[str, Tuple[Tuple[str, ...], np.ndarray, np.ndarray]] = {}
-        # flow id -> its crossings, for flows offered this step.
+        # flow id -> its crossings and its per-pair rate, for flows
+        # offered this step.
         self._flows: Dict[str, np.ndarray] = {}
+        self._rates: Dict[str, float] = {}
         # Distinct links of each offer this step, in offer order, and the
         # links touched this step in first-touch order (built on demand).
         self._step_links: List[np.ndarray] = []
@@ -128,6 +130,7 @@ class FatTreeFabric:
         self._routes = {f: self._routes[f] for f in self._flows}
         self._offered.fill(0.0)
         self._flows.clear()
+        self._rates.clear()
         self._step_links.clear()
         self._touched = None
 
@@ -163,6 +166,7 @@ class FatTreeFabric:
         per_pair = 2.0 * bytes_per_s / (n * (n - 1))
         np.add.at(self._offered, crossings, per_pair)
         self._flows[flow_id] = crossings
+        self._rates[flow_id] = per_pair
         self._step_links.append(distinct)
         self._touched = None
 
@@ -175,6 +179,11 @@ class FatTreeFabric:
         in pair order (empty for a flow not offered)."""
         links = self._links
         return [links[i] for i in self._flows.get(flow_id, ())]
+
+    def flow_rate(self, flow_id: str) -> float:
+        """Bytes/s each pair crossing of a flow offered this step adds to
+        its link (0.0 for a flow not offered)."""
+        return self._rates.get(flow_id, 0.0)
 
     def _touched_links(self) -> np.ndarray:
         """Indices of the links loaded this step, in first-touch order."""

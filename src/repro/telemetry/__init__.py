@@ -46,7 +46,6 @@ from repro.telemetry.durability import (
     tear_wal_tail,
 )
 from repro.telemetry.distributed import (
-    FederatedQueryEngine,
     HashPartitioner,
     ReplicaSet,
     ShardFault,
@@ -107,7 +106,6 @@ __all__ = [
     "CollectionAgent",
     "Sampler",
     "TelemetrySystem",
-    "FederatedQueryEngine",
     "HashPartitioner",
     "ReplicaSet",
     "ShardFault",

@@ -9,8 +9,9 @@ LDMS federate per-node storage backends behind one query front-end:
   + R replicas with write fan-out and read failover,
 * :mod:`~repro.telemetry.distributed.shard` — :class:`ShardedStore`, the
   ``TimeSeriesStore``-compatible front door,
-* :mod:`~repro.telemetry.distributed.federation` — cross-shard
-  query/align/select with the shared vectorized kernels,
+* :mod:`~repro.telemetry.distributed.federation` — the cross-shard
+  query/align/select behind ``ShardedStore``'s read verbs, with the
+  shared vectorized kernels,
 * :mod:`~repro.telemetry.distributed.faults` — shard kill/degrade/revive
   injection, immediate or scheduled mid-run.
 """
@@ -21,14 +22,12 @@ from repro.telemetry.distributed.faults import (
     ShardFaultEvent,
     ShardFaultKind,
 )
-from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.distributed.partition import HashPartitioner, Partitioner
 from repro.telemetry.distributed.replica import ReplicaSet
 from repro.telemetry.distributed.shard import ShardedStore
 
 __all__ = [
     "FAULT_TOPIC",
-    "FederatedQueryEngine",
     "HashPartitioner",
     "Partitioner",
     "ReplicaSet",

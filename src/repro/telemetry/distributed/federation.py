@@ -10,14 +10,18 @@ is everything spanning shards:
 
 * ``names``/``select`` — k-way merge of the shards' sorted name lists
   (disjoint by construction, so the merge is a plain heapq merge),
-* ``align`` — the bucket-edge grid is computed **once** and shared across
-  every series exactly as in
-  :meth:`~repro.telemetry.store.TimeSeriesStore.align`, with each column
-  produced by the owning shard's ``resample_column`` (the shared
+* ``align`` — the same body as
+  :meth:`~repro.telemetry.store.TimeSeriesStore.align`
+  (:func:`~repro.telemetry.store.align_columns`: one shared bucket-edge
+  grid), with each column produced by the owning shard's
+  ``resample_column`` (the shared
   :func:`~repro.telemetry.store.resample_onto` kernels behind the rollup
   planner).  Because the federated path and the single-store path execute
   the same kernel on the same per-series samples, results are bit-for-bit
   identical.
+
+The engine is internal to :class:`~repro.telemetry.distributed.shard.ShardedStore`,
+whose read verbs forward here.
 """
 
 from __future__ import annotations
@@ -27,13 +31,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import StoreError
 from repro.obs import OBS as _OBS
-from repro.telemetry.store import (
-    bucket_edges,
-    check_resample_args,
-    forward_fill,
-)
+from repro.telemetry.store import align_columns
 
 __all__ = ["FederatedQueryEngine"]
 
@@ -41,8 +40,8 @@ __all__ = ["FederatedQueryEngine"]
 class FederatedQueryEngine:
     """Fans queries out across a :class:`ShardedStore`'s shards and merges.
 
-    Constructed by (and accessible as) ``ShardedStore.federation``; the
-    store delegates its cross-shard read API here.
+    Constructed by a ``ShardedStore``, which delegates its cross-shard
+    read verbs here; ``fanouts`` counts the queries that touched shards.
     """
 
     def __init__(self, sharded):
@@ -59,6 +58,7 @@ class FederatedQueryEngine:
         that member for all of the query's legs — the merged result is one
         self-consistent snapshot.  (Resolution stays lazy per shard so a
         fully-down shard that the query never touches cannot fail it.)
+        The query counts as a fan-out when it first touches a shard.
         """
         stores: Dict[int, object] = {}
         replica_sets = self._sharded.replica_sets
@@ -66,6 +66,8 @@ class FederatedQueryEngine:
         def store_of(shard: int):
             store = stores.get(shard)
             if store is None:
+                if not stores:
+                    self.fanouts += 1
                 store = stores[shard] = replica_sets[shard].read_store()
             return store
 
@@ -84,7 +86,6 @@ class FederatedQueryEngine:
         return self._names()
 
     def _names(self) -> List[str]:
-        self.fanouts += 1
         store_of = self._pinned_store()
         per_shard = [
             store_of(shard).names()
@@ -100,7 +101,6 @@ class FederatedQueryEngine:
         return self._select(pattern)
 
     def _select(self, pattern: str) -> List[str]:
-        self.fanouts += 1
         store_of = self._pinned_store()
         per_shard = [
             store_of(shard).select(pattern)
@@ -153,10 +153,8 @@ class FederatedQueryEngine:
             with _OBS.tracer.span(
                 "federation.align", series=len(names), agg=agg
             ):
-                return self._align(
-                    names, since, until, step, agg=agg, fill=fill
-                )
-        return self._align(names, since, until, step, agg=agg, fill=fill)
+                return self._align(names, since, until, step, agg, fill)
+        return self._align(names, since, until, step, agg, fill)
 
     def _align(
         self,
@@ -164,27 +162,17 @@ class FederatedQueryEngine:
         since: float,
         until: float,
         step: float,
-        agg: str = "mean",
-        fill: str = "ffill",
+        agg: str,
+        fill: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        if fill not in ("ffill", "nan"):
-            raise StoreError(f"unknown fill mode {fill!r}")
-        check_resample_args(step, agg)
-        if until <= since or not names:
-            return np.empty(0), np.empty((0, len(names)))
-        self.fanouts += 1
         store_of = self._pinned_store()
         shard_of = self._sharded.shard_of
-        edges = bucket_edges(since, until, step)
-        grid = edges[:-1]
-        columns = []
-        for name in names:
+
+        def column(name: str, edges: np.ndarray) -> np.ndarray:
             # Planner-aware member (rollup tiers serve eligible buckets;
             # raw/cold reduction otherwise — same bits).
-            v = store_of(shard_of(name)).resample_column(
+            return store_of(shard_of(name)).resample_column(
                 name, since, until, step, agg, edges
             )
-            if fill == "ffill":
-                v = forward_fill(v)
-            columns.append(v)
-        return grid, np.column_stack(columns)
+
+        return align_columns(names, since, until, step, agg, fill, column)

@@ -11,9 +11,11 @@ over to the first healthy replica when the primary is marked down.
 Failure semantics mirror real collectors:
 
 * **writes never raise** — a down member simply misses the write (counted
-  in ``missed_writes``); if *every* member is down the batch is lost and
-  counted (``lost_batches``/``lost_samples``), exactly like a monitoring
-  stack dropping data while its backend is offline,
+  in ``missed_writes``), a degraded member sheds it (``dropped_writes``);
+  a write no member takes is lost and counted
+  (``lost_batches``/``lost_samples``), exactly like a monitoring stack
+  dropping data while its backend is offline.  ``ingest`` and
+  ``append_many`` follow this one rule,
 * **reads fail over** — served by the first healthy member in primary →
   replica order (``failover_reads`` counts reads served by a non-primary);
   only when no healthy member remains does a read raise
@@ -338,57 +340,49 @@ class ReplicaSet(ReplicaSetBase):
     # Writes: fan out to every healthy member
     # ------------------------------------------------------------------
     def ingest(self, topic: str, batch: SampleBatch) -> int:
-        """Deliver one batch to every healthy member; returns copies written.
-
-        Never raises: down members miss the write, a fully-down shard loses
-        the batch (both counted), matching how monitoring stacks behave
-        while a storage backend is offline.
-        """
+        """Deliver one batch to every member that takes it; returns copies
+        written.  Faults never raise: :meth:`_fan_out` counts them."""
         if _OBS.enabled:
             with _OBS.tracer.span(
                 "replica.write", sim_time=batch.time, shard=self.shard_id
             ) as sp:
-                written = self._ingest(topic, batch)
+                written = self._fan_out(len(batch), "ingest", topic, batch)
                 sp.set_attr("written", written)
                 return written
-        return self._ingest(topic, batch)
+        return self._fan_out(len(batch), "ingest", topic, batch)
 
-    def _ingest(self, topic: str, batch: SampleBatch) -> int:
+    def append_many(
+        self, name: str, times: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Deliver one series' samples as :meth:`ingest` delivers a batch."""
+        samples = int(np.asarray(times).size)
+        self._fan_out(samples, "append_many", name, times, values)
+
+    def _fan_out(self, samples: int, op: str, *args) -> int:
+        """Run one write on every member that takes it; returns copies written.
+
+        The one fault rule of every write: a down member misses it, a
+        degraded member sheds it with its drop probability, and a write no
+        member took is lost — each counted in ``samples``.
+        """
         written = 0
         for i, store in enumerate(self.members):
             if self._down[i]:
-                self.missed_writes[i] += len(batch)
+                self.missed_writes[i] += samples
                 continue
             if (
                 self._drop_fraction[i] > 0.0
                 and self._drop_rng is not None
                 and self._drop_rng.random() < self._drop_fraction[i]
             ):
-                self.dropped_writes[i] += len(batch)
+                self.dropped_writes[i] += samples
                 continue
-            store.ingest(topic, batch)
+            getattr(store, op)(*args)
             written += 1
         if written == 0:
             self.lost_batches += 1
-            self.lost_samples += len(batch)
+            self.lost_samples += samples
         return written
-
-    def append(self, name: str, time: float, value: float) -> None:
-        for i, store in enumerate(self.members):
-            if self._down[i]:
-                self.missed_writes[i] += 1
-            else:
-                store.append(name, time, value)
-
-    def append_many(
-        self, name: str, times: np.ndarray, values: np.ndarray
-    ) -> None:
-        n = int(np.asarray(times).size)
-        for i, store in enumerate(self.members):
-            if self._down[i]:
-                self.missed_writes[i] += n
-            else:
-                store.append_many(name, times, values)
 
     def flush(self, name: Optional[str] = None) -> int:
         """Flush staged samples (of ``name``, or all) on healthy members."""

@@ -5,8 +5,8 @@ A :class:`ShardedStore` spreads series across N independent
 series name (pluggable partitioner, CRC-32 by default so assignment is
 consistent across runs and archives).  Each shard slot is a
 :class:`~repro.telemetry.distributed.replica.ReplicaSet` — primary plus R
-replicas with transparent read failover — and cross-shard reads go through
-the :class:`~repro.telemetry.distributed.federation.FederatedQueryEngine`.
+replicas with transparent read failover — and the read verbs go through
+its own :class:`~repro.telemetry.distributed.federation.FederatedQueryEngine`.
 
 The public surface is API-compatible with ``TimeSeriesStore`` (``ingest``,
 ``query``, ``resample``, ``align``, ``select``, ``names``, ``flush``,
@@ -140,7 +140,7 @@ class ShardedStore:
                 ReplicaSet(i, replication, journal=self.journal, **store_kwargs)
                 for i in range(shards)
             ]
-        self.federation = FederatedQueryEngine(self)
+        self._federation = FederatedQueryEngine(self)
         self.batches_ingested = 0
         self._route: Dict[str, int] = {}
         self._split_cache: "OrderedDict[Tuple[str, ...], _SplitPlan]" = (
@@ -220,7 +220,7 @@ class ShardedStore:
             )
 
     def append(self, name: str, time: float, value: float) -> None:
-        self.replica_sets[self.shard_of(name)].append(name, time, value)
+        self.append_many(name, (time,), (value,))
 
     def append_many(
         self, name: str, times: np.ndarray, values: np.ndarray
@@ -278,10 +278,10 @@ class ShardedStore:
     # Introspection
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        return self.federation.names()
+        return self._federation.names()
 
     def select(self, pattern: str) -> List[str]:
-        return self.federation.select(pattern)
+        return self._federation.select(pattern)
 
     def __contains__(self, name: str) -> bool:
         return name in self.store_for(name)
@@ -323,7 +323,7 @@ class ShardedStore:
             r.counter("telemetry.shard.batches", "bus batches ingested",
                       fn=lambda: float(self.batches_ingested))
             r.counter("telemetry.shard.fanouts", "federated cross-shard reads",
-                      fn=lambda: float(self.federation.fanouts))
+                      fn=lambda: float(self._federation.fanouts))
             r.gauge("telemetry.shard.down_members",
                     "members currently down across all shards",
                     fn=lambda: float(
@@ -393,7 +393,7 @@ class ShardedStore:
     def query(
         self, name: str, since: float = float("-inf"), until: float = float("inf")
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.federation.query(name, since, until)
+        return self._federation.query(name, since, until)
 
     def latest(self, name: str) -> Tuple[float, float]:
         return self.store_for(name).latest(name)
@@ -409,7 +409,7 @@ class ShardedStore:
         step: float,
         agg: str = "mean",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.federation.resample(name, since, until, step, agg=agg)
+        return self._federation.resample(name, since, until, step, agg=agg)
 
     def align(
         self,
@@ -420,6 +420,6 @@ class ShardedStore:
         agg: str = "mean",
         fill: str = "ffill",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.federation.align(
+        return self._federation.align(
             names, since, until, step, agg=agg, fill=fill
         )

@@ -16,12 +16,13 @@ the parent-side pieces only carry calls to it.
   every slot through ``ReplicaSet.ingest``), read back by the names the
   replica module declares.
 * :class:`RemoteStoreProxy` — read-side stand-in for a member
-  :class:`~repro.telemetry.store.TimeSeriesStore`.  Each method is one
-  ``member`` command that runs the same method on the worker's member
-  store, so validation, errors, the rollup planner and the kernels are
-  the store's own and federated results are bit-identical to the
-  in-process path by construction; ``resample``/``align`` ship only the
-  reduced buckets across the pipe.
+  :class:`~repro.telemetry.store.TimeSeriesStore`, generated from the
+  worker's ``MEMBER_CALLS`` allow-list.  Each member is one ``member``
+  command that runs the same method on the worker's member store, so
+  validation, errors, the rollup planner and the kernels are the store's
+  own and federated results are bit-identical to the in-process path by
+  construction; ``resample``/``align`` ship only the reduced buckets
+  across the pipe.
 
 Backpressure is explicit: a full ring makes the producer wait (bounded by
 :data:`PUSH_TIMEOUT_S`) and then *drop and count* rather than raise — the
@@ -44,12 +45,13 @@ every deployment runs with.
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import logging
 import multiprocessing as mp
 import threading
 import time as _time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,9 +63,9 @@ from repro.telemetry.distributed.replica import (
     ReplicaSetBase,
 )
 from repro.telemetry.runtime.ring import SampleRing
-from repro.telemetry.runtime.worker import worker_main
+from repro.telemetry.runtime.worker import MEMBER_CALLS, worker_main
 from repro.telemetry.sample import SampleBatch
-from repro.telemetry.store import SeriesBuffer
+from repro.telemetry.store import TimeSeriesStore
 
 __all__ = [
     "ParallelShardRuntime",
@@ -89,123 +91,50 @@ COMMAND_TIMEOUT_S = 60.0
 class RemoteStoreProxy:
     """Read-side view of one member store living in a worker process.
 
-    Mirrors the :class:`~repro.telemetry.store.TimeSeriesStore` read/flush
-    surface with the same signatures; every method is one ``member``
-    command, run in the worker on its actual store — validation, errors
-    and the rollup planner included — so anything computed from a proxy
-    is bit-identical to computing it in-process.
+    Its surface is generated below from
+    :data:`~repro.telemetry.runtime.worker.MEMBER_CALLS`: a name that is a
+    :class:`~repro.telemetry.store.TimeSeriesStore` method becomes a method
+    with that method's signature, any other name a read-only property.
+    Each is one ``member`` command, run in the worker on its actual store —
+    validation, errors and the rollup planner included — so anything
+    computed from a proxy is bit-identical to computing it in-process.
     """
 
     def __init__(self, runtime: "ParallelShardRuntime", shard: int, member: int):
         self._runtime = runtime
-        self.shard = shard
-        self.member = member
+        self._shard = shard
+        self._index = member
 
-    def _member(self, attr: str, *args):
-        return self._runtime._call(self.shard, "member", (self.member, attr, args))
-
-    # -- config attributes (persistence reads these from the worker) ----
-    @property
-    def retention(self) -> Optional[float]:
-        return self._member("retention")
-
-    @property
-    def rollup_config(self):
-        return self._member("rollup_config")
-
-    @property
-    def archive_config(self):
-        return self._member("archive_config")
-
-    # -- reads ---------------------------------------------------------
-    def query(
-        self, name: str, since: float = float("-inf"), until: float = float("inf")
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._member("query", name, since, until)
-
-    def names(self) -> List[str]:
-        return self._member("names")
-
-    def select(self, pattern: str) -> List[str]:
-        return self._member("select", pattern)
-
-    def series(self, name: str) -> SeriesBuffer:
-        """Materialize one series locally (a copy, not a live view)."""
-        return self._member("series", name)
-
-    def latest(self, name: str) -> Tuple[float, float]:
-        return self._member("latest", name)
-
-    def value_at(self, name: str, time: float) -> float:
-        return self._member("value_at", name, time)
-
-    def __contains__(self, name: str) -> bool:
-        return self._member("__contains__", name)
-
-    def __len__(self) -> int:
-        return self._member("__len__")
-
-    def flush(self, name: Optional[str] = None) -> int:
-        return self._member("flush", name)
-
-    @property
-    def samples_ingested(self) -> int:
-        return self._member("samples_ingested")
-
-    @property
-    def staged_samples(self) -> int:
-        return self._member("staged_samples")
-
-    @property
-    def latest_time(self) -> float:
-        return self._member("latest_time")
-
-    def version_stamp(self) -> Tuple[float, float, float, float]:
-        """Per-shard ingest watermark (see
-        :meth:`TimeSeriesStore.version_stamp`), read from the worker — it
-        reflects exactly the ring slots the worker has applied, which is
-        also exactly what its reads serve."""
-        return self._member("version_stamp")
-
-    # -- derived reads: the worker's rollup planner serves tier buckets --
-    def resample(
-        self,
-        name: str,
-        since: float,
-        until: float,
-        step: float,
-        agg: str = "mean",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._member("resample", name, since, until, step, agg)
-
-    def resample_column(
-        self,
-        name: str,
-        since: float,
-        until: float,
-        step: float,
-        agg: str,
-        edges: np.ndarray,
-    ) -> np.ndarray:
-        """Planner-aware column primitive (see
-        :meth:`TimeSeriesStore.resample_column`), executed in the worker so
-        rollup tiers serve federated aligns without shipping raw arrays."""
-        return self._member(
-            "resample_column", name, since, until, step, agg, edges
+    def _member(self, attr: str, args: tuple = (), kwargs: Optional[dict] = None):
+        return self._runtime._call(
+            self._shard, "member", (self._index, attr, args, kwargs)
         )
 
-    def align(
-        self,
-        names: Sequence[str],
-        since: float,
-        until: float,
-        step: float,
-        agg: str = "mean",
-        fill: str = "ffill",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._member(
-            "align", tuple(names), since, until, step, agg, fill
-        )
+
+def _member_method(name: str):
+    @functools.wraps(getattr(TimeSeriesStore, name))
+    def call(self, *args, **kwargs):
+        return self._member(name, args, kwargs)
+
+    call.__qualname__ = f"RemoteStoreProxy.{name}"
+    return call
+
+
+def _member_property(name: str) -> property:
+    return property(
+        lambda self: self._member(name),
+        doc=f"``{name}`` of the worker's member store.",
+    )
+
+
+for _name in sorted(MEMBER_CALLS):
+    setattr(
+        RemoteStoreProxy,
+        _name,
+        _member_method(_name)
+        if callable(getattr(TimeSeriesStore, _name, None))
+        else _member_property(_name),
+    )
 
 
 class ParallelReplicaSet(ReplicaSetBase):
@@ -268,9 +197,6 @@ class ParallelReplicaSet(ReplicaSetBase):
         self._runtime.push(self.shard_id, batch)
         return self.healthy_members
 
-    def append(self, name: str, time: float, value: float) -> None:
-        self._call("append", name, time, value)
-
     def append_many(
         self, name: str, times: np.ndarray, values: np.ndarray
     ) -> None:
@@ -278,6 +204,7 @@ class ParallelReplicaSet(ReplicaSetBase):
             "append_many", name, np.asarray(times, dtype=np.float64),
             np.asarray(values, dtype=np.float64),
         )
+        self._runtime._bump()
 
     def flush(self, name: Optional[str] = None) -> int:
         return self._call("flush", name)
@@ -618,13 +545,20 @@ class ParallelShardRuntime:
         """Keep the last cached stats of a dead worker as the offsets.
 
         Best effort: counter deltas since the last cached stats die with
-        the worker.
+        the worker.  A journaled replacement replays the whole shard
+        journal into every member that is up, so those members' missed and
+        dropped writes are no longer missing and their offsets drop to 0.
         """
         last = self._stats_cache[shard]
         if last is not None:
             self._stat_offsets[shard] = {
                 key: last[key] for key in MEMBER_COUNTERS + SET_COUNTERS
             }
+        offsets = self._stat_offsets[shard]
+        if offsets is not None and self.store_config.get("journal"):
+            down = self.replica_sets[shard]._down
+            for key in ("missed_writes", "dropped_writes"):
+                offsets[key] = [n if d else 0 for n, d in zip(offsets[key], down)]
 
     def shard_stats(self, shard: int) -> dict:
         """Worker-side replica-set counters, cached per (ring, mutation)

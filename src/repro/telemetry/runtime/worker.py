@@ -68,15 +68,16 @@ ACK_INTERVAL = 64
 #: command's payload as its arguments.  (``reg`` is not a command: it
 #: carries no ring sequence and gets no reply.)
 OPS = (
-    "ping", "member", "flush", "append", "append_many", "mark_down",
-    "degrade", "revive", "rs_stats", "anti_entropy", "sync_journal",
-    "crash", "stop",
+    "ping", "member", "flush", "append_many", "mark_down", "degrade",
+    "revive", "rs_stats", "anti_entropy", "sync_journal", "crash", "stop",
 )
 
 #: What the ``member`` command may call or read on a member store: the read
 #: surface, ``flush``, and the stat and config attributes.  Anything else
 #: is refused, so the pipe never reaches a member's write or repair path
-#: around the replica set's fault bookkeeping.
+#: around the replica set's fault bookkeeping.  This is the one declaration
+#: of the member surface: the parent's ``RemoteStoreProxy`` is generated
+#: from it.
 MEMBER_CALLS = frozenset({
     "query", "series", "names", "select", "latest", "value_at", "resample",
     "resample_column", "align", "flush", "__len__", "__contains__",
@@ -345,22 +346,19 @@ class ShardWorker:
     def _ping(self) -> str:
         return "pong"
 
-    def _member(self, member: int, attr: str, args: tuple):
+    def _member(
+        self, member: int, attr: str, args: tuple, kwargs: Optional[dict] = None
+    ):
         if attr not in MEMBER_CALLS:
             raise StoreError(
                 f"shard {self.shard_id}: member attribute {attr!r} is not "
                 "served over the command pipe"
             )
         value = getattr(self.rs.members[member], attr)
-        return value(*args) if callable(value) else value
+        return value(*args, **(kwargs or {})) if callable(value) else value
 
     def _flush(self, name: Optional[str] = None) -> int:
         return self.rs.flush(name)
-
-    def _append(self, name: str, time: float, value: float) -> None:
-        if self.wal is not None:
-            self.wal.append_many(name, (float(time),), (float(value),))
-        self.rs.append(name, time, value)
 
     def _append_many(self, name: str, times, values) -> None:
         if self.wal is not None:

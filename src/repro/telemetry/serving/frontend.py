@@ -3,11 +3,10 @@
 :class:`QueryFrontend` is the piece that faces traffic: callers (tenants)
 submit typed queries (:mod:`.query`) and the frontend
 
-1. **plans** each query — routing it through the
-   :class:`~repro.telemetry.distributed.federation.FederatedQueryEngine`
-   for a sharded store (whose ``align`` already consults the rollup-tier
-   planner on each owning shard) or straight at a single
-   :class:`~repro.telemetry.store.TimeSeriesStore`;
+1. **plans** each query — running it on the store's own read verbs, which
+   on a :class:`~repro.telemetry.distributed.shard.ShardedStore` fan out
+   over the owning shards (each consulting its rollup-tier planner) and on
+   a single :class:`~repro.telemetry.store.TimeSeriesStore` run in place;
 2. **admits** it — per-tenant token buckets, bounded per-tenant/global
    queues, fair round-robin dispatch to a bounded worker pool
    (:mod:`.admission`); over-limit work gets a typed
@@ -166,11 +165,10 @@ class QueryFrontend:
             )
         self.name = name
         self._store = store
-        # Planner: a sharded store serves cross-shard queries through its
-        # federation engine (which consults each shard's rollup planner);
-        # a plain store is its own engine — identical query surface.
-        self._sharded = store if hasattr(store, "federation") else None
-        self._engine = store.federation if self._sharded is not None else store
+        # A sharded store's read verbs fan out over its shards (each
+        # consulting its own rollup planner); both kinds of store share one
+        # query surface, so only the cache stamps need to tell them apart.
+        self._sharded = store if hasattr(store, "replica_sets") else None
         self._clock = clock or time.perf_counter
         self._admission = AdmissionController(
             default_config=default_config,
@@ -399,25 +397,25 @@ class QueryFrontend:
             )
 
     def _run(self, query: Query, matchers: Optional[List[Callable]]):
-        eng = self._engine
+        store = self._store
         kind = query.kind
         if kind == "names":
-            return tuple(self._filter_names(eng.names(), matchers))
+            return tuple(self._filter_names(store.names(), matchers))
         if kind == "select":
-            return tuple(self._filter_names(eng.select(query.pattern), matchers))
+            return tuple(self._filter_names(store.select(query.pattern), matchers))
         if kind == "range":
             self._check_visible(query.name, matchers)
-            times, values = eng.query(query.name, query.since, query.until)
+            times, values = store.query(query.name, query.since, query.until)
             return (times, values)
         if kind == "resample":
             self._check_visible(query.name, matchers)
-            return eng.resample(
+            return store.resample(
                 query.name, query.since, query.until, query.step,
                 agg=query.agg,
             )
         if kind == "align":
             names = self._resolve_align_names(query, matchers)
-            grid, matrix = eng.align(
+            grid, matrix = store.align(
                 names, query.since, query.until, query.step,
                 agg=query.agg, fill=query.fill,
             )
@@ -429,7 +427,7 @@ class QueryFrontend:
     ) -> Tuple[str, ...]:
         if query.pattern is not None:
             return tuple(
-                self._filter_names(self._engine.select(query.pattern), matchers)
+                self._filter_names(self._store.select(query.pattern), matchers)
             )
         for name in query.names:
             self._check_visible(name, matchers)
@@ -479,10 +477,8 @@ class QueryFrontend:
         for shard in shards:
             rs = self._sharded.replica_sets[shard]
             store = rs.read_store()
-            member = getattr(store, "member", None)
-            if member is None:
-                member = rs.members.index(store)
-            out.append((shard, int(member)) + tuple(store.version_stamp()))
+            member = rs.members.index(store)
+            out.append((shard, member) + tuple(store.version_stamp()))
         return tuple(out)
 
     # ------------------------------------------------------------------

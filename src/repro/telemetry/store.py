@@ -68,6 +68,7 @@ __all__ = [
     "TimeSeriesStore",
     "AGGREGATIONS",
     "VECTORIZED_AGGREGATIONS",
+    "align_columns",
     "bucket_edges",
     "resample_onto",
     "forward_fill",
@@ -160,6 +161,36 @@ def bucket_edges(since: float, until: float, step: float) -> np.ndarray:
     """Bucket-edge grid for ``[since, until]`` in steps of ``step``."""
     n_buckets = int(np.ceil((until - since) / step - 1e-9))
     return since + np.arange(n_buckets + 1) * step
+
+
+def align_columns(
+    names: Sequence[str],
+    since: float,
+    until: float,
+    step: float,
+    agg: str,
+    fill: str,
+    column: Callable[[str, np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The body of every ``align``: validate, build one bucket-edge grid,
+    and stack one column per series, forward-filled under ``"ffill"``.
+
+    ``column(name, edges)`` yields a series' per-bucket values; the single
+    store and the federated engine differ only in where it comes from.
+    """
+    if fill not in ("ffill", "nan"):
+        raise StoreError(f"unknown fill mode {fill!r}")
+    check_resample_args(step, agg)
+    if until <= since or not names:
+        return np.empty(0), np.empty((0, len(names)))
+    edges = bucket_edges(since, until, step)
+    columns = []
+    for name in names:
+        v = column(name, edges)
+        if fill == "ffill":
+            v = forward_fill(v)
+        columns.append(v)
+    return edges[:-1], np.column_stack(columns)
 
 
 def check_resample_args(step: float, agg: str) -> None:
@@ -671,19 +702,7 @@ class TimeSeriesStore:
 
     def append(self, name: str, time: float, value: float) -> None:
         """Append one sample to ``name``, creating the series if needed."""
-        with self._lock:
-            if self._journal is not None and not self._replaying:
-                self._journal.append_many(name, (float(time),), (float(value),))
-            self._flush_series(name)
-            buf = self._buffer(name)
-            buf.append(time, value)
-            self.samples_ingested += 1
-            if time > self._latest_time:
-                self._latest_time = time
-            self._observe_rollups(buf)
-            if self.retention is not None:
-                self._maybe_trim(buf, exact=False)
-                self._sweep_one()
+        self.append_many(name, (time,), (value,))
 
     def append_many(self, name: str, times: np.ndarray, values: np.ndarray) -> None:
         """Vectorized bulk append to a single series."""
@@ -1151,14 +1170,14 @@ class TimeSeriesStore:
     def _rollup_fetch(
         self, name: str, since: float, until: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Maintenance fetch for the rollup engine: cold + hot, with
-        retention deliberately NOT enforced.
+        """Cold + hot range read with retention deliberately NOT enforced.
 
-        Finalization runs in the mutation epilogue, *before* the retention
-        sweep; reading pre-trim here is what lets finalized buckets keep
-        history that the hot tier is about to drop (long-horizon memory
-        when no archive tier is attached).  The planner's raw tails use
-        :meth:`_tiered_range` instead, which has query semantics.
+        This is the rollup engine's maintenance fetch.  Finalization runs in
+        the mutation epilogue, *before* the retention sweep; reading
+        pre-trim here is what lets finalized buckets keep history that the
+        hot tier is about to drop (long-horizon memory when no archive tier
+        is attached).  Cold samples are strictly older than everything hot
+        (demotion moves a time-prefix), so the splice stays sorted.
         """
         with self._lock:
             buf = self._series.get(name)
@@ -1179,28 +1198,14 @@ class TimeSeriesStore:
     def _tiered_range(
         self, name: str, since: float, until: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cold-aware range read: archive chunks + hot arrays, in order.
-
-        Cold samples are strictly older than everything hot (demotion
-        moves a time-prefix), so the concatenation stays sorted.
-        """
+        """Cold-aware range read with query semantics: enforce the exact
+        retention cutoff, then the :meth:`_rollup_fetch` splice."""
         with self._lock:
             buf = self._series.get(name)
-            if buf is None:
-                if self.archive is not None and name in self.archive:
-                    return self.archive.scan(name, since, until)
-                raise UnknownMetricError(name)
-            self._flush_series(name)
-            if self.retention is not None:
+            if buf is not None and self.retention is not None:
+                self._flush_series(name)
                 self._maybe_trim(buf, exact=True)
-            ht, hv = buf.range(since, until)
-            if self.archive is not None and name in self.archive:
-                ct, cv = self.archive.scan(name, since, until)
-                if ct.size:
-                    if not ht.size:
-                        return ct, cv
-                    return np.concatenate((ct, ht)), np.concatenate((cv, hv))
-            return ht, hv
+            return self._rollup_fetch(name, since, until)
 
     def query(
         self, name: str, since: float = float("-inf"), until: float = float("inf")
@@ -1336,21 +1341,13 @@ class TimeSeriesStore:
         agg: str,
         fill: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        if fill not in ("ffill", "nan"):
-            raise StoreError(f"unknown fill mode {fill!r}")
-        check_resample_args(step, agg)
-        if until <= since or not names:
-            return np.empty(0), np.empty((0, len(names)))
         with self._lock:
-            edges = bucket_edges(since, until, step)
-            grid = edges[:-1]
-            columns = []
-            for name in names:
-                v = self.resample_column(name, since, until, step, agg, edges)
-                if fill == "ffill":
-                    v = forward_fill(v)
-                columns.append(v)
-            return grid, np.column_stack(columns)
+            return align_columns(
+                names, since, until, step, agg, fill,
+                lambda name, edges: self.resample_column(
+                    name, since, until, step, agg, edges
+                ),
+            )
 
     def select(self, pattern: str) -> List[str]:
         """Names of stored series matching a shell-style pattern."""

@@ -229,9 +229,8 @@ class TestNoNewKnobs:
 
 class TestTransportIsPinned:
     OPS = [
-        "ping", "member", "flush", "append", "append_many", "mark_down",
-        "degrade", "revive", "rs_stats", "anti_entropy", "sync_journal",
-        "crash", "stop",
+        "ping", "member", "flush", "append_many", "mark_down", "degrade",
+        "revive", "rs_stats", "anti_entropy", "sync_journal", "crash", "stop",
     ]
     MEMBER_CALLS = [
         "__contains__", "__len__", "align", "archive_config", "flush",
@@ -248,3 +247,24 @@ class TestTransportIsPinned:
         assert sorted(MEMBER_CALLS) == self.MEMBER_CALLS
         store = TimeSeriesStore()
         assert all(hasattr(store, attr) for attr in MEMBER_CALLS)
+
+
+class TestProxyIsGenerated:
+    """``MEMBER_CALLS`` is the only declaration of the member surface: the
+    proxy carries exactly those names, with the store's signatures."""
+
+    def test_proxy_surface_is_the_allow_list(self):
+        surface = {
+            name for name in vars(RemoteStoreProxy)
+            if not name.startswith("_") or name in MEMBER_CALLS
+        }
+        assert surface == set(MEMBER_CALLS)
+
+    @pytest.mark.parametrize("name", sorted(MEMBER_CALLS))
+    def test_member_has_the_store_signature(self, name):
+        member = vars(RemoteStoreProxy)[name]
+        reference = getattr(TimeSeriesStore, name, None)
+        if callable(reference):
+            assert _params(member) == _params(reference)
+        else:
+            assert isinstance(member, property) and member.fset is None

@@ -373,6 +373,23 @@ class TestNetworkDiagnostician:
         # uplinks slows it 3x.  A job with no flow is not slowed.
         assert diag.victim_slowdowns(jobs) == {"a": 3.0, "b": 3.0, "idle": 1.0}
 
+    def test_aggressor_is_the_job_with_the_most_traffic(self):
+        # ``light`` crosses the shared spine uplink in more pairs (n1 and
+        # n4/n5 sit on different leaves), but ``heavy`` carries 100x the
+        # bytes: attribution weighs each crossing by its flow's rate.
+        fabric = FatTreeFabric(
+            [f"n{i}" for i in range(8)], nodes_per_leaf=4,
+            spine_count=2, link_capacity=100.0,
+        )
+        fabric.begin_step()
+        fabric.offer_flow("light", ["n1", "n4", "n5"], 3.0)
+        fabric.offer_flow("heavy", ["n2", "n6"], 300.0)
+        shared = [i for i in NetworkDiagnostician(fabric).diagnose() if i.victims]
+        assert shared
+        for incident in shared:
+            assert (incident.aggressor, incident.victims) == ("heavy", ("light",))
+            assert "aggressor heavy, victims: light" in incident.describe()
+
     def test_interference_matrix(self, setup):
         _, diag, jobs = setup
         assert diag.interference_matrix(jobs) == {("a", "b"): 2}

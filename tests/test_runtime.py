@@ -513,17 +513,78 @@ class TestCountersSurviveRestart:
         finally:
             par.close()
 
+    #: Member 1 is up at the restart, so the replacement replays every
+    #: write into it: it misses none and has shed none, and these two
+    #: counters read 0 for it.  Member 0 is down and keeps its count.
+    HEALED_BY_REPLAY = ("missed_writes", "dropped_writes")
+
     @pytest.mark.parametrize("key", MEMBER_COUNTERS + SET_COUNTERS)
     def test_counter_does_not_run_backwards(self, restart, key):
         (before, _), (after, _) = restart
         assert np.sum(before[key]) > 0, "the scenario must move every counter"
-        assert np.all(np.asarray(after[key]) >= np.asarray(before[key]))
+        before, after = np.asarray(before[key]), np.asarray(after[key])
+        if key in self.HEALED_BY_REPLAY:
+            assert after[1] == 0
+            before, after = before[:1], after[:1]
+        assert np.all(after >= before)
 
     def test_shard_metrics_do_not_run_backwards(self, restart):
-        (_, before), (_, after) = restart
+        (_, before), (counters, after) = restart
         assert set(after) == set(before)
-        went_back = {k: (before[k], after[k]) for k in before if after[k] < before[k]}
+        healed = {f"telemetry.shard.0.{key}": key for key in self.HEALED_BY_REPLAY}
+        went_back = {
+            k: (before[k], after[k])
+            for k in before if k not in healed and after[k] < before[k]
+        }
         assert went_back == {}
+        for metric, key in healed.items():
+            assert after[metric] == float(np.sum(counters[key]))
+
+
+class TestReplayedMemberMissesNothing:
+    """A journaled restart replays the shard journal into every member that
+    is up, so a member that missed writes before the crash holds them all
+    afterwards and its loss counters say so."""
+
+    NAMES4 = NAMES[:4]
+
+    def _run(self, tmp_path, revive: bool, synced: bool):
+        """Member 1 misses 10 of 20 batches of 4 series, and is revived
+        without resync (``revive``) or still down when the worker dies."""
+        par = ShardedStore(
+            shards=1, replication=1, parallel=True, journal=str(tmp_path),
+        )
+        try:
+            rs = par.replica_sets[0]
+            down, up = (5, 15) if revive else (10, None)
+            for i, batch in enumerate(make_batches(20, names=self.NAMES4)):
+                if i == down:
+                    rs.mark_down(1)
+                if i == up:
+                    rs.revive(1, resync=False)
+                par.ingest("t", batch)
+            assert rs.missed_writes == [0, 40]
+            if synced:
+                par.sync_journal()
+            par.runtime.crash_worker(0)
+            assert par.runtime.check_workers() == [0]
+            held = [
+                rs.members[1].query(name)[0].size for name in self.NAMES4
+            ] if revive else None
+            return rs.missed_writes, rs.dropped_writes, held
+        finally:
+            par.close()
+
+    @pytest.mark.parametrize("synced", [True, False], ids=["journal", "ring"])
+    def test_member_up_at_restart_reads_zero(self, tmp_path, synced):
+        missed, dropped, held = self._run(tmp_path, revive=True, synced=synced)
+        assert held == [20] * 4
+        assert missed == [0, 0]
+        assert dropped == [0, 0]
+
+    def test_member_down_at_restart_keeps_its_count(self, tmp_path):
+        missed, _, _ = self._run(tmp_path, revive=False, synced=True)
+        assert missed == [0, 40]
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +687,59 @@ class TestParallelFaults:
             par.ingest("t", batch)
         par.runtime.drain()
         assert rs.dropped_writes[1] > dropped_before
+
+
+class TestOneWriteFaultRule:
+    """Every replica-set write follows one fault rule on both tiers: a down
+    member misses it, a member degraded at 1.0 sheds it, and a write no
+    member takes is lost — each counted per sample."""
+
+    @staticmethod
+    def _write(store, kind: str, t: float) -> int:
+        """One write of ``kind`` at time ``t``; returns its samples."""
+        if kind == "ingest":
+            store.ingest("t", SampleBatch(t, NAMES[:4], np.full(4, t)))
+            return 4
+        if kind == "append_many":
+            store.append_many("m", np.array([t, t + 0.5]), np.array([t, -t]))
+            return 2
+        store.append("m", t, t)  # ShardedStore.append
+        return 1
+
+    @pytest.mark.parametrize("kind", ["ingest", "append_many", "append"])
+    @pytest.mark.parametrize("parallel", [False, True],
+                             ids=["in_process", "parallel"])
+    def test_faults_are_counted(self, parallel_store, kind, parallel):
+        store = (
+            parallel_store(1, replication=1) if parallel
+            else ShardedStore(shards=1, replication=1)
+        )
+        rs = store.replica_sets[0]
+        clock = iter(float(t) for t in range(100))
+
+        def writes(k=5):
+            return sum(self._write(store, kind, next(clock)) for _ in range(k))
+
+        rs.mark_down(1)
+        first = writes(1)
+        assert rs.missed_writes == [0, first]  # no stale counter read
+        n = first + writes(4)
+        assert (rs.missed_writes, rs.dropped_writes) == ([0, n], [0, 0])
+
+        rs.revive(1, resync=False)
+        rs.degrade(1.0, np.random.default_rng(0), member=1)
+        writes()
+        assert (rs.missed_writes, rs.dropped_writes) == ([0, n], [0, n])
+        assert rs.members[1].samples_ingested == 0
+        assert rs.members[0].samples_ingested == 2 * n
+        assert (rs.lost_batches, rs.lost_samples) == (0, 0)
+
+        rs.degrade(0.0, np.random.default_rng(0), member=1)
+        rs.mark_down(0)
+        rs.mark_down(1)
+        writes()
+        assert rs.missed_writes == [n, 2 * n]
+        assert (rs.lost_batches, rs.lost_samples) == (5, n)
 
 
 # ---------------------------------------------------------------------------
