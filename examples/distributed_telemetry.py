@@ -58,9 +58,8 @@ def main() -> None:
     rs = dc.store.replica_sets[victim]
     health = dc.telemetry.health.snapshot()
     print(f"  fault events: {[(e.time, e.kind.value) for e in fault.events]}")
-    print(f"  shard {victim} writes missed by the dead primary: "
-          f"{int(health[f'telemetry.shard.{victim}.missed_writes'])} "
-          "(zeroed by resync)" if not rs.missed_writes[0] else "")
+    print(f"  samples the revived primary lacks: {rs.missed_writes[0]} "
+          "(a resync copies its peer, and with it what the peer lacks)")
     print(f"  failover reads served by replicas: "
           f"{int(health['telemetry.shard.failover_reads'])}")
     per_shard = [int(health[f"telemetry.shard.{i}.series"])

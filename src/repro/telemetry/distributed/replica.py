@@ -10,11 +10,11 @@ over to the first healthy replica when the primary is marked down.
 
 Failure semantics mirror real collectors:
 
-* **writes never raise** — a down member simply misses the write (counted
-  in ``missed_writes``), a degraded member sheds it (``dropped_writes``);
-  a write no member takes is lost and counted
-  (``lost_batches``/``lost_samples``), exactly like a monitoring stack
-  dropping data while its backend is offline.  ``ingest`` and
+* **writes never raise** — a down member simply misses the write, a
+  degraded member sheds it, exactly like a monitoring stack dropping data
+  while its backend is offline.  The set numbers its writes and keeps, per
+  member, the ones it did not apply (its *holes*), from which the loss
+  state of :data:`LOSS_COUNTERS` is derived.  ``ingest`` and
   ``append_many`` follow this one rule,
 * **reads fail over** — served by the first healthy member in primary →
   replica order (``failover_reads`` counts reads served by a non-primary);
@@ -27,22 +27,23 @@ Members are built by the set itself from the member stores' keyword
 arguments.  With a ``journal`` base directory every member journals to
 :func:`~repro.telemetry.durability.journal_dir` ``(journal, shard_id, j)``,
 so a set rebuilt over the same base replays each journal into the member
-that wrote it.
+that wrote it.  Member journals do not record holes, so a reopened set
+starts with none.
 
 :class:`ReplicaSetBase` is what this class shares with the parallel tier's
 ``ParallelReplicaSet``: member topology, read routing, degrade validation,
-and the ``telemetry.shard.<i>.*`` instruments with the stat helpers
-behind them.  The two tiers differ only in where the
-members and their counters live — here, in this process; there, in a shard
-worker reached over a pipe.  The counter names are declared once, in
-:data:`MEMBER_COUNTERS` and :data:`SET_COUNTERS`.
+the counters of :data:`EVENT_COUNTERS` and the ``telemetry.shard.<i>.*``
+instruments.  The two tiers differ only in where the members and their
+holes live — here, in this process; there, in a shard worker reached over
+a pipe, which rebuilds them when it restarts.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import shutil
-from typing import Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -53,31 +54,63 @@ from repro.telemetry.durability import journal_dir
 from repro.telemetry.sample import SampleBatch
 from repro.telemetry.store import TimeSeriesStore
 
-__all__ = ["MEMBER_COUNTERS", "ReplicaSet", "ReplicaSetBase", "SET_COUNTERS"]
+__all__ = ["EVENT_COUNTERS", "LOSS_COUNTERS", "ReplicaSet", "ReplicaSetBase"]
 
 log = logging.getLogger(__name__)
 
-#: Write-loss and repair counters kept per member (lists, one per member).
-MEMBER_COUNTERS = ("missed_writes", "dropped_writes", "repaired_samples")
-#: Write-loss and repair counters kept per replica set (scalars).
-#: :class:`ReplicaSet` holds both kinds as attributes of these names and
-#: reports them in :meth:`ReplicaSet.stats`; a shard worker ships them in
-#: its stats reply, the parallel runtime carries them across worker
-#: restarts, and ``ParallelReplicaSet`` reads them back as attributes.
-SET_COUNTERS = (
-    "lost_batches", "lost_samples", "resync_failures", "anti_entropy_sweeps",
-    "diverged_windows", "repaired_windows",
+#: Loss state, derived from the holes: the samples each member lacks from
+#: writes it missed while down or shed while degraded (lists), and the
+#: writes and samples no member holds.  Each falls when the data returns.
+LOSS_COUNTERS = ("missed_writes", "dropped_writes", "lost_batches", "lost_samples")
+#: Events, counted by :class:`ReplicaSetBase` from each ``revive`` and
+#: ``anti_entropy`` result, so they never fall (``repaired_samples`` is a
+#: list, one per member).
+EVENT_COUNTERS = (
+    "resync_failures", "anti_entropy_sweeps", "diverged_windows",
+    "repaired_windows", "repaired_samples",
 )
 
 
+class _Hole(NamedTuple):
+    """A write a member did not apply, ``missed`` or ``dropped``: its
+    series, inclusive time span, samples per series, and the samples of it
+    the member lacks."""
+
+    kind: str
+    names: Tuple[str, ...]
+    t0: float
+    t1: float
+    each: int
+    samples: int
+
+    @classmethod
+    def of(cls, kind: str, op: str, args: tuple) -> "_Hole":
+        if op == "ingest":
+            names, t = tuple(args[1].names), args[1].time
+            return cls(kind, names, t, t, 1, len(names))
+        times = np.asarray(args[1], dtype=np.float64)
+        t0, t1 = float(times.min(initial=np.inf)), float(times.max(initial=-np.inf))
+        return cls(kind, (args[0],), t0, t1, times.size, times.size)
+
+    def lacked_in(self, store: TimeSeriesStore) -> int:
+        """Samples of this write ``store`` does not hold (a series' writes
+        are time-ordered, so what it holds in the span is this write's)."""
+        return sum(
+            self.each - min(self.each, store.query(name, self.t0, self.t1)[0].size)
+            if name in store else self.each
+            for name in self.names
+        )
+
+
 class ReplicaSetBase:
-    """Topology, read routing and instruments shared by both tiers.
+    """Topology, read routing, event counters and instruments of both tiers.
 
     A subclass supplies the members (stores, or proxies of stores in a
-    worker process), the counters as attributes, ``stats()``,
+    worker process), the loss state as attributes, ``stats()``,
     ``_member_stat(member, key)`` (one member's ``samples_ingested`` or
-    ``series``) and ``_degrade(drop_fraction, rng, member)``, which applies
-    a validated :meth:`degrade`.
+    ``series``), and the bodies of three verbs: ``_degrade(drop_fraction,
+    rng, member)``, ``_revive(member, resync)`` (True when a wanted resync
+    found no healthy peer) and ``_anti_entropy(window_s, now)``.
     """
 
     def __init__(self, shard_id: int, members: list):
@@ -86,6 +119,9 @@ class ReplicaSetBase:
         self._down = [False] * len(members)
         self._drop_fraction = [0.0] * len(members)
         self.failover_reads = 0
+        for key in EVENT_COUNTERS:
+            setattr(self, key, 0)
+        self.repaired_samples = [0] * len(members)
         self._metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
@@ -133,6 +169,50 @@ class ReplicaSetBase:
         self._degrade(drop_fraction, rng, member)
         self._drop_fraction[member] = drop_fraction
 
+    def revive(self, member: int = 0, resync: bool = True) -> bool:
+        """Bring a member back; by default rebuild it from a healthy peer.
+
+        Without resync the member serves whatever (stale) data it held when
+        it went down; with resync it is replaced by a fresh store populated
+        from the first healthy peer, holes included.  Reviving a down member
+        with ``resync=True`` when no peer is healthy keeps its own data, but
+        counts a ``resync_failure``, logs a warning and returns True.
+        """
+        failed = bool(self._revive(member, resync))
+        self.resync_failures += failed
+        self._down[member] = False
+        self._drop_fraction[member] = 0.0
+        return failed
+
+    def anti_entropy(
+        self, window_s: float = 3600.0, now: Optional[float] = None
+    ) -> dict:
+        """One repair sweep: compare per-(series, window) checksums across
+        healthy members and copy only the differing windows from the best
+        source (the member holding the most samples there — divergence
+        here means *lost* writes, so more data wins; ties go to the
+        lower-index member, i.e. the primary).
+
+        Agreement costs one checksum pass and a dict comparison per series.
+        The window being filled is excluded (``now`` caps the comparison;
+        by default the last complete window boundary below the newest
+        healthy sample), and so, under retention, are windows the sweeper
+        may trim or demote, which a repair would resurrect.  A repaired
+        member holds what its source holds, so the holes of both inside the
+        repaired range are re-measured against the member's store.
+
+        Returns a summary dict (``diverged_windows``,
+        ``repaired_windows``, ``repaired_samples``, ``checked_series``, and
+        ``member_repaired_samples``, the samples copied to each member).
+        """
+        result = self._anti_entropy(window_s, now)
+        self.anti_entropy_sweeps += 1
+        self.diverged_windows += result["diverged_windows"]
+        self.repaired_windows += result["repaired_windows"]
+        for member, samples in enumerate(result["member_repaired_samples"]):
+            self.repaired_samples[member] += samples
+        return result
+
     # ------------------------------------------------------------------
     # Reads: primary, else first healthy replica
     # ------------------------------------------------------------------
@@ -166,7 +246,7 @@ class ReplicaSetBase:
             return float("nan")
 
     def _summed_stat(self, key: str) -> float:
-        """One counter summed over members (scalars pass through)."""
+        """One attribute summed over members (scalars pass through)."""
         try:
             value = getattr(self, key)
         except StoreError:
@@ -180,33 +260,32 @@ class ReplicaSetBase:
             return self._metrics
         prefix = f"telemetry.shard.{self.shard_id}"
         r = self._metrics = MetricsRegistry()
-        r.counter(f"{prefix}.samples", "samples on the serving member",
-                  fn=lambda: self._serving_stat("samples_ingested"))
-        r.gauge(f"{prefix}.series", "series on the serving member",
-                fn=lambda: self._serving_stat("series"))
-        r.gauge(f"{prefix}.down_members", "members currently down",
-                fn=lambda: float(self.down_members))
-        r.counter(f"{prefix}.missed_writes", "writes missed by down members",
-                  fn=lambda: self._summed_stat("missed_writes"))
-        r.counter(f"{prefix}.dropped_writes", "writes shed by degraded members",
-                  fn=lambda: self._summed_stat("dropped_writes"))
-        r.counter(f"{prefix}.lost_samples", "samples lost with every member down",
-                  fn=lambda: self._summed_stat("lost_samples"))
-        r.counter(f"{prefix}.failover_reads",
-                  "reads served by a non-primary member",
-                  fn=lambda: float(self.failover_reads))
-        r.counter(f"{prefix}.resync_failed",
-                  "revivals that found no healthy peer to resync from",
-                  fn=lambda: self._summed_stat("resync_failures"))
-        r.counter(f"{prefix}.diverged_windows",
-                  "divergent (series, window) pairs detected",
-                  fn=lambda: self._summed_stat("diverged_windows"))
-        r.counter(f"{prefix}.repaired_windows",
-                  "divergent windows repaired by anti-entropy",
-                  fn=lambda: self._summed_stat("repaired_windows"))
-        r.counter(f"{prefix}.repaired_samples",
-                  "samples copied to members by anti-entropy",
-                  fn=lambda: self._summed_stat("repaired_samples"))
+        serving, summed = self._serving_stat, self._summed_stat
+        for kind, name, stat, key, description in (
+            ("counter", "samples", serving, "samples_ingested",
+             "samples on the serving member"),
+            ("gauge", "series", serving, "series", "series on the serving member"),
+            ("gauge", "down_members", summed, "down_members", "members currently down"),
+            ("gauge", "missed_writes", summed, "missed_writes",
+             "samples members lack from writes missed while down"),
+            ("gauge", "dropped_writes", summed, "dropped_writes",
+             "samples members lack from writes they shed"),
+            ("gauge", "lost_samples", summed, "lost_samples",
+             "written samples no member holds"),
+            ("counter", "failover_reads", summed, "failover_reads",
+             "reads served by a non-primary member"),
+            ("counter", "resync_failed", summed, "resync_failures",
+             "revivals that found no healthy peer to resync from"),
+            ("counter", "diverged_windows", summed, "diverged_windows",
+             "divergent (series, window) pairs detected"),
+            ("counter", "repaired_windows", summed, "repaired_windows",
+             "divergent windows repaired by anti-entropy"),
+            ("counter", "repaired_samples", summed, "repaired_samples",
+             "samples copied to members by anti-entropy"),
+        ):
+            getattr(r, kind)(
+                f"{prefix}.{name}", description, fn=functools.partial(stat, key)
+            )
         return r
 
 
@@ -235,10 +314,8 @@ class ReplicaSet(ReplicaSetBase):
             shard_id, [self._new_member(i) for i in range(replication + 1)]
         )
         self._drop_rng: Optional[np.random.Generator] = None
-        for key in MEMBER_COUNTERS:
-            setattr(self, key, [0] * len(self.members))
-        for key in SET_COUNTERS:
-            setattr(self, key, 0)
+        self._writes = 0  # position of the latest write
+        self._holes: List[Dict[int, _Hole]] = [{} for _ in self.members]
 
     def _new_member(self, member: int) -> TimeSeriesStore:
         """Open member ``member``'s store (replaying its journal, if any)."""
@@ -255,75 +332,45 @@ class ReplicaSet(ReplicaSetBase):
     ) -> None:
         self._drop_rng = rng
 
-    def revive(self, member: int = 0, resync: bool = True) -> None:
-        """Bring a member back; by default rebuild it from a healthy peer.
-
-        Without resync the member serves whatever (stale) data it held when
-        it went down; with resync it is replaced by a fresh store populated
-        from the first healthy peer, so failback reads see the full series.
-        Reviving with ``resync=True`` when no peer is healthy keeps the
-        member's own data (there is nothing better to copy from) — this is
-        no longer silent: it counts as a ``resync_failure`` and logs a
-        warning, because the member re-enters service with stale data.
-        """
-        self._drop_fraction[member] = 0.0
-        if resync:
-            source = next(
-                (
-                    m
-                    for i, m in enumerate(self.members)
-                    if i != member and not self._down[i]
-                ),
-                None,
+    def _revive(self, member: int, resync: bool) -> bool:
+        if not resync:
+            return False
+        peers = (i for i in range(len(self.members)) if i != member and not self._down[i])
+        source = next(peers, None)
+        if source is None:
+            # The resync would have mattered (the member was down and has
+            # peers), but every peer is down too: it serves stale data.
+            if not (self._down[member] and self.replication > 0):
+                return False
+            log.warning(
+                "shard %d: revive(member=%d, resync=True) found no "
+                "healthy peer; member re-enters service with stale data "
+                "(%d samples missed while down)",
+                self.shard_id, member, self.missed_writes[member],
             )
-            if source is not None:
-                source.flush()
-                fresh = self._rebuild(member)
-                # Encoded cold chunks can be adopted only by a journal-free
-                # member (a shard worker's, whose shard WAL covers it): an
-                # adopt is not journaled, so a journaled member takes its
-                # peer's whole history through its journaled write path.
-                adopt = (
-                    fresh.journal is None
-                    and source.archive is not None
-                    and fresh.archive is not None
-                )
-                for name in source.names():
-                    if adopt and name in source.archive:
-                        # Ship cold history as already-encoded chunks (no
-                        # decode/re-encode round trip), then copy only the
-                        # hot tail; rollups rebuild from the merged tiers
-                        # on observe, bit-identical by construction.
-                        fresh.archive.adopt(name, source.archive.chunks(name))
-                        buf = source.series(name)
-                        fresh.append_many(
-                            name, buf.times.copy(), buf.values.copy()
-                        )
-                    else:
-                        # Cold-aware query: decoded archive history (if
-                        # any) plus hot samples, replayed as raw.
-                        times, values = source.query(name)
-                        fresh.append_many(name, times, values)
-                self.members[member] = fresh
-                # The rebuilt member holds everything its peer holds:
-                # writes it missed while down *and* writes it shed while
-                # degraded are no longer missing, so both counters reset —
-                # leaving either non-zero would double-count data that a
-                # subsequent audit can see is present.
-                self.missed_writes[member] = 0
-                self.dropped_writes[member] = 0
-            elif self._down[member] and self.replication > 0:
-                # A resync was requested and would have mattered (the
-                # member was down and has peers to copy from), but every
-                # peer is down too: the member serves stale data.
-                self.resync_failures += 1
-                log.warning(
-                    "shard %d: revive(member=%d, resync=True) found no "
-                    "healthy peer; member re-enters service with stale data "
-                    "(%d writes missed while down)",
-                    self.shard_id, member, self.missed_writes[member],
-                )
-        self._down[member] = False
+            return True
+        peer = self.members[source]
+        peer.flush()
+        fresh = self._rebuild(member)
+        # Only a journal-free member (a shard worker's, covered by the
+        # shard WAL) may adopt encoded cold chunks: an adopt is not
+        # journaled, so a journaled member takes the history as writes.
+        adopt = fresh.journal is None and peer.archive is not None and fresh.archive is not None
+        for name in peer.names():
+            if adopt and name in peer.archive:
+                # Cold history ships still encoded, then the hot tail;
+                # rollups rebuild from the merged tiers on observe.
+                fresh.archive.adopt(name, peer.archive.chunks(name))
+                buf = peer.series(name)
+                fresh.append_many(name, buf.times.copy(), buf.values.copy())
+            else:
+                # Cold-aware query: decoded archive history (if any) plus
+                # hot samples, replayed as raw.
+                times, values = peer.query(name)
+                fresh.append_many(name, times, values)
+        self.members[member] = fresh
+        self._holes[member] = dict(self._holes[source])
+        return False
 
     def _rebuild(self, member: int) -> TimeSeriesStore:
         """An *empty* replacement for ``member``: its stale journal is
@@ -341,47 +388,49 @@ class ReplicaSet(ReplicaSetBase):
     # ------------------------------------------------------------------
     def ingest(self, topic: str, batch: SampleBatch) -> int:
         """Deliver one batch to every member that takes it; returns copies
-        written.  Faults never raise: :meth:`_fan_out` counts them."""
+        written.  Faults never raise: :meth:`_fan_out` records them."""
         if _OBS.enabled:
             with _OBS.tracer.span(
                 "replica.write", sim_time=batch.time, shard=self.shard_id
             ) as sp:
-                written = self._fan_out(len(batch), "ingest", topic, batch)
+                written = self._fan_out("ingest", topic, batch)
                 sp.set_attr("written", written)
                 return written
-        return self._fan_out(len(batch), "ingest", topic, batch)
+        return self._fan_out("ingest", topic, batch)
 
     def append_many(
         self, name: str, times: np.ndarray, values: np.ndarray
     ) -> None:
         """Deliver one series' samples as :meth:`ingest` delivers a batch."""
-        samples = int(np.asarray(times).size)
-        self._fan_out(samples, "append_many", name, times, values)
+        self._fan_out("append_many", name, times, values)
 
-    def _fan_out(self, samples: int, op: str, *args) -> int:
+    def _fan_out(self, op: str, *args, shed: bool = True) -> int:
         """Run one write on every member that takes it; returns copies written.
 
-        The one fault rule of every write: a down member misses it, a
-        degraded member sheds it with its drop probability, and a write no
-        member took is lost — each counted in ``samples``.
+        The one fault rule of every write: the write takes the next
+        position, and a down member misses it and a degraded member sheds
+        it with its drop probability (unless ``shed`` is off, as for a
+        journal replay) — each recorded as a hole at that position.
         """
+        self._writes += 1
         written = 0
         for i, store in enumerate(self.members):
             if self._down[i]:
-                self.missed_writes[i] += samples
-                continue
-            if (
-                self._drop_fraction[i] > 0.0
+                kind = "missed"
+            elif (
+                shed
+                and self._drop_fraction[i] > 0.0
                 and self._drop_rng is not None
                 and self._drop_rng.random() < self._drop_fraction[i]
             ):
-                self.dropped_writes[i] += samples
+                kind = "dropped"
+            else:
+                getattr(store, op)(*args)
+                written += 1
                 continue
-            getattr(store, op)(*args)
-            written += 1
-        if written == 0:
-            self.lost_batches += 1
-            self.lost_samples += samples
+            hole = _Hole.of(kind, op, args)
+            if hole.samples:
+                self._holes[i][self._writes] = hole
         return written
 
     def flush(self, name: Optional[str] = None) -> int:
@@ -393,40 +442,35 @@ class ReplicaSet(ReplicaSetBase):
         )
 
     # ------------------------------------------------------------------
+    # Loss state: derived from the holes
+    # ------------------------------------------------------------------
+    def _lacking(self, kind: str) -> List[int]:
+        return [
+            sum(h.samples for h in holes.values() if h.kind == kind)
+            for holes in self._holes
+        ]
+
+    def _lost(self) -> List[int]:
+        """Per write every member lacks, the samples none holds: the fewest
+        any member lacks, since members' gaps in one write nest."""
+        everywhere = set(self._holes[0]).intersection(*self._holes[1:])
+        return [min(h[pos].samples for h in self._holes) for pos in everywhere]
+
+    missed_writes = property(lambda self: self._lacking("missed"))
+    dropped_writes = property(lambda self: self._lacking("dropped"))
+    lost_batches = property(lambda self: len(self._lost()))
+    lost_samples = property(lambda self: sum(self._lost()))
+
+    # ------------------------------------------------------------------
     # Anti-entropy: detect and repair divergence window by window
     # ------------------------------------------------------------------
-    def anti_entropy(
-        self, window_s: float = 3600.0, now: Optional[float] = None
-    ) -> dict:
-        """One repair sweep: compare per-(series, window) checksums across
-        healthy members and copy only the differing windows from the best
-        source (the member holding the most samples there — divergence
-        here means *lost* writes, so more data wins; ties go to the
-        lower-index member, i.e. the primary).
-
-        Cheap by construction: agreement costs one checksum pass and a
-        dict comparison per series; data moves only for windows that
-        actually differ.  The window currently being filled is excluded
-        (``now`` caps the comparison; by default the last complete window
-        boundary below the newest healthy sample).  When retention is
-        configured, windows old enough to be subject to trimming/demotion
-        are also excluded — repairing inside the retention horizon would
-        fight the sweeper and resurrect trimmed data.
-
-        Repaired samples heal the loss accounting: a member's
-        ``dropped_writes``/``missed_writes`` shrink by the net samples
-        restored to it, so a fully repaired member no longer counts its
-        healed windows as lost.
-
-        Returns a summary dict (``diverged_windows``, ``repaired_windows``,
-        ``repaired_samples``, ``checked_series``).
-        """
-        self.anti_entropy_sweeps += 1
+    def _anti_entropy(self, window_s: float, now: Optional[float]) -> dict:
         result = {
             "diverged_windows": 0,
             "repaired_windows": 0,
             "repaired_samples": 0,
             "checked_series": 0,
+            "member_repaired_samples": [0] * len(self.members),
         }
         healthy = [i for i in range(len(self.members)) if not self._down[i]]
         if len(healthy) < 2:
@@ -445,6 +489,7 @@ class ReplicaSet(ReplicaSetBase):
             # One extra window of margin over the tightest retention so a
             # window being trimmed mid-sweep is never "repaired" back.
             floor_t = latest - min(retentions) + window_s
+        repaired: Dict[int, set] = {}  # member -> the members it copied from
         names = sorted(set().union(*(s.names() for s in stores)))
         for name in names:
             result["checked_series"] += 1
@@ -457,7 +502,6 @@ class ReplicaSet(ReplicaSetBase):
                 if len({pm[0] for pm in per_member}) == 1:
                     continue
                 result["diverged_windows"] += 1
-                self.diverged_windows += 1
                 src_pos = max(
                     range(len(healthy)),
                     key=lambda p: (per_member[p][1], -p),
@@ -466,24 +510,30 @@ class ReplicaSet(ReplicaSetBase):
                 for p, member_idx in enumerate(healthy):
                     if p == src_pos or per_member[p] == per_member[src_pos]:
                         continue
-                    net = stores[p].replace_window(
+                    stores[p].replace_window(
                         name, w * window_s, (w + 1) * window_s, times, values
                     )
-                    self.repaired_windows += 1
                     result["repaired_windows"] += 1
                     result["repaired_samples"] += int(times.size)
-                    self.repaired_samples[member_idx] += int(times.size)
-                    self._heal_loss_accounting(member_idx, net)
+                    result["member_repaired_samples"][member_idx] += int(times.size)
+                    repaired.setdefault(member_idx, set()).add(healthy[src_pos])
+        for member, sources in repaired.items():
+            self._remeasure_holes(member, sources, floor_t, until)
         return result
 
-    def _heal_loss_accounting(self, member: int, net_samples: int) -> None:
-        """Samples restored to a member are no longer dropped or missed."""
-        heal = max(0, int(net_samples))
-        take = min(self.dropped_writes[member], heal)
-        self.dropped_writes[member] -= take
-        self.missed_writes[member] = max(
-            0, self.missed_writes[member] - (heal - take)
-        )
+    def _remeasure_holes(self, member: int, sources, lo: float, hi: float) -> None:
+        """Re-measure against the member's store the holes inside the range
+        ``[lo, hi)`` a sweep compared: the member's own there shrink or
+        close, and a source's there may now be the member's too."""
+        holes = self._holes[member]
+        seen = {pos: h for s in sources for pos, h in self._holes[s].items()}
+        for pos, hole in {**seen, **holes}.items():
+            if hole.t0 < hi and lo <= hole.t1:
+                lacked = hole.lacked_in(self.members[member])
+                if lacked:
+                    holes[pos] = hole._replace(samples=lacked)
+                else:
+                    holes.pop(pos, None)
 
     # ------------------------------------------------------------------
     # Durability and observability
@@ -513,12 +563,12 @@ class ReplicaSet(ReplicaSetBase):
         return len(store) if key == "series" else getattr(store, key)
 
     def stats(self) -> dict:
-        """The counters of :data:`MEMBER_COUNTERS` and :data:`SET_COUNTERS`
-        by name, plus each member's ``samples_ingested`` and ``series``."""
-        out = {key: list(getattr(self, key)) for key in MEMBER_COUNTERS}
-        out.update((key, getattr(self, key)) for key in SET_COUNTERS)
+        """The loss state of :data:`LOSS_COUNTERS` by name, plus each
+        member's ``samples_ingested`` and ``series``."""
+        out = {key: getattr(self, key) for key in LOSS_COUNTERS}
         for key in ("samples_ingested", "series"):
             out[key] = [
                 self._member_stat(i, key) for i in range(len(self.members))
             ]
         return out
+

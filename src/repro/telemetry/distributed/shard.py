@@ -334,11 +334,11 @@ class ShardedStore:
                       fn=lambda: float(
                           sum(rs.failover_reads for rs in self.replica_sets)
                       ))
-            r.counter("telemetry.shard.lost_samples",
-                      "samples lost with a whole shard down",
-                      fn=lambda: float(
-                          sum(rs.lost_samples for rs in self.replica_sets)
-                      ))
+            r.gauge("telemetry.shard.lost_samples",
+                    "written samples no member of their shard holds",
+                    fn=lambda: float(
+                        sum(rs.lost_samples for rs in self.replica_sets)
+                    ))
             r.counter("telemetry.shard.resync_failed",
                       "revivals that found no healthy peer to resync from",
                       fn=lambda: float(

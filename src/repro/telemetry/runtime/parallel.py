@@ -11,10 +11,10 @@ the parent-side pieces only carry calls to it.
   read failover, degrade validation and the ``telemetry.shard.<i>.*``
   metrics are :class:`~repro.telemetry.distributed.replica.ReplicaSetBase`'s,
   shared with ``ReplicaSet``; writes go down the ring, and faults, flushes,
-  journal syncs and repair sweeps are one command each.  The counters are
-  the worker replica set's own (sample-exact, since the worker applies
-  every slot through ``ReplicaSet.ingest``), read back by the names the
-  replica module declares.
+  journal syncs and repair sweeps are one command each.  The loss state is
+  the worker replica set's (which a restarted worker rebuilds), read back
+  by the names the replica module declares; the event counters are
+  counted here, from each command's result, so no restart resets them.
 * :class:`RemoteStoreProxy` — read-side stand-in for a member
   :class:`~repro.telemetry.store.TimeSeriesStore`, generated from the
   worker's ``MEMBER_CALLS`` allow-list.  Each member is one ``member``
@@ -57,11 +57,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShardDownError, StoreError
 from repro.obs.metrics import MetricsRegistry
-from repro.telemetry.distributed.replica import (
-    MEMBER_COUNTERS,
-    SET_COUNTERS,
-    ReplicaSetBase,
-)
+from repro.telemetry.distributed.replica import LOSS_COUNTERS, ReplicaSetBase
 from repro.telemetry.runtime.ring import SampleRing
 from repro.telemetry.runtime.worker import MEMBER_CALLS, worker_main
 from repro.telemetry.sample import SampleBatch
@@ -143,9 +139,9 @@ class ParallelReplicaSet(ReplicaSetBase):
     Mirrors the fault topology (down/degraded members) locally so read
     routing and chaos targeting work without a round trip; every other
     operation is one command to the worker, whose real ``ReplicaSet``
-    keeps the counters.  They surface through the runtime's cached
-    :meth:`ParallelShardRuntime.shard_stats`, under the attribute names
-    :class:`ReplicaSet` keeps them under.
+    keeps the members' holes.  The loss state derived from them surfaces
+    through the runtime's cached :meth:`ParallelShardRuntime.shard_stats`,
+    under the attribute names :class:`ReplicaSet` keeps it under.
     """
 
     def __init__(
@@ -160,11 +156,16 @@ class ParallelReplicaSet(ReplicaSetBase):
     def _call(self, op: str, *payload):
         return self._runtime._call(self.shard_id, op, payload)
 
+    def _mutate(self, op: str, *payload):
+        """A command that changes the worker's state (stats go stale)."""
+        out = self._call(op, *payload)
+        self._runtime._bump()
+        return out
+
     # -- faults (mirrored here, forwarded to the worker) ----------------
     def mark_down(self, member: int = 0) -> None:
-        self._call("mark_down", member)
+        self._mutate("mark_down", member)
         super().mark_down(member)
-        self._runtime._bump()
 
     def _degrade(
         self, drop_fraction: float, rng: np.random.Generator, member: int
@@ -172,25 +173,16 @@ class ParallelReplicaSet(ReplicaSetBase):
         # The worker owns its own generator; hand it a seed drawn from the
         # caller's so chaos stays reproducible per run.
         seed = int(rng.integers(np.iinfo(np.int64).max))
-        self._call("degrade", member, drop_fraction, seed)
+        self._mutate("degrade", member, drop_fraction, seed)
         self._runtime._register_degrade_seed(self.shard_id, seed)
-        self._runtime._bump()
 
-    def revive(self, member: int = 0, resync: bool = True) -> None:
-        self._call("revive", member, resync)
-        self._down[member] = False
-        self._drop_fraction[member] = 0.0
-        self._runtime._bump()
+    def _revive(self, member: int, resync: bool) -> bool:
+        return self._mutate("revive", member, resync)
 
-    def anti_entropy(
-        self, window_s: float = 3600.0, now: Optional[float] = None
-    ) -> dict:
-        """One divergence-detection/repair sweep, run inside the worker
-        (see :meth:`ReplicaSet.anti_entropy`); member data never crosses
-        the process boundary, only the summary does."""
-        out = self._call("anti_entropy", window_s, now)
-        self._runtime._bump()
-        return out
+    def _anti_entropy(self, window_s: float, now: Optional[float]) -> dict:
+        # The sweep runs inside the worker; member data never crosses the
+        # process boundary, only the summary does.
+        return self._mutate("anti_entropy", window_s, now)
 
     # -- writes --------------------------------------------------------
     def ingest(self, topic: str, batch: SampleBatch) -> int:
@@ -200,11 +192,10 @@ class ParallelReplicaSet(ReplicaSetBase):
     def append_many(
         self, name: str, times: np.ndarray, values: np.ndarray
     ) -> None:
-        self._call(
+        self._mutate(
             "append_many", name, np.asarray(times, dtype=np.float64),
             np.asarray(values, dtype=np.float64),
         )
-        self._runtime._bump()
 
     def flush(self, name: Optional[str] = None) -> int:
         return self._call("flush", name)
@@ -227,15 +218,15 @@ class ParallelReplicaSet(ReplicaSetBase):
         return self.stats()[key][member]
 
 
-def _worker_counter(key: str) -> property:
+def _worker_loss(key: str) -> property:
     return property(
         lambda self: copy.copy(self.stats()[key]),
-        doc=f"``{key}`` of the worker's replica set (restart-proof).",
+        doc=f"``{key}`` of the worker's replica set.",
     )
 
 
-for _key in MEMBER_COUNTERS + SET_COUNTERS:
-    setattr(ParallelReplicaSet, _key, _worker_counter(_key))
+for _key in LOSS_COUNTERS:
+    setattr(ParallelReplicaSet, _key, _worker_loss(_key))
 
 
 class ParallelShardRuntime:
@@ -295,7 +286,6 @@ class ParallelShardRuntime:
         self._counted_dead: set = set()
         self._stats_cache: List[Optional[dict]] = [None] * shards
         self._stats_key: List[Tuple[int, int]] = [(-1, -1)] * shards
-        self._stat_offsets: List[Optional[dict]] = [None] * shards
         self._mutations = 0
         self._closed = False
         self._metrics: Optional[MetricsRegistry] = None
@@ -364,8 +354,6 @@ class ParallelShardRuntime:
             proc.join(timeout=5.0)
         ring = self.rings[shard]
         self.replayed_slots += ring.head - ring.acked
-        self._accumulate_offsets(shard)
-        self._stats_cache[shard] = None  # next read hits the new worker
         names_table = {
             i: self._names_by_id[i] for i in self._registered[shard]
         }
@@ -525,49 +513,12 @@ class ParallelShardRuntime:
     def _bump(self) -> None:
         self._mutations += 1
 
-    # The replica-set counters live only in the worker's memory (they are
-    # not journaled), so a restart would reset them to zero and the
-    # published metrics would run backwards.  On restart the last-known
-    # values become parent-side offsets instead.  ``recovered_samples`` is
-    # not among them: it is what the current incarnation replayed.
-    def _merge_offsets(self, shard: int, stats: dict) -> dict:
-        offsets = self._stat_offsets[shard]
-        if offsets is None:
-            return stats
-        merged = dict(stats)
-        for key in MEMBER_COUNTERS:
-            merged[key] = [a + b for a, b in zip(stats[key], offsets[key])]
-        for key in SET_COUNTERS:
-            merged[key] = stats[key] + offsets[key]
-        return merged
-
-    def _accumulate_offsets(self, shard: int) -> None:
-        """Keep the last cached stats of a dead worker as the offsets.
-
-        Best effort: counter deltas since the last cached stats die with
-        the worker.  A journaled replacement replays the whole shard
-        journal into every member that is up, so those members' missed and
-        dropped writes are no longer missing and their offsets drop to 0.
-        """
-        last = self._stats_cache[shard]
-        if last is not None:
-            self._stat_offsets[shard] = {
-                key: last[key] for key in MEMBER_COUNTERS + SET_COUNTERS
-            }
-        offsets = self._stat_offsets[shard]
-        if offsets is not None and self.store_config.get("journal"):
-            down = self.replica_sets[shard]._down
-            for key in ("missed_writes", "dropped_writes"):
-                offsets[key] = [n if d else 0 for n, d in zip(offsets[key], down)]
-
     def shard_stats(self, shard: int) -> dict:
-        """Worker-side replica-set counters, cached per (ring, mutation)
-        state so a metrics snapshot costs at most one round trip."""
+        """The worker's replica-set stats, cached per (ring, mutation) state
+        so a metrics snapshot costs at most one round trip."""
         key = (self.rings[shard].head, self._mutations)
-        if self._stats_cache[shard] is None or self._stats_key[shard] != key:
-            self._stats_cache[shard] = self._merge_offsets(
-                shard, self._call(shard, "rs_stats", ())
-            )
+        if self._stats_key[shard] != key:
+            self._stats_cache[shard] = self._call(shard, "rs_stats", ())
             self._stats_key[shard] = key
         return self._stats_cache[shard]
 

@@ -7,8 +7,8 @@ Each worker owns one real :class:`~repro.telemetry.distributed.replica.ReplicaSe
    path — handing every slot to :meth:`ReplicaSet.ingest` as a
    :class:`~repro.telemetry.sample.SampleBatch`, so each member store
    stages it in its per-shape columnar block exactly like the in-process
-   tier, and fault bookkeeping (``missed_writes``/``dropped_writes``/
-   ``lost_batches``) is the replica set's own, sample for sample,
+   tier, and the holes a down or degraded member leaves are the replica
+   set's own, sample for sample,
 2. serves commands from the parent over a pipe.  The command set is
    :data:`OPS`: one ``member`` command reads a member store (it calls or
    reads one attribute named in :data:`MEMBER_CALLS` on one member and
@@ -25,18 +25,20 @@ Each worker owns one real :class:`~repro.telemetry.distributed.replica.ReplicaSe
 
 Without a journal in the store config a slot is acknowledged as soon as
 it is applied, and a worker crash loses the shard's in-memory contents
-(only what is still unreclaimed in the ring replays).  With a journal
-every applied ring slot is framed into a per-shard write-ahead journal
+(only what is still unreclaimed in the ring replays, and only that is in
+the replacement's holes).  With a journal every applied ring slot is
+framed into a per-shard write-ahead journal
 (:mod:`repro.telemetry.durability`) *before* it is ingested, and
 ``acked`` advances only after the journal buffer reaches the OS — so
 acknowledgement costs one buffered file write, the ring retains
 everything newer, and member stores stage freely between acks.  Acks
 fall at fixed ring positions (every :data:`ACK_INTERVAL` slots from where
 the worker resumed), so the journal's records do not depend on how the
-ring happened to be drained.  A restarted worker replays the journal's batch
-records through the same ingest path into its healthy members (MARK
-records anchor batch records to ring sequences) and then resumes the ring
-from the journal frontier — no acknowledged batch is ever lost.
+ring happened to be drained.  A restarted worker replays the journal
+through the replica set's fan-out with shedding off (MARK records anchor
+batch records to ring sequences), which leaves a member down at the
+restart a hole for each write, and then resumes the ring from the journal
+frontier — no acknowledged batch is ever lost.
 """
 
 from __future__ import annotations
@@ -178,8 +180,8 @@ class ShardWorker:
         self.ring.reset_consumer(resume)
 
     def _recover_wal(self) -> int:
-        """Replay the shard journal into healthy members; return the ring
-        sequence the journal covers.
+        """Replay the shard journal through the replica set; return the
+        ring sequence the journal covers.
 
         A MARK record carries a ring sequence and each BATCH record after
         it is the next slot, so a batch's position is known while no
@@ -191,34 +193,23 @@ class ShardWorker:
         ``acked`` on.  A mark below the replayed frontier — a later
         incarnation journaling the slots it replayed from the ring —
         skips the batches already applied.  A batch whose position is
-        unknown is never applied.  Batch records go through the members'
-        ingest path, so replay accepts and refuses exactly what live
-        ingest did; a refused record is counted in ``replay_conflicts``.
+        unknown is never applied.  Records go through the replica set's
+        fan-out with shedding off, so replay accepts and refuses exactly
+        what live ingest did; a refused record is counted in
+        ``replay_conflicts``.
         """
         stats = RecoveryStats()
         self.recovery = stats
-        healthy = [
-            m for i, m in enumerate(self.rs.members) if not self.rs.is_down(i)
-        ]
         reachable = float("inf") if self._fresh_ring else self.ring.acked
         resume = 0  # every slot below this is applied (or unrecoverable)
         pos: Optional[int] = None  # ring position of the next batch record
         expected: Optional[int] = None
-
-        def replay(op: str, *args) -> None:
-            refused = False
-            for member in healthy:
-                try:
-                    getattr(member, op)(*args)
-                except StoreError:
-                    refused = True
-            stats.replay_conflicts += refused
-
         for rec in iter_records(self._wal_dir, stats=stats):
             kind, seq = rec[0], rec[1]
             if expected is not None and seq != expected:
                 pos = None
             expected = seq + 1
+            write = None
             if kind == "names":
                 # Ids are global to the parent's interning table.
                 self._names[rec[2]] = tuple(rec[3])
@@ -239,12 +230,17 @@ class ShardWorker:
                         # damage: stop, so the remaining slots fall back
                         # to ring replay instead of being passed over.
                         break
-                    replay("ingest", "", SampleBatch(time, names, values))
+                    write = ("ingest", "", SampleBatch(time, names, values))
                 pos += 1
                 resume = max(resume, pos)
             elif kind == "many":
                 _, _, name, times, values = rec
-                replay("append_many", name, times, values)
+                write = ("append_many", name, times, values)
+            if write is not None:
+                try:
+                    self.rs._fan_out(*write, shed=False)
+                except StoreError:
+                    stats.replay_conflicts += 1
         return resume
 
     def _wal_ack(self) -> None:
@@ -291,9 +287,7 @@ class ShardWorker:
         names = self._resolve_names(names_id)
         if self.wal is not None:
             # Journal before mutate: the WAL record is the durable copy of
-            # this slot, including slots a down member misses (replay only
-            # feeds healthy members, mirroring the fault accounting taken
-            # below).
+            # this slot, including slots a down member misses.
             if names_id not in self._wal_names:
                 self.wal.append_names(names_id, names)
                 self._wal_names.add(names_id)
@@ -362,7 +356,10 @@ class ShardWorker:
 
     def _append_many(self, name: str, times, values) -> None:
         if self.wal is not None:
+            # The ring does not hold this write, so the journal must reach
+            # the OS before the reply acknowledges it.
             self.wal.append_many(name, times, values)
+            self.wal.flush()
         self.rs.append_many(name, times, values)
 
     def _mark_down(self, member: int) -> None:
@@ -373,8 +370,8 @@ class ShardWorker:
             self._degrade_rng = np.random.default_rng(seed)
         self.rs.degrade(fraction, self._degrade_rng, member)
 
-    def _revive(self, member: int, resync: bool) -> None:
-        self.rs.revive(member, resync=resync)
+    def _revive(self, member: int, resync: bool) -> bool:
+        return self.rs.revive(member, resync=resync)
 
     def _anti_entropy(self, window_s: float, now: Optional[float]) -> dict:
         return self.rs.anti_entropy(window_s=window_s, now=now)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import JournalError, PersistenceError, StoreError
 from repro.telemetry import (
+    SERVABLE_AGGREGATIONS,
     ReplicaSet,
     SampleBatch,
     ShardedStore,
@@ -634,6 +635,43 @@ class TestAntiEntropy:
         snap = rs.metrics.snapshot()
         assert snap["telemetry.shard.0.repaired_windows"] >= 1.0
         assert snap["telemetry.shard.0.diverged_windows"] >= 1.0
+
+
+class TestAntiEntropyOnRollups:
+    def test_repaired_member_serves_raw_bits_from_its_tiers(self):
+        """A sweep repairs a member that shed half its writes; afterwards
+        tier-served resamples on both members equal a raw store's bits,
+        and the repaired member's loss gauges read 0."""
+        store = ShardedStore(shards=1, replication=1, rollups=True)
+        raw = TimeSeriesStore()
+        rs = store.replica_sets[0]
+        names = tuple(f"r.s{i}" for i in range(4))
+        rng = np.random.default_rng(33)
+        rs.degrade(0.5, np.random.default_rng(5), member=1)
+        for k in range(720):  # 10 s cadence; sheds through the first hour
+            if k == 360:
+                rs.degrade(0.0, np.random.default_rng(5), member=1)
+            batch = SampleBatch(10.0 * k, names, np.round(rng.normal(50, 5, 4), 2))
+            store.ingest("t", batch)
+            raw.ingest("t", batch)
+        assert rs.dropped_writes[1] > 0
+        summary = store.anti_entropy(window_s=600.0)
+        assert summary["repaired_windows"] > 0
+        snap = rs.metrics.snapshot()
+        for key in ("missed_writes", "dropped_writes", "lost_samples"):
+            assert snap[f"telemetry.shard.0.{key}"] == 0.0
+        served = [m.rollups.buckets_served for m in rs.members]
+        for member in rs.members:
+            for name in names:
+                for step in (300.0, 900.0, 3600.0):
+                    for agg in sorted(SERVABLE_AGGREGATIONS):
+                        got = member.resample(name, 0.0, 7200.0, step, agg)
+                        want = raw.resample(name, 0.0, 7200.0, step, agg)
+                        assert _bits_equal(got[0], want[0])
+                        assert _bits_equal(got[1], want[1]), (name, step, agg)
+        assert all(
+            m.rollups.buckets_served > before for m, before in zip(rs.members, served)
+        )
 
 
 class TestResyncedMemberSurvivesCrash:

@@ -23,7 +23,7 @@ from repro.telemetry import (
     TelemetrySystem,
     TimeSeriesStore,
 )
-from repro.telemetry.distributed.replica import MEMBER_COUNTERS, SET_COUNTERS
+from repro.telemetry.distributed.replica import EVENT_COUNTERS, LOSS_COUNTERS
 from repro.telemetry.runtime import parallel as parallel_runtime
 from repro.telemetry.runtime import worker as shard_worker
 
@@ -35,6 +35,24 @@ def make_batches(n_batches: int = 50, names: tuple = NAMES, seed: int = 0):
     return [
         SampleBatch(float(t), names, rng.random(len(names)))
         for t in range(n_batches)
+    ]
+
+
+def lacking(rs, batches) -> list:
+    """Samples of ``batches`` each member of ``rs`` does not hold, counted
+    from the member stores."""
+    written = {}
+    for batch in batches:
+        for name in batch.names:
+            written.setdefault(name, []).append(batch.time)
+    return [
+        sum(
+            np.setdiff1d(
+                times, member.query(name)[0] if name in member else []
+            ).size
+            for name, times in written.items()
+        )
+        for member in rs.members
     ]
 
 
@@ -473,7 +491,8 @@ class TestWorkerLifecycle:
 
 
 class TestCountersSurviveRestart:
-    """Replica counters live in the worker; a restart must not reset them."""
+    """A worker restart resets no event counter (they are counted in the
+    parent), and the replacement's loss state is what its members lack."""
 
     @pytest.fixture(scope="class")
     def restart(self, tmp_path_factory):
@@ -483,7 +502,8 @@ class TestCountersSurviveRestart:
         )
         try:
             rs = par.replica_sets[0]
-            batches = iter(make_batches(60))
+            written = make_batches(60)
+            batches = iter(written)
 
             def ingest(n):
                 for _ in range(n):
@@ -502,42 +522,46 @@ class TestCountersSurviveRestart:
 
             def read():
                 counters = {
-                    k: getattr(rs, k) for k in MEMBER_COUNTERS + SET_COUNTERS
+                    k: getattr(rs, k) for k in LOSS_COUNTERS + EVENT_COUNTERS
                 }
-                return counters, rs.metrics.snapshot()
+                return counters, rs.metrics.snapshot(), lacking(rs, written)
 
             before = read()
             par.runtime.crash_worker(0)
             assert par.runtime.check_workers() == [0]
-            yield before, read()
+            yield before, read(), {i.name: i.kind for i in rs.metrics}
         finally:
             par.close()
 
-    #: Member 1 is up at the restart, so the replacement replays every
-    #: write into it: it misses none and has shed none, and these two
-    #: counters read 0 for it.  Member 0 is down and keeps its count.
-    HEALED_BY_REPLAY = ("missed_writes", "dropped_writes")
-
-    @pytest.mark.parametrize("key", MEMBER_COUNTERS + SET_COUNTERS)
+    @pytest.mark.parametrize("key", LOSS_COUNTERS + EVENT_COUNTERS)
     def test_counter_does_not_run_backwards(self, restart, key):
-        (before, _), (after, _) = restart
+        """Events never run backwards; loss state reads what the members
+        lack, before and after the restart."""
+        (before, _, lacked_before), (after, _, lacked_after), _ = restart
         assert np.sum(before[key]) > 0, "the scenario must move every counter"
-        before, after = np.asarray(before[key]), np.asarray(after[key])
-        if key in self.HEALED_BY_REPLAY:
-            assert after[1] == 0
-            before, after = before[:1], after[:1]
-        assert np.all(after >= before)
+        if key in EVENT_COUNTERS:
+            assert np.all(np.asarray(after[key]) >= np.asarray(before[key]))
+            return
+        for counters, lacked in ((before, lacked_before), (after, lacked_after)):
+            missed = np.add(counters["missed_writes"], counters["dropped_writes"])
+            assert missed.tolist() == lacked
+        # Member 0 is down at the restart and holds none of the 60 batches;
+        # member 1 is up, so the replacement replays every write into it.
+        assert lacked_after == [60 * len(NAMES), 0]
+        assert (after["lost_batches"], after["lost_samples"]) == (0, 0)
 
     def test_shard_metrics_do_not_run_backwards(self, restart):
-        (_, before), (counters, after) = restart
+        """Counter metrics never fall; gauges read the loss state."""
+        (_, before, _), (counters, after, _), kinds = restart
         assert set(after) == set(before)
-        healed = {f"telemetry.shard.0.{key}": key for key in self.HEALED_BY_REPLAY}
         went_back = {
             k: (before[k], after[k])
-            for k in before if k not in healed and after[k] < before[k]
+            for k in before if kinds[k] == "counter" and after[k] < before[k]
         }
         assert went_back == {}
-        for metric, key in healed.items():
+        for key in ("missed_writes", "dropped_writes", "lost_samples"):
+            metric = f"telemetry.shard.0.{key}"
+            assert kinds[metric] == "gauge"
             assert after[metric] == float(np.sum(counters[key]))
 
 
@@ -570,7 +594,7 @@ class TestReplayedMemberMissesNothing:
             assert par.runtime.check_workers() == [0]
             held = [
                 rs.members[1].query(name)[0].size for name in self.NAMES4
-            ] if revive else None
+            ] if revive else lacking(rs, make_batches(20, names=self.NAMES4))
             return rs.missed_writes, rs.dropped_writes, held
         finally:
             par.close()
@@ -583,8 +607,12 @@ class TestReplayedMemberMissesNothing:
         assert dropped == [0, 0]
 
     def test_member_down_at_restart_keeps_its_count(self, tmp_path):
-        missed, _, _ = self._run(tmp_path, revive=False, synced=True)
-        assert missed == [0, 40]
+        """The replacement's member 1 is down, so it holds none of the
+        journal's 80 samples, and its count says so."""
+        missed, dropped, lacked = self._run(tmp_path, revive=False, synced=True)
+        assert lacked == [0, 80]
+        assert missed == [0, 80]
+        assert dropped == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -680,13 +708,18 @@ class TestParallelFaults:
         dropped_before = rs.dropped_writes[1]
         assert dropped_before > 0
         # Restart mirrors the fault state (including the drawn seed) into
-        # the replacement worker: degradation keeps applying.
+        # the replacement worker: degradation keeps applying, and sheds
+        # the same writes of the next 20 as it did of the first 20.  The
+        # journal-free crash lost the first 20 from both members, so the
+        # replacement's loss state covers only the writes it has seen.
         par.runtime.crash_worker(0)
         par.runtime.check_workers()
-        for batch in make_batches(40, seed=4)[20:]:
+        after = make_batches(40, seed=4)[20:]
+        for batch in after:
             par.ingest("t", batch)
         par.runtime.drain()
-        assert rs.dropped_writes[1] > dropped_before
+        assert rs.dropped_writes[1] == dropped_before
+        assert lacking(rs, after) == [0, dropped_before]
 
 
 class TestOneWriteFaultRule:

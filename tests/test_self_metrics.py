@@ -101,6 +101,31 @@ def test_name_sets_match_golden(config, tmp_path):
     assert sorted(health_names) == golden["health"]
 
 
+def test_loss_state_exports_as_gauges_and_events_as_counters():
+    """What a replica member lacks falls when the data comes back, so the
+    loss metrics are gauges; repairs and resync failures only add up."""
+    dc = DataCenter(seed=3, racks=1, nodes_per_rack=2, shards=2, replication=1)
+    try:
+        kinds = dict(re.findall(r"^# TYPE (\S+) (\S+)$", dc.prometheus(), re.M))
+    finally:
+        dc.close()
+
+    def per_shard(*keys):
+        return [f"telemetry_shard_{i}_{key}" for i in range(2) for key in keys]
+
+    loss = ["telemetry_shard_lost_samples"] + per_shard(
+        "missed_writes", "dropped_writes", "lost_samples"
+    )
+    events = [
+        "telemetry_shard_resync_failed", "telemetry_replica_diverged_windows",
+        "telemetry_replica_repaired_windows", "telemetry_replica_repaired_samples",
+    ] + per_shard(
+        "resync_failed", "diverged_windows", "repaired_windows", "repaired_samples"
+    )
+    assert {name: kinds[name] for name in loss} == dict.fromkeys(loss, "gauge")
+    assert {name: kinds[name] for name in events} == dict.fromkeys(events, "counter")
+
+
 # ---------------------------------------------------------------------------
 # Registration
 # ---------------------------------------------------------------------------
