@@ -9,7 +9,8 @@ lives.  This example runs a simulated HPC site on exactly that tier:
 * the site archives telemetry in 4 hash-partitioned shards x 2 copies,
 * one shard's primary is killed mid-run — collection continues, writes
   keep landing on the replica, reads fail over transparently,
-* the dead primary is revived and resynced from its replica,
+* the dead primary is revived and resynced: rebuilt from the merge of its
+  own samples and its replica's,
 * federated queries (``query``/``align``/``select``) return bit-for-bit
   what one monolithic store would, throughout,
 * the whole deployment round-trips to disk (manifest + per-shard files).
@@ -59,7 +60,7 @@ def main() -> None:
     health = dc.telemetry.health.snapshot()
     print(f"  fault events: {[(e.time, e.kind.value) for e in fault.events]}")
     print(f"  samples the revived primary lacks: {rs.missed_writes[0]} "
-          "(a resync copies its peer, and with it what the peer lacks)")
+          "(a resync merges its own samples with its peer's)")
     print(f"  failover reads served by replicas: "
           f"{int(health['telemetry.shard.failover_reads'])}")
     per_shard = [int(health[f"telemetry.shard.{i}.series"])

@@ -483,8 +483,8 @@ class ArchiveTier:
         return int(times.size)
 
     def adopt(self, name: str, chunks: List[ColdChunk]) -> None:
-        """Install already-encoded chunks (persistence load, replica
-        resync) without a decode/encode round trip."""
+        """Install already-encoded chunks (a persistence load) without a
+        decode/encode round trip."""
         if not chunks:
             return
         existing = self._chunks.setdefault(name, [])

@@ -37,7 +37,7 @@ class ShardFaultKind(Enum):
     """Storage-backend pathologies."""
 
     KILL = "kill"        # member offline: misses writes, reads fail over
-    REVIVE = "revive"    # member back (optionally resynced from a peer)
+    REVIVE = "revive"    # member back (optionally resynced with its peers)
     WORKER_CRASH = "worker_crash"  # parallel runtime: shard process dies
 
 
@@ -107,7 +107,8 @@ class ShardFault:
         resync: bool = True,
         now: float = 0.0,
     ) -> None:
-        """Bring a member back, resynced from a healthy peer by default."""
+        """Bring a member back, by default resynced: rebuilt from the merge
+        of its own and its healthy peers' samples."""
         self._check_target(shard, member)
         self.store.replica_sets[shard].revive(member, resync=resync)
         self._record(now, shard, member, ShardFaultKind.REVIVE)

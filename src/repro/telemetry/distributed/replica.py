@@ -14,14 +14,16 @@ Failure semantics mirror real collectors:
   degraded member sheds it, exactly like a monitoring stack dropping data
   while its backend is offline.  The set numbers its writes and keeps, per
   member, the ones it did not apply (its *holes*), from which the loss
-  state of :data:`LOSS_COUNTERS` is derived.  ``ingest`` and
+  state of :data:`LOSS_COUNTERS` is derived (under retention without an
+  archive, less the holes retention has aged out).  ``ingest`` and
   ``append_many`` follow this one rule,
 * **reads fail over** — served by the first healthy member in primary →
   replica order (``failover_reads`` counts reads served by a non-primary);
   only when no healthy member remains does a read raise
   :class:`~repro.errors.ShardDownError`,
-* **revival resyncs** — a revived member missed writes while down, so by
-  default it is rebuilt from a healthy peer before serving again.
+* **repairs only add** — a revived member is by default rebuilt from the
+  merge of its own and its healthy peers' samples, and anti-entropy
+  merges diverged windows, so a repair never deletes a sample's last copy.
 
 Members are built by the set itself from the member stores' keyword
 arguments.  With a ``journal`` base directory every member journals to
@@ -50,7 +52,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ShardDownError, StoreError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
-from repro.telemetry.durability import journal_dir
+from repro.telemetry.durability import journal_dir, window_checksums
 from repro.telemetry.sample import SampleBatch
 from repro.telemetry.store import TimeSeriesStore
 
@@ -100,6 +102,15 @@ class _Hole(NamedTuple):
             if name in store else self.each
             for name in self.names
         )
+
+
+def _merge(parts: list) -> Tuple[np.ndarray, np.ndarray]:
+    """The union of sorted ``(times, values)`` parts, in member order.  At
+    a timestamp parts disagree on, the part holding more samples wins
+    (divergence means *lost* writes); ties go to the earlier part."""
+    parts = sorted(parts, key=lambda part: -part[0].size)  # stable: ties keep order
+    times, first = np.unique(np.concatenate([t for t, _ in parts]), return_index=True)
+    return times, np.concatenate([v for _, v in parts])[first]
 
 
 class ReplicaSetBase:
@@ -170,12 +181,13 @@ class ReplicaSetBase:
         self._drop_fraction[member] = drop_fraction
 
     def revive(self, member: int = 0, resync: bool = True) -> bool:
-        """Bring a member back; by default rebuild it from a healthy peer.
+        """Bring a member back; by default rebuild it with its peers' data.
 
         Without resync the member serves whatever (stale) data it held when
-        it went down; with resync it is replaced by a fresh store populated
-        from the first healthy peer, holes included.  Reviving a down member
-        with ``resync=True`` when no peer is healthy keeps its own data, but
+        it went down; with resync it is rebuilt through its (journaled) write
+        path from the merge of its own and every healthy peer's samples, and
+        its holes are re-measured.  Reviving a down member with
+        ``resync=True`` when no peer is healthy keeps its own data, but
         counts a ``resync_failure``, logs a warning and returns True.
         """
         failed = bool(self._revive(member, resync))
@@ -188,18 +200,18 @@ class ReplicaSetBase:
         self, window_s: float = 3600.0, now: Optional[float] = None
     ) -> dict:
         """One repair sweep: compare per-(series, window) checksums across
-        healthy members and copy only the differing windows from the best
-        source (the member holding the most samples there — divergence
-        here means *lost* writes, so more data wins; ties go to the
-        lower-index member, i.e. the primary).
+        healthy members, merge their samples of each differing window, and
+        write the merge over each member that differs from it (where they
+        disagree on a timestamp, the member holding more samples there
+        wins; ties go to the lower-index member, i.e. the primary).
 
         Agreement costs one checksum pass and a dict comparison per series.
         The window being filled is excluded (``now`` caps the comparison;
         by default the last complete window boundary below the newest
         healthy sample), and so, under retention, are windows the sweeper
         may trim or demote, which a repair would resurrect.  A repaired
-        member holds what its source holds, so the holes of both inside the
-        repaired range are re-measured against the member's store.
+        member re-measures its own holes inside the repaired range; a merge
+        only adds, so no other member's holes change.
 
         Returns a summary dict (``diverged_windows``,
         ``repaired_windows``, ``repaired_samples``, ``checked_series``, and
@@ -333,14 +345,13 @@ class ReplicaSet(ReplicaSetBase):
         self._drop_rng = rng
 
     def _revive(self, member: int, resync: bool) -> bool:
-        if not resync:
-            return False
-        peers = (i for i in range(len(self.members)) if i != member and not self._down[i])
-        source = next(peers, None)
-        if source is None:
-            # The resync would have mattered (the member was down and has
-            # peers), but every peer is down too: it serves stale data.
-            if not (self._down[member] and self.replication > 0):
+        stores = [
+            s for i, s in enumerate(self.members) if i == member or not self._down[i]
+        ]
+        if not resync or len(stores) == 1:
+            # With no healthy peer, a resync that would have mattered (the
+            # member was down and has peers) fails: it serves stale data.
+            if not (resync and self._down[member] and self.replication > 0):
                 return False
             log.warning(
                 "shard %d: revive(member=%d, resync=True) found no "
@@ -349,32 +360,20 @@ class ReplicaSet(ReplicaSetBase):
                 self.shard_id, member, self.missed_writes[member],
             )
             return True
-        peer = self.members[source]
-        peer.flush()
-        fresh = self._rebuild(member)
-        # Only a journal-free member (a shard worker's, covered by the
-        # shard WAL) may adopt encoded cold chunks: an adopt is not
-        # journaled, so a journaled member takes the history as writes.
-        adopt = fresh.journal is None and peer.archive is not None and fresh.archive is not None
-        for name in peer.names():
-            if adopt and name in peer.archive:
-                # Cold history ships still encoded, then the hot tail;
-                # rollups rebuild from the merged tiers on observe.
-                fresh.archive.adopt(name, peer.archive.chunks(name))
-                buf = peer.series(name)
-                fresh.append_many(name, buf.times.copy(), buf.values.copy())
-            else:
-                # Cold-aware query: decoded archive history (if any) plus
-                # hot samples, replayed as raw.
-                times, values = peer.query(name)
-                fresh.append_many(name, times, values)
-        self.members[member] = fresh
-        self._holes[member] = dict(self._holes[source])
+        # Cold-aware queries: decoded archive history (if any) plus hot.
+        merged = [
+            (name, _merge([s.query(name) for s in stores if name in s]))
+            for name in sorted(set().union(*(s.names() for s in stores)))
+        ]
+        fresh = self.members[member] = self._rebuild(member)
+        for name, (times, values) in merged:
+            fresh.append_many(name, times, values)
+        self._remeasure_holes(member, -np.inf, np.inf)
         return False
 
     def _rebuild(self, member: int) -> TimeSeriesStore:
         """An *empty* replacement for ``member``: its stale journal is
-        wiped, since the peer copy re-journals everything it receives."""
+        wiped, since the merged history is re-journaled as it is written."""
         self.members[member].close()
         if self._journal is not None:
             shutil.rmtree(
@@ -444,16 +443,29 @@ class ReplicaSet(ReplicaSetBase):
     # ------------------------------------------------------------------
     # Loss state: derived from the holes
     # ------------------------------------------------------------------
+    def _live_holes(self) -> List[Dict[int, _Hole]]:
+        """The holes, less those retention has aged out: with retention and
+        no archive, a hole wholly below the newest member's ``latest_time``
+        minus ``retention`` is history no member is meant to hold."""
+        store = self.members[0]
+        if store.retention is not None and store.archive is None:
+            cutoff = max(m.latest_time for m in self.members) - store.retention
+            for holes in self._holes:
+                for pos in [pos for pos, h in holes.items() if h.t1 < cutoff]:
+                    del holes[pos]
+        return self._holes
+
     def _lacking(self, kind: str) -> List[int]:
         return [
             sum(h.samples for h in holes.values() if h.kind == kind)
-            for holes in self._holes
+            for holes in self._live_holes()
         ]
 
     def _lost(self) -> List[int]:
         """Per write every member lacks, the samples none holds: the fewest
         any member lacks, since members' gaps in one write nest."""
-        everywhere = set(self._holes[0]).intersection(*self._holes[1:])
+        first, *rest = self._live_holes()
+        everywhere = set(first).intersection(*rest)
         return [min(h[pos].samples for h in self._holes) for pos in everywhere]
 
     missed_writes = property(lambda self: self._lacking("missed"))
@@ -489,7 +501,7 @@ class ReplicaSet(ReplicaSetBase):
             # One extra window of margin over the tightest retention so a
             # window being trimmed mid-sweep is never "repaired" back.
             floor_t = latest - min(retentions) + window_s
-        repaired: Dict[int, set] = {}  # member -> the members it copied from
+        repaired = set()
         names = sorted(set().union(*(s.names() for s in stores)))
         for name in names:
             result["checked_series"] += 1
@@ -502,13 +514,13 @@ class ReplicaSet(ReplicaSetBase):
                 if len({pm[0] for pm in per_member}) == 1:
                     continue
                 result["diverged_windows"] += 1
-                src_pos = max(
-                    range(len(healthy)),
-                    key=lambda p: (per_member[p][1], -p),
-                )
-                times, values = stores[src_pos].window_data(name, window_s, w)
+                times, values = _merge([
+                    s.window_data(name, window_s, w)
+                    for s, pm in zip(stores, per_member) if pm[1]
+                ])
+                merged = window_checksums(times, values, window_s).get(w)
                 for p, member_idx in enumerate(healthy):
-                    if p == src_pos or per_member[p] == per_member[src_pos]:
+                    if per_member[p] == merged:
                         continue
                     stores[p].replace_window(
                         name, w * window_s, (w + 1) * window_s, times, values
@@ -516,24 +528,23 @@ class ReplicaSet(ReplicaSetBase):
                     result["repaired_windows"] += 1
                     result["repaired_samples"] += int(times.size)
                     result["member_repaired_samples"][member_idx] += int(times.size)
-                    repaired.setdefault(member_idx, set()).add(healthy[src_pos])
-        for member, sources in repaired.items():
-            self._remeasure_holes(member, sources, floor_t, until)
+                    repaired.add(member_idx)
+        for member in repaired:
+            self._remeasure_holes(member, floor_t, until)
         return result
 
-    def _remeasure_holes(self, member: int, sources, lo: float, hi: float) -> None:
-        """Re-measure against the member's store the holes inside the range
-        ``[lo, hi)`` a sweep compared: the member's own there shrink or
-        close, and a source's there may now be the member's too."""
+    def _remeasure_holes(self, member: int, lo: float, hi: float) -> None:
+        """Re-measure against the member's store its holes inside the
+        repaired range ``[lo, hi)``: a repair only adds samples, so they
+        shrink or close, and no other member's holes are affected."""
         holes = self._holes[member]
-        seen = {pos: h for s in sources for pos, h in self._holes[s].items()}
-        for pos, hole in {**seen, **holes}.items():
+        for pos, hole in list(holes.items()):
             if hole.t0 < hi and lo <= hole.t1:
                 lacked = hole.lacked_in(self.members[member])
                 if lacked:
                     holes[pos] = hole._replace(samples=lacked)
                 else:
-                    holes.pop(pos, None)
+                    del holes[pos]
 
     # ------------------------------------------------------------------
     # Durability and observability

@@ -240,7 +240,7 @@ def _save_single(
             payload[f"{name}::v"] = series.values.copy()
         else:
             # Cold-only series (all samples demoted, hot buffer never
-            # recreated after a load/resync): hot arrays are empty.
+            # recreated after a load): hot arrays are empty.
             payload[f"{name}::t"] = np.empty(0)
             payload[f"{name}::v"] = np.empty(0)
         if tier is not None and name in tier:

@@ -158,8 +158,8 @@ class TestFormatMatrix:
         store = TimeSeriesStore(archive=True)
         t = np.arange(0.0, 1000.0, 10.0)
         store.append_many("m", t, np.ones(t.size))
-        # Demote everything by hand, then drop the hot series the way a
-        # resync/adopt path can produce cold-only state.
+        # Demote everything by hand, then drop the hot series: adopting
+        # the chunks alone produces cold-only state.
         chunks_src = TimeSeriesStore(archive=True, retention=100.0)
         chunks_src.append_many("m", t, np.ones(t.size))
         cold = TimeSeriesStore(archive=True)
