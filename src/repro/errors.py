@@ -98,10 +98,6 @@ class SensorDropoutError(SamplerError):
     """Raised by a (possibly injected) sensor that is offline for a scrape."""
 
 
-class SamplerTimeoutError(SamplerError):
-    """Raised when a source exceeds the collection agent's scrape budget."""
-
-
 class SubscriberError(TelemetryError):
     """Raised when a bus sink cannot accept a delivery (e.g. failed replay)."""
 

@@ -8,19 +8,24 @@ discrete-event simulator and publishes each scrape as one
 pull-model architecture as LDMS samplers + aggregators or Prometheus scrape
 jobs.
 
-A raising (or over-budget) source does not crash the run: the failure is
-counted on the sampler and the agent, and the sampler is retried with
-exponential backoff (skipping scrape ticks) until it recovers — mirroring
-how production collectors survive flaky sensors.
+A raising source does not crash the run: the failure is counted on the
+sampler and the agent, and the sampler is retried with exponential backoff
+(skipping scrape ticks, at most :data:`BACKOFF_CAP` periods) until it
+recovers — mirroring how production collectors survive flaky sensors.
+
+Everything an agent counts is a function of the seed: scrapes, samples,
+errors and skips advance on the simulation clock only.  Wall-clock scrape
+time is observability, not operational data: the ``collector.scrape`` span
+measures it into the ``obs.collector.scrape.seconds`` histogram, which
+``TelemetrySystem.prometheus()`` exports and the store never holds.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, SamplerTimeoutError
+from repro.errors import ConfigurationError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry, prometheus_text
 from repro.simulation.engine import PeriodicHandle, Simulator
@@ -31,6 +36,10 @@ from repro.telemetry.sample import SampleBatch, bound_batch
 __all__ = ["Sampler", "CollectionAgent", "TelemetrySystem"]
 
 SourceFn = Callable[[float], Dict[str, float]]
+
+#: Upper bound, in periods, of the exponential retry backoff applied to a
+#: repeatedly-failing sampler (1, 2, 4, … scrape periods).
+BACKOFF_CAP = 64.0
 
 
 @dataclass
@@ -60,12 +69,9 @@ class Sampler:
     scrapes: int = 0
     samples: int = 0
     errors: int = 0
-    timeouts: int = 0
     consecutive_errors: int = 0
     last_error: str = ""
     suspended_until: float = float("-inf")
-    #: Cumulative wall-clock seconds spent inside :meth:`scrape`.
-    scrape_seconds: float = 0.0
     #: The last batch's names, reused while the source's keys are unchanged.
     _names: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
@@ -80,18 +86,7 @@ class Sampler:
 
 
 class CollectionAgent:
-    """Drives a group of samplers at a fixed period and publishes batches.
-
-    Parameters
-    ----------
-    backoff_cap:
-        Upper bound, in periods, of the exponential retry backoff applied to
-        a repeatedly-failing sampler (1, 2, 4, … scrape periods).
-    source_timeout_s:
-        Optional wall-clock budget per source call; a slower source counts as
-        a timed-out scrape and its (late) batch is discarded.  Off by default
-        to keep simulations fully deterministic.
-    """
+    """Drives a group of samplers at a fixed period and publishes batches."""
 
     def __init__(
         self,
@@ -99,23 +94,16 @@ class CollectionAgent:
         bus: MessageBus,
         period: float,
         registry: Optional[MetricRegistry] = None,
-        backoff_cap: float = 64.0,
-        source_timeout_s: Optional[float] = None,
     ):
         if period <= 0:
             raise ConfigurationError(f"agent {name}: period must be > 0")
-        if backoff_cap < 1:
-            raise ConfigurationError(f"agent {name}: backoff_cap must be >= 1")
         self.name = name
         self.bus = bus
         self.period = period
         self.registry = registry
-        self.backoff_cap = backoff_cap
-        self.source_timeout_s = source_timeout_s
         self.scrape_errors = 0
         self.scrapes_skipped = 0
         self.last_error = ""
-        self.scrape_seconds = 0.0
         self._samplers: List[Sampler] = []
         self._handle: Optional[PeriodicHandle] = None
         self._metrics: Optional[MetricsRegistry] = None
@@ -164,7 +152,7 @@ class CollectionAgent:
     def _scrape_and_publish(self, sampler: Sampler, now: float) -> int:
         """Scrape one sampler and publish its batch; returns 0 or 1."""
         try:
-            batch = self._scrape(sampler, now)
+            batch = sampler.scrape(now)
         except Exception as exc:  # noqa: BLE001 — isolate any source failure
             self._record_error(sampler, now, exc)
             return 0
@@ -175,29 +163,6 @@ class CollectionAgent:
             return 1
         return 0
 
-    def _scrape(self, sampler: Sampler, now: float) -> SampleBatch:
-        """Timed scrape of one source; always accounts wall-clock duration.
-
-        The elapsed wall time is accumulated on both the sampler and the
-        agent (surfaced as ``telemetry.agent.<name>.scrape_seconds``) even
-        when the source raises, so a slow-then-failing sensor is visible in
-        the duration metric and not just the error counters.
-        """
-        t0 = _time.perf_counter()
-        try:
-            batch = sampler.scrape(now)
-        finally:
-            elapsed = _time.perf_counter() - t0
-            sampler.scrape_seconds += elapsed
-            self.scrape_seconds += elapsed
-        if self.source_timeout_s is not None and elapsed > self.source_timeout_s:
-            sampler.timeouts += 1
-            raise SamplerTimeoutError(
-                f"sampler {sampler.name}: scrape took {elapsed:.3f}s "
-                f"(budget {self.source_timeout_s}s)"
-            )
-        return batch
-
     def _record_error(self, sampler: Sampler, now: float, exc: Exception) -> None:
         sampler.errors += 1
         sampler.consecutive_errors += 1
@@ -205,7 +170,7 @@ class CollectionAgent:
         self.scrape_errors += 1
         self.last_error = f"{sampler.name}: {exc!r}"
         backoff = self.period * min(
-            2.0 ** (sampler.consecutive_errors - 1), self.backoff_cap
+            2.0 ** (sampler.consecutive_errors - 1), BACKOFF_CAP
         )
         sampler.suspended_until = now + backoff
 
@@ -239,14 +204,11 @@ class CollectionAgent:
                       fn=lambda: float(sum(s.scrapes for s in self._samplers)))
             r.counter(f"{prefix}.samples", "samples produced",
                       fn=lambda: float(sum(s.samples for s in self._samplers)))
-            r.counter(f"{prefix}.scrape_errors", "raising/over-budget scrapes",
+            r.counter(f"{prefix}.scrape_errors", "raising scrapes",
                       fn=lambda: float(self.scrape_errors))
             r.counter(f"{prefix}.scrapes_skipped",
                       "scrapes skipped by backoff",
                       fn=lambda: float(self.scrapes_skipped))
-            r.counter(f"{prefix}.scrape_seconds",
-                      "cumulative wall-clock seconds spent scraping",
-                      unit="s", fn=lambda: self.scrape_seconds)
             self._metrics = r
         return self._metrics
 

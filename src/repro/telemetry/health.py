@@ -7,10 +7,16 @@ series counts) back onto the bus, where it lands in the store and can be
 alerted on like any sensor.  Every component keeps its counters in one
 typed :class:`~repro.obs.metrics.MetricsRegistry` and registers it once
 with :class:`~repro.telemetry.collector.TelemetrySystem`;
-:class:`HealthMonitor` publishes a snapshot of that one registry list on a
-period — the same list ``TelemetrySystem.prometheus()`` exports — and
-additionally drives the alert engine's stale-data checks so a dead sampler
-raises an alert even when no data flows at all.
+:class:`HealthMonitor` publishes the counters and gauges of that one
+registry list on a period — the same list ``TelemetrySystem.prometheus()``
+exports — and additionally drives the alert engine's stale-data checks so a
+dead sampler raises an alert even when no data flows at all.
+
+The health batch is operational data, so it carries only counters and
+gauges, which are functions of the seed: one seed stores one answer.
+Wall-clock durations are histograms — the ``obs.*`` span histograms and
+the serving frontend's latency histograms — and stay observability:
+``prometheus()`` exports them and the store never holds them.
 
 Metric names follow the ``telemetry.*`` subtree::
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.simulation.engine import PeriodicHandle, Simulator
 from repro.telemetry.bus import MessageBus
 from repro.telemetry.sample import SampleBatch, bound_batch
@@ -31,6 +37,14 @@ __all__ = ["HealthMonitor", "HEALTH_TOPIC"]
 
 #: Bus topic health batches are published on.
 HEALTH_TOPIC = "telemetry.health"
+
+
+def _counts_and_gauges(registry: MetricsRegistry) -> Dict[str, float]:
+    return {
+        instrument.name: instrument.value
+        for instrument in registry
+        if not isinstance(instrument, Histogram)
+    }
 
 
 class HealthMonitor:
@@ -92,7 +106,8 @@ class HealthMonitor:
         return self._metrics
 
     def snapshot(self) -> Dict[str, float]:
-        """One flat snapshot across the registered registries.
+        """One flat ``{name: value}`` view of every registered counter and
+        gauge; histograms (wall-clock durations) are left out.
 
         A raising registry is isolated: it is skipped for this tick, the
         failure is counted in ``telemetry.health.probe_errors``, and every
@@ -106,11 +121,11 @@ class HealthMonitor:
             if registry is own:
                 continue
             try:
-                out.update(registry.snapshot())
+                out.update(_counts_and_gauges(registry))
             except Exception as exc:  # noqa: BLE001 — isolate registry failures
                 self.probe_errors += 1
                 self.last_probe_error = repr(exc)
-        out.update(own.snapshot())
+        out.update(_counts_and_gauges(own))
         return out
 
     def collect(self, now: float) -> SampleBatch:

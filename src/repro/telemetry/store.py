@@ -338,9 +338,10 @@ class SeriesBuffer:
     def append_many(self, times: np.ndarray, values: np.ndarray) -> None:
         """Vectorized bulk append of already-sorted samples.
 
-        Must start at or after the last stored timestamp; samples whose
-        timestamp equals the last stored one overwrite it in place (last
-        writer wins), matching :meth:`append` applied sample by sample.
+        Must start at or after the last stored timestamp.  Equal timestamps
+        keep one sample, the last writer's — within the batch and against
+        the last stored sample alike — matching :meth:`append` applied
+        sample by sample.
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
@@ -348,8 +349,14 @@ class SeriesBuffer:
             raise StoreError("append_many arrays must be 1-D and equal length")
         if times.size == 0:
             return
-        if np.any(np.diff(times) < 0):
-            raise StoreError(f"series {self.name}: times must be non-decreasing")
+        steps = np.diff(times)
+        if not (steps > 0).all():
+            if np.any(steps < 0):
+                raise StoreError(
+                    f"series {self.name}: times must be non-decreasing"
+                )
+            keep = np.append(steps != 0, True)  # the last of each equal run
+            times, values = times[keep], values[keep]
         if self._size:
             last = self._times[self._size - 1]
             if times[0] < last:
@@ -538,7 +545,7 @@ class TimeSeriesStore:
         # Durability: write-ahead journal + crash-recovery bookkeeping.
         self._journal: Optional[WriteAheadJournal] = None
         self._journal_names: Dict[Tuple[str, ...], int] = {}
-        self._replaying = False
+        self._replaying = False  # replay stages whole runs: no threshold flush
         self.corrupt_artifacts = 0  # damaged persisted artifacts degraded at load
         self.repaired_samples = 0  # samples spliced in by anti-entropy repair
         self.recovery: Optional[RecoveryStats] = None
@@ -596,7 +603,7 @@ class TimeSeriesStore:
                     f"out-of-order ingest at t={t}: this batch's series "
                     f"were last written at t={block.last}"
                 )
-            if self._journal is not None and not self._replaying:
+            if self._journal is not None:
                 self._journal.append_batch(
                     self._journal_names_id(names), t, values
                 )
@@ -708,7 +715,7 @@ class TimeSeriesStore:
         """Vectorized bulk append to a single series."""
         with self._lock:
             times = np.asarray(times, dtype=np.float64)
-            if self._journal is not None and not self._replaying:
+            if self._journal is not None:
                 self._journal.append_many(name, times, values)
             self._flush_series(name)
             buf = self._buffer(name)
@@ -727,13 +734,14 @@ class TimeSeriesStore:
         """Columnar bulk append: one shared time axis, one column per series.
 
         Semantically identical to calling :meth:`append_many` once per
-        ``names[i]`` with ``rows[:, i]``, but the shared validation (dtype
-        coercion, ordering check, latest-time bookkeeping) is hoisted out
-        of the per-series loop and a series whose buffer simply extends
-        skips straight to the slice copy.  This is the shard worker's
-        apply path: with wide fleet scrapes (thousands of series, a few
-        rows per flush) the per-series call overhead is the whole cost, so
-        the hoisting is what the scale-out ingest throughput rests on.
+        ``names[i]`` with ``rows[:, i]`` (equal times keep the last row),
+        but the shared validation (dtype coercion, ordering check,
+        latest-time bookkeeping) is hoisted out of the per-series loop and
+        a series whose buffer simply extends skips straight to the slice
+        copy.  This is the shard worker's apply path: with wide fleet
+        scrapes (thousands of series, a few rows per flush) the per-series
+        call overhead is the whole cost, so the hoisting is what the
+        scale-out ingest throughput rests on.
         """
         times = np.asarray(times, dtype=np.float64)
         rows = np.asarray(rows, dtype=np.float64)
@@ -745,10 +753,15 @@ class TimeSeriesStore:
             )
         if n == 0 or not names:
             return
-        if np.any(np.diff(times) < 0):
-            raise StoreError("append_block: times must be non-decreasing")
+        steps = np.diff(times)
+        if not (steps > 0).all():
+            if np.any(steps < 0):
+                raise StoreError("append_block: times must be non-decreasing")
+            keep = np.append(steps != 0, True)  # the last of each equal run
+            times, rows = times[keep], rows[keep]
+            n = times.size
         with self._lock:
-            if self._journal is not None and not self._replaying:
+            if self._journal is not None:
                 self._journal.append_block(
                     self._journal_names_id(tuple(names)), times, rows
                 )
@@ -1054,8 +1067,11 @@ class TimeSeriesStore:
         which normal ingest forbids.  Replacement samples must be sorted and
         lie within the window.  Affected rollup buckets are recomputed from
         the repaired raw data.  Returns the net change in sample count.
-        Repairs are not journaled: after a crash the divergence is simply
-        re-detected and re-repaired by the next sweep.
+        Repairs are not journaled, so a crash loses them.  The next sweep
+        re-detects such a divergence only while its window is above the
+        sweep's floor; once a lost repair, or a divergence no sweep saw,
+        ages below that floor, no sweep compares it again (ROADMAP,
+        "Anti-entropy that covers the whole history and survives a crash").
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)

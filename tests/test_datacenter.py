@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.oda import DataCenter
 from repro.software import JobState
+
+
+def stored_series(dc) -> dict:
+    """``{name: (times, values)}`` of every series the store holds."""
+    dc.store.flush()
+    return {name: dc.store.query(name) for name in dc.store.names()}
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +28,24 @@ def ran_dc():
 
 class TestDataCenterIntegration:
     def test_reproducible_trajectories(self):
-        def trajectory(seed):
-            dc = DataCenter(seed=seed, racks=1, nodes_per_rack=4)
+        """One seed stores one answer: every stored series of a health-on
+        run, the pipeline's own self-metrics included, repeats bit for bit."""
+        def stored(seed):
+            dc = DataCenter(seed=seed, racks=1, nodes_per_rack=4,
+                            health_period=60.0)
             dc.generate_workload(days=0.1, jobs_per_day=50)
             dc.run(days=0.1)
-            return dc.metric("facility.power.site_power")[1]
+            return stored_series(dc)
 
-        a, b = trajectory(3), trajectory(3)
-        assert (a == b).all()
-        c = trajectory(4)
-        assert not np.array_equal(a, c)
+        a, b = stored(3), stored(3)
+        assert any(name.startswith("telemetry.") for name in a)
+        assert a.keys() == b.keys()
+        for name, (times, values) in a.items():
+            assert np.array_equal(times, b[name][0]), name
+            assert np.array_equal(values, b[name][1], equal_nan=True), name
+        c = stored(4)
+        site = "facility.power.site_power"
+        assert not np.array_equal(a[site][1], c[site][1])
 
     def test_all_pillar_metrics_present(self, ran_dc):
         names = ran_dc.store.names()
@@ -86,8 +102,6 @@ class TestDataCenterIntegration:
         sum in the fabric model or a reordered scrape fails loudly.  Three
         racks of eight span two leaf switches, so jobs contend on spine
         uplinks; two injected crashes fail running jobs."""
-        import hashlib
-
         from repro.cluster.faults import NodeFaultKind
 
         start = 10 * 3600.0  # mid-morning: the submission peak
@@ -115,3 +129,26 @@ class TestDataCenterIntegration:
         assert digest.hexdigest() == (
             "4118f8ac22d953e1e3cf6e746454312045c880e6c49e557c81d76b6a008cac58"
         )
+
+    @pytest.mark.parametrize("parallel, expected", [
+        (False, "0f1451e77930733474629ae428ff7302465d2d50873c66466915bedbed45e70d"),
+        (True, "8b1984ce4f025c1a6cbded30b63590c16aff6dc800513023096023115a818601"),
+    ], ids=["in_process", "parallel"])
+    def test_stored_content_is_pinned(self, tmp_path, parallel, expected):
+        """Everything the whole stack stores — sensors and health
+        self-metrics, through shards, replicas, rollups, archive and
+        journal, in process or in shard workers — is pinned to its digest."""
+        dc = DataCenter(seed=5, racks=1, nodes_per_rack=4, health_period=60.0,
+                        shards=2, replication=1, rollups=True, archive=True,
+                        store_retention=3600.0, journal=str(tmp_path),
+                        parallel=parallel)
+        try:
+            dc.run(days=0.1)
+            digest = hashlib.sha256()
+            for name, (times, values) in stored_series(dc).items():
+                digest.update(name.encode())
+                digest.update(times.tobytes())
+                digest.update(values.tobytes())
+        finally:
+            dc.close()
+        assert digest.hexdigest() == expected

@@ -170,6 +170,22 @@ class TestAntiEntropyMerges:
         assert rs.lost_samples == 0
         assert rs.missed_writes == [0, 0]
 
+    def test_repeated_time_in_a_bulk_append_keeps_the_last_writer(self):
+        """Both members store the bulk append's last writer at t = 5, so
+        the sweep that fills member 1's hole at t = 6 keeps it too."""
+        store = ShardedStore(shards=1, replication=1)
+        rs = store.replica_sets[0]
+        store.append_many("a", [5.0, 5.0], [1.0, 2.0])
+        rs.mark_down(1)
+        store.append("a", 6.0, 6.0)
+        rs.revive(1, resync=False)
+        store.append("a", 20.0, 20.0)
+        store.anti_entropy(window_s=10)
+        for member in rs.members:
+            t, v = member.query("a")
+            assert t.tolist() == [5.0, 6.0, 20.0]
+            assert v.tolist() == [2.0, 6.0, 20.0]
+
     def test_disputed_timestamp_goes_to_the_primary_on_a_tie(self):
         """Member 1 sheds a same-time rewrite of t = 4, so both members
         hold five samples of window 0 that disagree at t = 4: the sweep

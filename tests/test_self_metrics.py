@@ -165,6 +165,25 @@ class TestOptionalComponentsReachBothOutputs:
         assert "telemetry_serving_queries" in type_names(ts.prometheus())
         ts.close()
 
+    def test_frontend_latency_stays_out_of_the_store(self):
+        """The health batch carries the frontend's counters and gauges; its
+        wall-clock latency histograms reach only ``prometheus()``."""
+        from repro.telemetry.serving import RangeQuery
+
+        dc = DataCenter(seed=4, racks=1, nodes_per_rack=2, health_period=60.0)
+        frontend = dc.frontend(max_workers=0)
+        served = []
+        dc.sim.schedule_periodic(120.0, lambda sim: served.append(
+            frontend.serve("t", RangeQuery("facility.power.site_power")).ok
+        ))
+        dc.run(seconds=600.0)
+        assert served and all(served)
+        assert dc.store.query("telemetry.serving.completed")[1][-1] > 0
+        assert [n for n in dc.store.names()
+                if n.startswith("telemetry.serving.") and "latency" in n] == []
+        assert "telemetry_serving_latency_bucket" in dc.prometheus()
+        dc.close()
+
     def test_supervisor(self):
         dc = DataCenter(seed=4, racks=1, nodes_per_rack=2, health_period=60.0)
         assert exported(dc.prometheus(), "oda.supervisor.") == []

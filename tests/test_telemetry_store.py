@@ -110,6 +110,13 @@ class TestSeriesBuffer:
         assert len(buf) == 1
         assert buf.values.tolist() == [3.0]  # final writer wins
 
+    def test_append_many_equal_times_inside_one_batch_collapse(self):
+        buf = SeriesBuffer("m")
+        buf.append_many(np.array([1.0, 5.0, 5.0, 5.0, 6.0]),
+                        np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
+        assert buf.times.tolist() == [1.0, 5.0, 6.0]
+        assert buf.values.tolist() == [0.0, 3.0, 4.0]  # final writer wins
+
     def test_append_many_rejects_unsorted(self):
         with pytest.raises(StoreError):
             SeriesBuffer("m").append_many(np.array([2.0, 1.0]), np.zeros(2))
@@ -172,6 +179,21 @@ class TestStoreIngest:
     def test_unknown_series(self):
         with pytest.raises(UnknownMetricError):
             TimeSeriesStore().query("nope")
+
+    def test_bulk_append_keeps_the_last_writer_of_a_repeated_time(self):
+        """A bulk append stores what ``append`` sample by sample stores."""
+        store = TimeSeriesStore()
+        store.append_many("a", [5.0, 5.0], [1.0, 2.0])
+        times, values = store.query("a")
+        assert times.tolist() == [5.0] and values.tolist() == [2.0]
+
+    def test_block_append_keeps_the_last_row_of_a_repeated_time(self):
+        store = TimeSeriesStore()
+        store.append_block(("a", "b"), np.array([5.0, 5.0]),
+                           np.array([[1.0, 3.0], [2.0, 4.0]]))
+        assert store.query("a")[1].tolist() == [2.0]
+        assert store.query("b")[1].tolist() == [4.0]
+        assert store.query("b")[0].tolist() == [5.0]
 
 
 def _batch(t, names):
