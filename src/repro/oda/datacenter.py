@@ -78,8 +78,8 @@ class DataCenter:
         a graceful drain; ``enable_supervision()`` automatically puts the
         workers under watchdog crash detection.
     rollups / archive:
-        Enable the store's materialized downsample cascade and compressed
-        columnar cold tier (bool/dict/config, same forms as
+        Bool switches of the store's materialized downsample cascade and
+        compressed columnar cold tier (as on
         :class:`~repro.telemetry.store.TimeSeriesStore`) — long queries
         are served from pre-aggregated tiers and expired raw samples are
         demoted to cold chunks instead of deleted.
@@ -111,8 +111,8 @@ class DataCenter:
         shards: Optional[int] = None,
         replication: int = 0,
         parallel: bool = False,
-        rollups=None,
-        archive=None,
+        rollups: bool = False,
+        archive: bool = False,
         journal=None,
     ):
         self.rng_pool = RngPool(seed)

@@ -14,11 +14,7 @@ write-ahead journal with crash-consistent recovery, checksummed archive
 persistence, and anti-entropy replica repair.
 """
 
-from repro.telemetry.archive import (
-    ArchiveConfig,
-    ArchiveTier,
-    ColdChunk,
-)
+from repro.telemetry.archive import ArchiveTier, ColdChunk
 from repro.telemetry.alerts import (
     Alert,
     AlertEngine,
@@ -60,11 +56,7 @@ from repro.telemetry.runtime import (
 from repro.telemetry.health import HEALTH_TOPIC, HealthMonitor
 from repro.telemetry.metric import MetricKind, MetricRegistry, MetricSpec, Unit
 from repro.telemetry.persistence import load_store, save_store
-from repro.telemetry.rollup import (
-    SERVABLE_AGGREGATIONS,
-    RollupConfig,
-    RollupEngine,
-)
+from repro.telemetry.rollup import SERVABLE_AGGREGATIONS, RollupEngine
 from repro.telemetry.sample import SampleBatch, merge_batches
 from repro.telemetry.serving import (
     AlignQuery,
@@ -89,10 +81,8 @@ from repro.telemetry.store import (
 )
 
 __all__ = [
-    "ArchiveConfig",
     "ArchiveTier",
     "ColdChunk",
-    "RollupConfig",
     "RollupEngine",
     "SERVABLE_AGGREGATIONS",
     "Alert",

@@ -28,10 +28,12 @@ Fixed-width bit streams are packed and unpacked by byte-plane kernels:
 ``np.unpackbits``/``np.packbits`` over each value's big-endian bytes, so a
 chunk costs the same handful of NumPy calls at every bit width, with no
 Python loop over bits or samples.  A regular cadence (every timestamp
-delta-of-delta zero) decodes as one ``arange``.  Chunks are immutable once
-encoded; background compaction merges adjacent undersized chunks (one
-decode each → re-encode) so a drip of tiny demotions converges to
-full-size chunks.
+delta-of-delta zero) decodes as one ``arange``.  A chunk holds at most
+:data:`CHUNK_SAMPLES` samples and is immutable once encoded; compaction
+merges adjacent undersized chunks (one decode each → re-encode) once
+:data:`COMPACTION_TRIGGER` of them pile up, so a drip of tiny demotions
+converges to full-size chunks.  Both are module constants, not settings:
+a store only switches its archive on or off.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from repro.errors import StoreError
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "ArchiveConfig",
+    "CHUNK_SAMPLES",
+    "COMPACTION_TRIGGER",
     "ColdChunk",
     "ArchiveTier",
     "encode_timestamps",
@@ -55,6 +58,14 @@ __all__ = [
 
 _SIGN = np.uint64(1) << np.uint64(63)
 _ONE = np.uint64(1)
+
+#: Target samples per encoded chunk.  Demotions larger than this are
+#: split; compaction merges adjacent chunks back up toward it.
+CHUNK_SAMPLES = 8192
+
+#: A series' chunk list is compacted opportunistically once it holds this
+#: many chunks below half of :data:`CHUNK_SAMPLES`.
+COMPACTION_TRIGGER = 8
 
 #: Largest power-of-two scale tried when coercing timestamps to ticks.
 _MAX_TICK_SHIFT = 40
@@ -348,45 +359,6 @@ class ColdChunk:
         )
 
 
-class ArchiveConfig:
-    """Cold-tier tuning (picklable; ships to shard worker processes).
-
-    Parameters
-    ----------
-    chunk_samples:
-        Target samples per encoded chunk.  Demotions larger than this are
-        split; compaction merges adjacent chunks back up toward it.
-    compaction_trigger:
-        Merge a series' chunk list opportunistically once it holds this
-        many chunks below half the target size.
-    """
-
-    def __init__(self, chunk_samples: int = 8192, compaction_trigger: int = 8):
-        if chunk_samples < 2:
-            raise StoreError(
-                f"chunk_samples must be >= 2, got {chunk_samples}"
-            )
-        if compaction_trigger < 2:
-            raise StoreError(
-                f"compaction_trigger must be >= 2, got {compaction_trigger}"
-            )
-        self.chunk_samples = chunk_samples
-        self.compaction_trigger = compaction_trigger
-
-    def to_dict(self) -> dict:
-        return {
-            "chunk_samples": self.chunk_samples,
-            "compaction_trigger": self.compaction_trigger,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchiveConfig":
-        return cls(
-            chunk_samples=int(d.get("chunk_samples", 8192)),
-            compaction_trigger=int(d.get("compaction_trigger", 8)),
-        )
-
-
 class ArchiveTier:
     """Per-store cold tier: immutable compressed chunks per series.
 
@@ -396,8 +368,7 @@ class ArchiveTier:
     counters surface as ``telemetry.archive.*`` metrics.
     """
 
-    def __init__(self, config: Optional[ArchiveConfig] = None):
-        self.config = config or ArchiveConfig()
+    def __init__(self):
         self._chunks: Dict[str, List[ColdChunk]] = {}
         self.demotions = 0
         self.demoted_samples = 0
@@ -472,7 +443,7 @@ class ArchiveTier:
                 f"series {name}: demotion at t={times[0]} precedes cold "
                 f"tail t={chunks[-1].t_last}"
             )
-        size = self.config.chunk_samples
+        size = CHUNK_SAMPLES
         for lo in range(0, times.size, size):
             chunks.append(
                 ColdChunk.encode(times[lo:lo + size], values[lo:lo + size])
@@ -545,10 +516,8 @@ class ArchiveTier:
     # -- compaction ----------------------------------------------------
     def _maybe_compact(self, name: str) -> None:
         chunks = self._chunks.get(name, [])
-        small = sum(
-            1 for c in chunks if c.count < self.config.chunk_samples // 2
-        )
-        if small >= self.config.compaction_trigger:
+        small = sum(1 for c in chunks if c.count < CHUNK_SAMPLES // 2)
+        if small >= COMPACTION_TRIGGER:
             self.compact(name)
 
     def compact(self, name: Optional[str] = None) -> int:
@@ -560,7 +529,7 @@ class ArchiveTier:
         """
         names = [name] if name is not None else list(self._chunks)
         merges = 0
-        target = self.config.chunk_samples
+        target = CHUNK_SAMPLES
         for series in names:
             chunks = self._chunks.get(series)
             if not chunks or len(chunks) < 2:

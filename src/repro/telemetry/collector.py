@@ -236,9 +236,9 @@ class TelemetrySystem:
     :class:`~repro.telemetry.store.TimeSeriesStore`; collector output is
     routed through it transparently and every read API is unchanged.
 
-    ``rollups`` / ``archive`` enable the materialized downsample cascade
-    and the compressed columnar cold tier on the store (single or
-    sharded), in the same bool/dict/config forms accepted by
+    ``rollups`` / ``archive`` are the bool switches of the materialized
+    downsample cascade and the compressed columnar cold tier on the store
+    (single or sharded), as on
     :class:`~repro.telemetry.store.TimeSeriesStore`.  ``journal`` is the
     write-ahead journal directory (the base directory of a sharded store's
     per-shard journals), or ``None`` for no journal.
@@ -251,8 +251,8 @@ class TelemetrySystem:
         shards: Optional[int] = None,
         replication: int = 0,
         parallel: bool = False,
-        rollups=None,
-        archive=None,
+        rollups: bool = False,
+        archive: bool = False,
         journal=None,
     ):
         from repro.telemetry.store import TimeSeriesStore

@@ -309,8 +309,8 @@ class ReplicaSet(ReplicaSetBase):
         shard_id: int,
         replication: int = 0,
         retention: Optional[float] = None,
-        rollups=None,
-        archive=None,
+        rollups: bool = False,
+        archive: bool = False,
         journal=None,
     ):
         if replication < 0:

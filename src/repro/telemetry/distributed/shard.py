@@ -36,13 +36,15 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
-from repro.telemetry.archive import ArchiveConfig
 from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.distributed.partition import HashPartitioner, Partitioner
 from repro.telemetry.distributed.replica import ReplicaSet
-from repro.telemetry.rollup import RollupConfig
 from repro.telemetry.sample import SampleBatch
-from repro.telemetry.store import SeriesBuffer, TimeSeriesStore, tier_config
+from repro.telemetry.store import (
+    SeriesBuffer,
+    TimeSeriesStore,
+    check_tier_switches,
+)
 
 __all__ = ["ShardedStore"]
 
@@ -77,10 +79,10 @@ class ShardedStore:
         call :meth:`close` (or use the owning system's ``close``) for a
         graceful drain at shutdown.
     rollups / archive:
-        Per-member rollup cascade / compressed cold tier, identical in
-        meaning to :class:`~repro.telemetry.store.TimeSeriesStore` and
-        normalized by :func:`~repro.telemetry.store.tier_config` into
-        :attr:`rollup_config` / :attr:`archive_config`.
+        Per-member switches for the rollup cascade / compressed cold tier,
+        identical in meaning to
+        :class:`~repro.telemetry.store.TimeSeriesStore`: bools, kept as
+        :attr:`rollups` / :attr:`archive`.
     journal:
         Base directory for write-ahead journaling, or ``None`` for none.
         Each member journals to ``<base>/shard<i>/member<j>``
@@ -99,10 +101,11 @@ class ShardedStore:
         partitioner: Optional[Partitioner] = None,
         retention: Optional[float] = None,
         parallel: bool = False,
-        rollups=None,
-        archive=None,
+        rollups: bool = False,
+        archive: bool = False,
         journal=None,
     ):
+        check_tier_switches(rollups, archive)
         if shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {shards}")
         if replication < 0:
@@ -112,8 +115,8 @@ class ShardedStore:
         self.shards = shards
         self.replication = replication
         self.retention = retention
-        self.rollup_config = tier_config(rollups, RollupConfig)
-        self.archive_config = tier_config(archive, ArchiveConfig)
+        self.rollups = rollups
+        self.archive = archive
         self.parallel = parallel
         self.runtime = None
         self.journal = os.fspath(journal) if journal is not None else None
@@ -123,8 +126,8 @@ class ShardedStore:
         )
         store_kwargs = {
             "retention": retention,
-            "rollups": self.rollup_config,
-            "archive": self.archive_config,
+            "rollups": rollups,
+            "archive": archive,
         }
         if parallel:
             from repro.telemetry.runtime import ParallelShardRuntime

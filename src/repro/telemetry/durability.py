@@ -22,7 +22,7 @@ A journal is a directory of segment files ``wal-<startseq>.seg``::
 Record types cover the store's ingest surface: ``NAMES`` interns a name
 tuple under a small integer id (mirroring the parallel runtime's ring
 interning), ``BATCH`` is one wide sample batch against an interned id,
-``MANY``/``POINT`` carry per-series appends, ``BLOCK`` a columnar block,
+``MANY`` carries a per-series append, ``BLOCK`` a columnar block,
 and ``MARK`` an opaque external watermark (the parallel runtime stores ring
 sequence numbers there so a restarted worker knows where ring replay should
 resume).

@@ -9,11 +9,13 @@ Single-store format (v4, the only one written or read): one compressed
 small JSON header under ``__meta__``.  The header records the store
 configuration and the tiered-storage state:
 
-* ``retention`` and the ``rollups`` / ``archive`` configuration dicts
+* ``retention`` and the ``rollups`` / ``archive`` switches (booleans)
   round-trip through the header, so a reloaded store trims, demotes and
-  pre-aggregates exactly like the saved one (older headers also carry the
-  staging threshold and retention slack, which are now store constants;
-  loading ignores them),
+  pre-aggregates exactly like the saved one.  Older headers record a tier
+  as its configuration dict (or ``null`` when off); such a tier loads
+  switched on, with the shape its module now fixes.  They may also carry
+  the staging threshold and retention slack, which are now store
+  constants; loading ignores them,
 * cold chunks are persisted **still encoded** (delta-of-delta timestamps,
   XOR-packed values) under ``__cold__::<name>::<i>::{tp,vb,vp}`` with
   their codec parameters in the header — saving and loading never pays a
@@ -64,8 +66,9 @@ remaining shards still load.
 
 Parallel deployments (worker-process members) are saved through the
 member proxies, which merge cold and hot samples into one raw stream per
-series; the configuration still round-trips, so a reload re-demotes old
-samples into fresh cold chunks as retention advances.
+series.  The switches written are the deployment's own, never asked of a
+member, so a reload re-demotes old samples into fresh cold chunks as
+retention advances.
 """
 
 from __future__ import annotations
@@ -161,17 +164,14 @@ def _read_meta(archive, path: str) -> dict:
     return meta
 
 
-def _tier_config_dict(store, attr: str) -> Optional[dict]:
-    cfg = getattr(store, attr, None)
-    return None if cfg is None else cfg.to_dict()
-
-
 def _config_meta(store) -> dict:
-    return {
-        "retention": store.retention,
-        "rollups": _tier_config_dict(store, "rollup_config"),
-        "archive": _tier_config_dict(store, "archive_config"),
-    }
+    """The construction a header records: retention and the tier switches.
+    A sharded store keeps its switches as bools; a plain store's switch is
+    on when it holds the tier."""
+    rollups, archive = store.rollups, store.archive
+    if isinstance(store, TimeSeriesStore):
+        rollups, archive = rollups is not None, archive is not None
+    return {"retention": store.retention, "rollups": rollups, "archive": archive}
 
 
 def _npz_path(path: str) -> str:
@@ -202,8 +202,11 @@ def _write_archive(path: str, payload: dict, meta: dict) -> None:
 
 def _save_single(
     store, path: str, names: Optional[Sequence[str]],
-    save_id: Optional[str] = None,
+    save_id: Optional[str] = None, config: Optional[dict] = None,
 ) -> int:
+    """Save one store.  A shard member is handed ``config``, the
+    :func:`_config_meta` of its deployment, so no member is asked what
+    tiers it has."""
     # Compact staged samples up front so the archive never misses in-flight
     # data (series() also flushes per read, but an explicit full flush keeps
     # the saved samples_ingested/flush counters consistent too).
@@ -212,10 +215,12 @@ def _save_single(
     journal_seq = journal.flush() if journal is not None else 0
     tier = getattr(store, "archive", None)
     engine = getattr(store, "rollups", None)
-    # A worker-process proxy exposes the tier *configuration* but not the
-    # tier objects; its query() merges cold + hot, so the saved stream is
-    # complete and a reload re-demotes as retention advances.
-    merged_raw = tier is None and _tier_config_dict(store, "archive_config")
+    if config is None:
+        config = _config_meta(store)
+    # A worker-process proxy holds no tier objects; its query() merges
+    # cold + hot, so the saved stream is complete and a reload re-demotes
+    # as retention advances.
+    merged_raw = config["archive"] and tier is None
     if names is not None:
         selected = list(names)
     else:
@@ -265,7 +270,7 @@ def _save_single(
         "kind": "store",
         "series": selected,
         "samples": int(store.samples_ingested),
-        **_config_meta(store),
+        **config,
     }
     if save_id is not None:
         meta["save_id"] = save_id
@@ -285,6 +290,7 @@ def _save_sharded(store, path: str, names: Optional[Sequence[str]]) -> int:
     store.flush()
     save_id = os.urandom(8).hex()
     shard_paths = _shard_paths(path, store.shards)
+    config = _config_meta(store)
     total = 0
     # Shard archives first, the manifest last: the manifest is the commit
     # record, and its save_id refuses shard files from another generation.
@@ -293,7 +299,9 @@ def _save_sharded(store, path: str, names: Optional[Sequence[str]]) -> int:
         shard_names = (
             [n for n in names if n in serving] if names is not None else None
         )
-        total += _save_single(serving, shard_path, shard_names, save_id=save_id)
+        total += _save_single(
+            serving, shard_path, shard_names, save_id=save_id, config=config,
+        )
     meta = {
         "version": _FORMAT_VERSION,
         "kind": "sharded",
@@ -303,7 +311,7 @@ def _save_sharded(store, path: str, names: Optional[Sequence[str]]) -> int:
         "shard_files": [os.path.basename(p) for p in shard_paths],
         "series": total,
         "save_id": save_id,
-        **_config_meta(store),
+        **config,
     }
     _write_archive(path, {}, meta)
     return total
@@ -331,10 +339,12 @@ def save_store(
 
 
 def _store_kwargs(meta: dict) -> dict:
-    """Constructor arguments recorded by :func:`_config_meta`."""
+    """Constructor arguments recorded by :func:`_config_meta`.  A tier
+    recorded in the old dict form (its config object) loads switched on."""
     return {
-        key: meta[key]
-        for key in ("retention", "rollups", "archive")
+        "retention": meta["retention"],
+        "rollups": bool(meta["rollups"]),
+        "archive": bool(meta["archive"]),
     }
 
 

@@ -3,11 +3,11 @@
 DCDB Wintermute (PAPERS.md) keeps online ODA queries fast over months of
 telemetry by maintaining pre-aggregated views next to the raw store.  This
 module is that design for our stack: every series gets a cascade of
-downsample tiers (by default 10s → 1m → 5m → 1h) of ``sum/min/max/count``
-(``mean`` is derived as ``sum/count``), maintained **incrementally** at
-ingest/flush time, and a query planner that transparently serves
-``resample``/``align`` buckets from the coarsest sufficient tier, falling
-back to raw.
+downsample tiers (:data:`TIER_STEPS`: 10s → 1m → 5m → 1h, a module
+constant, not a setting) of ``sum/min/max/count`` (``mean`` is derived as
+``sum/count``), maintained **incrementally** at ingest/flush time, and a
+query planner that transparently serves ``resample``/``align`` buckets
+from the coarsest sufficient tier, falling back to raw.
 
 Tiers only where they summarise
 -------------------------------
@@ -22,8 +22,8 @@ materialised tiers, so the planner, repair and persistence never see the
 others, and a query a missing tier would have served falls back to a finer
 tier or to raw with the same bits.  The decision is made once: a later
 cadence change costs only speed, never correctness.  A store with
-retention and no archive keeps every configured tier for every series,
-because there the tiers are the only memory beyond retention.
+retention and no archive keeps every tier for every series, because there
+the tiers are the only memory beyond retention.
 
 Bit-identity contract
 ---------------------
@@ -66,14 +66,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import StoreError
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["RollupConfig", "RollupEngine", "SERVABLE_AGGREGATIONS"]
+__all__ = ["RollupEngine", "SERVABLE_AGGREGATIONS", "TIER_STEPS"]
 
 #: Aggregations the planner can serve from a tier (must have vectorized
 #: kernels in :data:`repro.telemetry.store.VECTORIZED_AGGREGATIONS`).
@@ -82,6 +82,12 @@ SERVABLE_AGGREGATIONS = ("mean", "min", "max", "sum", "count")
 #: Aggregations whose per-bucket values may be combined across k adjacent
 #: tier buckets (associative under ordered grouping / exact integers).
 _COMBINABLE = ("min", "max", "count")
+
+#: The downsample cascade: tier bucket widths in seconds, strictly
+#: increasing.  Each series materialises only the tiers that summarise its
+#: cadence (see the module docstring), so a 60 s scrape keeps the 5 min and
+#: 1 h tiers and a 1 s scrape keeps all four.
+TIER_STEPS = (10.0, 60.0, 300.0, 3600.0)
 
 _INITIAL_CAPACITY = 32
 
@@ -97,42 +103,6 @@ _ROW_BYTES = 40
 
 #: (times, values) provider over ``[since, until]`` (closed), cold-aware.
 FetchFn = Callable[[str, float, float], Tuple[np.ndarray, np.ndarray]]
-
-
-class RollupConfig:
-    """Downsample cascade (picklable; ships to worker processes).
-
-    Parameters
-    ----------
-    steps:
-        Tier bucket widths in seconds, strictly increasing.  The default
-        cascade is ``(10.0, 60.0, 300.0, 3600.0)``; each series
-        materialises only the tiers that summarise its cadence (see the
-        module docstring), so a 60 s scrape keeps the 5 min and 1 h tiers
-        and a 1 s scrape keeps all four.
-    """
-
-    DEFAULT_STEPS = (10.0, 60.0, 300.0, 3600.0)
-
-    def __init__(self, steps: Sequence[float] = DEFAULT_STEPS):
-        steps = tuple(float(s) for s in steps)
-        if not steps:
-            raise StoreError("rollup config needs at least one tier step")
-        for s in steps:
-            if not (s > 0.0 and math.isfinite(s)):
-                raise StoreError(f"rollup steps must be positive, got {s}")
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise StoreError(
-                f"rollup steps must be strictly increasing, got {steps}"
-            )
-        self.steps = steps
-
-    def to_dict(self) -> dict:
-        return {"steps": list(self.steps)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RollupConfig":
-        return cls(steps=tuple(d.get("steps", cls.DEFAULT_STEPS)))
 
 
 def _bucket_of(t: float, step: float) -> int:
@@ -280,24 +250,22 @@ class RollupEngine:
 
     def __init__(
         self,
-        config: Optional[RollupConfig],
         fetch: FetchFn,
-        query_fetch: Optional[FetchFn] = None,
+        query_fetch: FetchFn,
         raw_answerable: bool = False,
     ):
         """``fetch`` feeds maintenance and must return the series' data
         *without* enforcing retention (finalization reads samples about to
         be trimmed — that pre-trim read is what makes rollups long-horizon
-        memory).  ``query_fetch`` (default: ``fetch``) feeds the planner's
-        raw tail and must have exactly the query path's semantics,
-        retention enforcement included, so spliced tails are bit-identical
-        to a pure-raw query.  ``raw_answerable`` says the owner keeps raw
-        history answerable for good (an archive, or no retention); only
-        then are tiers materialised by cadence, otherwise every series
-        keeps every configured tier."""
-        self.config = config or RollupConfig()
+        memory).  ``query_fetch`` feeds the planner's raw tail and must
+        have exactly the query path's semantics, retention enforcement
+        included, so spliced tails are bit-identical to a pure-raw query.
+        ``raw_answerable`` says the owner keeps raw history answerable for
+        good (an archive, or no retention); only then are tiers
+        materialised by cadence, otherwise every series keeps every tier
+        of :data:`TIER_STEPS`."""
         self._fetch = fetch
-        self._query_fetch = query_fetch if query_fetch is not None else fetch
+        self._query_fetch = query_fetch
         self._raw_answerable = raw_answerable
         # Materialised tiers per decided series, finest first.
         self._series: Dict[str, List[_TierSeries]] = {}
@@ -328,7 +296,7 @@ class RollupEngine:
         tiers = self._series.get(name)
         fetched = None
         if tiers is None:
-            steps = self.config.steps
+            steps = TIER_STEPS
             if self._raw_answerable:
                 # Decide the tier set from the series' own cadence; the
                 # whole-history fetch then also feeds the first finalize.
@@ -592,19 +560,19 @@ class RollupEngine:
     ) -> None:
         """Re-install a persisted snapshot for ``name``.
 
-        Saved tiers whose step no longer exists in the config are dropped.
+        Saved tiers whose step is not in :data:`TIER_STEPS` are dropped.
         Where tiers are materialised by cadence, the snapshot's tiers are
-        the series' tier set: a configured tier it lacks was not
-        materialised and stays absent.  A snapshot from before tiers were
-        gated holds every configured tier and is installed as saved: the
-        answers are the same, but such a series keeps its non-summarising
-        tiers.  Otherwise configured tiers missing from the snapshot start
-        fresh and self-heal from (cold-aware) raw on the next observe.
+        the series' tier set: a tier it lacks was not materialised and
+        stays absent.  A snapshot from before tiers were gated holds every
+        tier and is installed as saved: the answers are the same, but such
+        a series keeps its non-summarising tiers.  Otherwise tiers missing
+        from the snapshot start fresh and self-heal from (cold-aware) raw
+        on the next observe.
         """
         saved = {float(step): (cursor, arrays) for step, cursor, arrays in state}
         tiers = self._series.get(name)
         if tiers is None:
-            steps = self.config.steps
+            steps = TIER_STEPS
             if self._raw_answerable:
                 steps = [s for s in steps if s in saved]
                 if not steps:

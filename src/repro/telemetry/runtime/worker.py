@@ -75,7 +75,7 @@ OPS = (
 )
 
 #: What the ``member`` command may call or read on a member store: the read
-#: surface, ``flush``, and the stat and config attributes.  Anything else
+#: surface, ``flush``, the stat attributes and ``retention``.  Anything else
 #: is refused, so the pipe never reaches a member's write or repair path
 #: around the replica set's fault bookkeeping.  This is the one declaration
 #: of the member surface: the parent's ``RemoteStoreProxy`` is generated
@@ -83,8 +83,8 @@ OPS = (
 MEMBER_CALLS = frozenset({
     "query", "series", "names", "select", "latest", "value_at", "resample",
     "resample_column", "align", "flush", "__len__", "__contains__",
-    "version_stamp", "retention", "rollup_config", "archive_config",
-    "samples_ingested", "staged_samples", "latest_time",
+    "version_stamp", "retention", "samples_ingested", "staged_samples",
+    "latest_time",
 })
 
 

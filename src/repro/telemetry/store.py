@@ -53,14 +53,14 @@ import numpy as np
 from repro.errors import ConfigurationError, StoreError, UnknownMetricError
 from repro.obs import OBS as _OBS
 from repro.obs.metrics import MetricsRegistry
-from repro.telemetry.archive import ArchiveConfig, ArchiveTier
+from repro.telemetry.archive import ArchiveTier
 from repro.telemetry.durability import (
     RecoveryStats,
     WriteAheadJournal,
     iter_records,
     window_checksums as _window_checksums,
 )
-from repro.telemetry.rollup import RollupConfig, RollupEngine
+from repro.telemetry.rollup import RollupEngine
 from repro.telemetry.sample import SampleBatch
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
     "resample_onto",
     "forward_fill",
     "check_resample_args",
-    "tier_config",
+    "check_tier_switches",
     "FLUSH_THRESHOLD",
     "RETENTION_SLACK",
 ]
@@ -203,24 +203,13 @@ def check_resample_args(step: float, agg: str) -> None:
         )
 
 
-def tier_config(value, cls):
-    """Normalize a ``rollups``/``archive`` argument to ``None`` or a
-    ``cls`` instance (:class:`RollupConfig` / :class:`ArchiveConfig`).
-
-    ``None``, ``False`` and ``{}`` turn the tier off; ``True`` means the
-    defaults; a dict is the ``to_dict()`` form.  Any other type raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    if isinstance(value, cls):
-        return value
-    if value is None or isinstance(value, (bool, dict)):
-        if not value:
-            return None
-        return cls() if value is True else cls.from_dict(value)
-    raise ConfigurationError(
-        f"expected None, a bool, a dict or a {cls.__name__}, "
-        f"got {type(value).__name__}"
-    )
+def check_tier_switches(rollups, archive) -> None:
+    """Refuse a ``rollups``/``archive`` argument that is not a bool."""
+    for kind, value in (("rollups", rollups), ("archive", archive)):
+        if not isinstance(value, bool):
+            raise ConfigurationError(
+                f"{kind} must be a bool, got {type(value).__name__}"
+            )
 
 
 def resample_onto(
@@ -481,35 +470,38 @@ class TimeSeriesStore:
         cutoff, so queries never observe samples older than the retention
         window.
     rollups:
-        Enable materialized downsample cascades (:mod:`.rollup`).  Pass
-        ``True`` for the default 10s/1m/5m/1h cascade, a
-        :class:`~repro.telemetry.rollup.RollupConfig`, or its
-        ``to_dict()`` form.  ``resample``/``align`` then transparently
-        serve eligible buckets from the coarsest sufficient tier,
-        bit-identical to raw reduction.  With an archive or without
-        retention, a series keeps only the tiers at least 4× coarser than
-        its cadence; with retention and no archive it keeps them all.
+        ``True`` switches on the materialized 10s/1m/5m/1h downsample
+        cascade (:mod:`.rollup`, :data:`~repro.telemetry.rollup.TIER_STEPS`).
+        ``resample``/``align`` then transparently serve eligible buckets
+        from the coarsest sufficient tier, bit-identical to raw reduction.
+        With an archive or without retention, a series keeps only the tiers
+        at least 4× coarser than its cadence; with retention and no archive
+        it keeps them all.
     archive:
-        Enable the compressed cold tier (:mod:`.archive`).  Pass ``True``
-        for defaults, an :class:`~repro.telemetry.archive.ArchiveConfig`,
-        or its ``to_dict()`` form.  The retention sweep then *demotes*
-        expiring samples into immutable Gorilla-coded chunks instead of
-        deleting them, and reads below the hot window decode cold chunks
-        straight into the shared resample kernels.
+        ``True`` switches on the compressed cold tier (:mod:`.archive`).
+        The retention sweep then *demotes* expiring samples into immutable
+        Gorilla-coded chunks instead of deleting them, and reads below the
+        hot window decode cold chunks straight into the shared resample
+        kernels.
     journal:
         Directory of a write-ahead journal (:mod:`.durability`), or
         ``None`` for none.  Every write is journaled before it is staged;
         a store opened over a directory that already holds segments
         replays them first — the crash-recovery path.
+
+    ``rollups`` and ``archive`` take only a bool; anything else raises
+    :class:`~repro.errors.ConfigurationError`.  The tier shapes are
+    constants of their modules, not settings.
     """
 
     def __init__(
         self,
         retention: Optional[float] = None,
-        rollups=None,
-        archive=None,
+        rollups: bool = False,
+        archive: bool = False,
         journal=None,
     ):
+        check_tier_switches(rollups, archive)
         self._series: Dict[str, SeriesBuffer] = {}
         # Staging: one block per batch shape holding rows, and the block
         # (if any) each staged series sits in.  A series is staged in at
@@ -517,19 +509,14 @@ class TimeSeriesStore:
         self._blocks: Dict[Tuple[str, ...], _Block] = {}
         self._block_of: Dict[str, _Block] = {}
         self.retention = retention
-        rollup_cfg = tier_config(rollups, RollupConfig)
-        archive_cfg = tier_config(archive, ArchiveConfig)
         self.rollups: Optional[RollupEngine] = None
-        if rollup_cfg is not None:
+        if rollups:
             self.rollups = RollupEngine(
-                rollup_cfg,
                 fetch=self._rollup_fetch,
                 query_fetch=self._tiered_range,
-                raw_answerable=retention is None or archive_cfg is not None,
+                raw_answerable=retention is None or archive,
             )
-        self.archive: Optional[ArchiveTier] = None
-        if archive_cfg is not None:
-            self.archive = ArchiveTier(archive_cfg)
+        self.archive: Optional[ArchiveTier] = ArchiveTier() if archive else None
         self.samples_ingested = 0
         self.flushes = 0
         self.retention_trims = 0
@@ -852,12 +839,16 @@ class TimeSeriesStore:
         """Watermark-check one extra series, round-robin.
 
         Gives cold series (no longer receiving data) an amortized O(1) path
-        to reclamation without sweeping the whole store per append.
+        to reclamation without sweeping the whole store per append.  A
+        series with staged rows is skipped: its own flush trims it once
+        the rollups have observed those rows, so the samples of its open
+        tier buckets never leave before the buckets are finalized.
         """
         if not self._sweep_queue:
             self._sweep_queue = list(self._series)
-        buf = self._series.get(self._sweep_queue.pop())
-        if buf is not None:
+        name = self._sweep_queue.pop()
+        buf = self._series.get(name)
+        if buf is not None and name not in self._block_of:
             self._maybe_trim(buf, exact=False)
 
     # ------------------------------------------------------------------
@@ -1109,16 +1100,6 @@ class TimeSeriesStore:
             return added - removed
 
     @property
-    def rollup_config(self) -> Optional[RollupConfig]:
-        """Active rollup cascade config (None when disabled)."""
-        return self.rollups.config if self.rollups is not None else None
-
-    @property
-    def archive_config(self) -> Optional[ArchiveConfig]:
-        """Active cold-tier config (None when disabled)."""
-        return self.archive.config if self.archive is not None else None
-
-    @property
     def metrics(self) -> MetricsRegistry:
         """Typed instruments over the store counters (lazily built)."""
         if self._metrics is None:
@@ -1275,6 +1256,10 @@ class TimeSeriesStore:
         """
         with self._lock:
             if self.rollups is not None:
+                # Staged rows first: they advance the tier cursors, and a
+                # stale cursor would start the raw tail where retention has
+                # already trimmed.
+                self._flush_series(name)
                 served = self.rollups.serve(
                     name, since, until, step, agg, edges
                 )

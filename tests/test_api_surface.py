@@ -30,14 +30,19 @@ import repro
 import repro.telemetry as telemetry
 from repro.oda import DataCenter
 from repro.telemetry import (
+    ArchiveTier,
     ParallelShardRuntime,
     ReplicaSet,
+    RollupEngine,
     ShardedStore,
     TelemetrySystem,
     TimeSeriesStore,
     WriteAheadJournal,
     durability,
 )
+from repro.telemetry import archive as archive_module
+from repro.telemetry import rollup as rollup_module
+from repro.telemetry import store as store_module
 from repro.telemetry.distributed.federation import FederatedQueryEngine
 from repro.telemetry.runtime.parallel import RemoteStoreProxy
 from repro.telemetry.runtime.worker import MEMBER_CALLS, OPS, ShardWorker
@@ -206,6 +211,8 @@ class TestNoNewKnobs:
             "journal",
         ],
         WriteAheadJournal: ["directory", "start_seq"],
+        RollupEngine: ["fetch", "query_fetch", "raw_answerable"],
+        ArchiveTier: [],
     }
 
     @pytest.mark.parametrize("cls", list(GOLDEN), ids=lambda c: c.__name__)
@@ -226,6 +233,16 @@ class TestNoNewKnobs:
             assert name not in module.__all__
             assert not hasattr(module, name)
 
+    @pytest.mark.parametrize(
+        "module", [telemetry, store_module, rollup_module, archive_module],
+        ids=lambda m: m.__name__,
+    )
+    def test_tiers_export_no_tuning_object(self, module):
+        # A bool is each tier's only setting; its shape is a module constant.
+        for name in ("RollupConfig", "ArchiveConfig", "tier_config"):
+            assert name not in module.__all__
+            assert not hasattr(module, name)
+
 
 class TestTransportIsPinned:
     OPS = [
@@ -233,9 +250,9 @@ class TestTransportIsPinned:
         "revive", "rs_stats", "anti_entropy", "sync_journal", "crash", "stop",
     ]
     MEMBER_CALLS = [
-        "__contains__", "__len__", "align", "archive_config", "flush",
+        "__contains__", "__len__", "align", "flush",
         "latest", "latest_time", "names", "query", "resample",
-        "resample_column", "retention", "rollup_config", "samples_ingested",
+        "resample_column", "retention", "samples_ingested",
         "select", "series", "staged_samples", "value_at", "version_stamp",
     ]
 

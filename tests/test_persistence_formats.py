@@ -1,8 +1,9 @@
-"""Persistence format: the tiered state (rollup/archive configs,
-still-encoded cold chunks, materialized rollup tiers) round-trips, an
-archive with individually missing cold chunks degrades instead of failing,
-and a header of any other version — the retired v1/v2/v3 included — is
-refused with a typed error naming the file.
+"""Persistence format: the tiered state (rollup/archive switches,
+still-encoded cold chunks, materialized rollup tiers) round-trips, a v4
+header that still records a tier as its old configuration dict loads with
+the tier on, an archive with individually missing cold chunks degrades
+instead of failing, and a header of any other version — the retired
+v1/v2/v3 included — is refused with a typed error naming the file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from repro.telemetry import (
     load_store,
     save_store,
 )
-from repro.telemetry.persistence import _META_KEY, _encode_meta
+from repro.ioutil import crc32
+from repro.telemetry.persistence import _META_CRC_KEY, _META_KEY, _encode_meta
 
 DAY = 86400.0
 
@@ -41,13 +43,23 @@ def _tiered_store() -> TimeSeriesStore:
     return store
 
 
-def _rewrite(path: str, out: str, *, version: int):
-    """Clone an archive with its header pinned to another version."""
+def _header(path: str) -> dict:
+    with np.load(path) as z:
+        return json.loads(bytes(z[_META_KEY]).decode("utf-8"))
+
+
+def _rewrite(path: str, out: str, *, version: int = 4, **header):
+    """Clone an archive with its header pinned to another version and the
+    ``header`` fields replaced, under a valid header checksum."""
     with np.load(path) as z:
         data = {k: z[k] for k in z.files}
     meta = json.loads(bytes(data[_META_KEY]).decode("utf-8"))
     meta["version"] = version
+    meta.update(header)
     data[_META_KEY] = _encode_meta(meta)
+    data[_META_CRC_KEY] = np.array(
+        [crc32(data[_META_KEY].tobytes())], dtype=np.uint64
+    )
     np.savez_compressed(out, **data)
     return out
 
@@ -58,8 +70,7 @@ class TestFormatMatrix:
         path = str(tmp_path / "v3.npz")
         save_store(store, path)
         loaded = load_store(path)
-        assert loaded.rollup_config is not None
-        assert loaded.archive_config is not None
+        assert loaded.rollups is not None
         assert loaded.archive.chunk_count() == store.archive.chunk_count()
         for agg in ("mean", "min", "max", "sum", "count"):
             _, r1 = store.resample("rack.power", 0.0, 2 * DAY, 3600.0, agg)
@@ -94,6 +105,37 @@ class TestFormatMatrix:
         assert err.value.path == older
         assert f"version {version} " in str(err.value)
         assert "readable: 4" in str(err.value)
+
+    def test_dict_tier_header_loads_with_the_tiers_on(self, tmp_path):
+        """Before the tiers became switches, a v4 header recorded each as
+        its configuration dict; such an archive loads with both tiers on,
+        the same tier set and the same bits."""
+        store = _tiered_store()
+        current = str(tmp_path / "current.npz")
+        save_store(store, current)
+        meta = _header(current)
+        assert (meta["rollups"], meta["archive"]) == (True, True)
+        older = _rewrite(
+            current, str(tmp_path / "dicts.npz"),
+            rollups={"steps": [10.0, 60.0, 300.0, 3600.0]},
+            archive={"chunk_samples": 8192, "compaction_trigger": 8},
+        )
+        assert _header(older)["archive"] == {
+            "chunk_samples": 8192, "compaction_trigger": 8,
+        }
+        loaded = load_store(older)
+        assert loaded.rollups is not None and loaded.archive is not None
+        assert loaded.archive.chunk_count() == store.archive.chunk_count()
+        for name in ("rack.power", "rack.temp"):
+            assert ([s for s, _, _ in loaded.rollups.tier_state(name)]
+                    == [s for s, _, _ in store.rollups.tier_state(name)])
+            for agg in ("mean", "min", "max", "sum", "count"):
+                _, r1 = store.resample(name, 0.0, 2 * DAY, 3600.0, agg)
+                _, r2 = loaded.resample(name, 0.0, 2 * DAY, 3600.0, agg)
+                assert _bits_equal(r1, r2), (name, agg)
+            t1, v1 = store.query(name)
+            t2, v2 = loaded.query(name)
+            assert _bits_equal(t1, t2) and _bits_equal(v1, v2)
 
     def test_unknown_version_rejected(self, tmp_path):
         store = _tiered_store()
@@ -141,8 +183,7 @@ class TestFormatMatrix:
         path = str(tmp_path / "sharded.npz")
         save_store(store, path)
         loaded = load_store(path)
-        assert loaded.rollup_config is not None
-        assert loaded.archive_config is not None
+        assert loaded.rollups is True and loaded.archive is True
         g1, m1 = store.align(list(names), 0.0, 30000.0, 600.0, "mean",
                              fill="nan")
         g2, m2 = loaded.align(list(names), 0.0, 30000.0, 600.0, "mean",

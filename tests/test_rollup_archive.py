@@ -9,15 +9,15 @@ compaction, chunk adoption, degraded loading, and the tier metrics.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, StoreError, UnknownMetricError
 from repro.telemetry import (
-    ArchiveConfig,
     ArchiveTier,
     ColdChunk,
-    RollupConfig,
     RollupEngine,
     SERVABLE_AGGREGATIONS,
     SampleBatch,
@@ -26,7 +26,9 @@ from repro.telemetry import (
     load_store,
     save_store,
 )
+from repro.telemetry import archive as archive_module
 from repro.telemetry import store as store_module
+from repro.telemetry.persistence import _META_KEY
 from tests.reference import scalar_resample
 
 DAY = 86400.0
@@ -52,22 +54,22 @@ def _filled(days: float = 2.0, period: float = 10.0, **kwargs):
 
 
 class TestRollupConfig:
-    def test_round_trip(self):
-        cfg = RollupConfig(steps=(5.0, 30.0))
-        assert RollupConfig.from_dict(cfg.to_dict()).steps == (5.0, 30.0)
-
-    def test_steps_must_increase(self):
-        with pytest.raises(StoreError):
-            RollupConfig(steps=(60.0, 10.0))
+    """``rollups`` and ``archive`` are on/off switches: the tier shapes are
+    constants of their modules, so a bool is the whole configuration."""
 
     def test_bool_and_dict_forms(self):
-        assert TimeSeriesStore(rollups=True).rollup_config is not None
-        store = TimeSeriesStore(rollups={"steps": [2.0, 4.0]})
-        assert store.rollup_config.steps == (2.0, 4.0)
-        assert TimeSeriesStore().rollup_config is None
+        store = TimeSeriesStore(rollups=True, archive=True)
+        assert store.rollups is not None and store.archive is not None
+        store = TimeSeriesStore()
+        assert store.rollups is None and store.archive is None
+        # The retired dict form would silently mean the default shape.
+        with pytest.raises(ConfigurationError):
+            TimeSeriesStore(rollups={"steps": [2.0, 4.0]})
+        with pytest.raises(ConfigurationError):
+            TimeSeriesStore(archive={"chunk_samples": 512})
 
     @pytest.mark.parametrize("kind", ["rollups", "archive"])
-    @pytest.mark.parametrize("value", ["5m", 3, ["steps"]])
+    @pytest.mark.parametrize("value", ["5m", 3, ["steps"], {"steps": [60.0]}])
     def test_other_types_refused_at_construction(self, kind, value):
         with pytest.raises(ConfigurationError):
             TimeSeriesStore(**{kind: value})
@@ -79,21 +81,27 @@ class TestRollupConfig:
         self, tmp_path, parallel
     ):
         store = ShardedStore(
-            shards=2, parallel=parallel,
-            rollups={"steps": [2.0, 4.0]}, archive=ArchiveConfig(512, 4),
+            shards=2, parallel=parallel, rollups=True, archive=True,
         )
         try:
             for t in range(8):
                 store.ingest("t", SampleBatch(float(t), ("a", "b"), np.ones(2)))
-            member = store.replica_sets[0].primary
-            assert member.rollup_config.steps == (2.0, 4.0)
-            assert member.archive_config.chunk_samples == 512
+            assert store.rollups is True and store.archive is True
             save_store(store, str(tmp_path / "s.npz"))
         finally:
             store.close()
+        # The manifest and every shard file record the deployment's own
+        # switches, as booleans.
+        for path in tmp_path.glob("s*.npz"):
+            with np.load(path) as z:
+                meta = json.loads(bytes(z[_META_KEY]).decode("utf-8"))
+            assert (meta["rollups"], meta["archive"]) == (True, True), path
         loaded = load_store(str(tmp_path / "s.npz"))
-        assert loaded.rollup_config.steps == (2.0, 4.0)
-        assert loaded.archive_config.to_dict() == ArchiveConfig(512, 4).to_dict()
+        assert loaded.rollups is True and loaded.archive is True
+        for rs in loaded.replica_sets:
+            for member in rs.members:
+                assert member.rollups is not None
+                assert member.archive is not None
 
 
 class TestRollupServing:
@@ -203,7 +211,7 @@ class TestGapBucketSemantics:
     scalar reference, the reduceat kernels, and tier-served answers."""
 
     def _gappy(self):
-        tiered = TimeSeriesStore(rollups={"steps": [10.0, 60.0]})
+        tiered = TimeSeriesStore(rollups=True)
         raw = TimeSeriesStore()
         t = np.concatenate([
             np.arange(0.0, 600.0, 10.0),
@@ -282,11 +290,13 @@ class TestValueCodec:
 
 
 class TestArchiveTier:
-    def test_demote_scan_round_trip(self):
-        tier = ArchiveTier(ArchiveConfig(chunk_samples=128))
+    def test_demote_scan_round_trip(self, monkeypatch):
+        monkeypatch.setattr(archive_module, "CHUNK_SAMPLES", 128)
+        tier = ArchiveTier()
         t = np.arange(0.0, 5000.0, 10.0)
         v = np.random.default_rng(5).normal(0.0, 1.0, t.size)
         tier.demote("m", t, v)
+        assert tier.chunk_count("m") == 4  # the round trip spans chunks
         ts, vs = tier.scan("m", float("-inf"), float("inf"))
         assert _bits_equal(t, ts) and _bits_equal(v, vs)
         ts, vs = tier.scan("m", 1000.0, 2000.0)
@@ -299,9 +309,10 @@ class TestArchiveTier:
         with pytest.raises(StoreError):
             tier.demote("m", np.array([0.5]), np.zeros(1))
 
-    def test_compaction_merges_small_chunks(self):
-        tier = ArchiveTier(ArchiveConfig(chunk_samples=100,
-                                         compaction_trigger=4))
+    def test_compaction_merges_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(archive_module, "CHUNK_SAMPLES", 100)
+        monkeypatch.setattr(archive_module, "COMPACTION_TRIGGER", 4)
+        tier = ArchiveTier()
         for i in range(12):
             t = np.arange(i * 100.0, i * 100.0 + 50.0, 10.0)
             tier.demote("m", t, np.ones(t.size))
@@ -311,8 +322,9 @@ class TestArchiveTier:
         assert ts.size == 12 * 5  # nothing lost
 
     def test_compaction_decodes_each_chunk_once(self, monkeypatch):
-        tier = ArchiveTier(ArchiveConfig(chunk_samples=100,
-                                         compaction_trigger=100))
+        monkeypatch.setattr(archive_module, "CHUNK_SAMPLES", 100)
+        monkeypatch.setattr(archive_module, "COMPACTION_TRIGGER", 100)
+        tier = ArchiveTier()
         for i in range(12):
             t = np.arange(i * 100.0, i * 100.0 + 50.0, 10.0)
             tier.demote("m", t, np.arange(t.size, dtype=np.float64))
@@ -391,13 +403,56 @@ class TestStoreTiering:
     def test_rollups_survive_raw_trim_without_archive(self):
         """Rollups are long-horizon memory: with no cold tier, tier-served
         history outlives the trimmed raw samples."""
-        store = TimeSeriesStore(rollups={"steps": [60.0]}, retention=1800.0)
+        store = TimeSeriesStore(rollups=True, retention=1800.0)
         t = np.arange(0.0, DAY, 10.0)
         store.append_many("m", t, np.ones(t.size))
         hot_t, _ = store.query("m")
         assert hot_t[0] > 0.0  # raw really was trimmed
         g, r = store.resample("m", 0.0, 1800.0, 60.0, "count")
         assert r[0] == 6.0  # served from the tier, raw is gone
+
+    @staticmethod
+    def _fleet_and_slow(store: TimeSeriesStore) -> None:
+        """12 h of four 10 s series in one batch shape and one 60 s series
+        in its own: the slow series' staging block spans more than the
+        hour of retention."""
+        fleet = tuple(f"n{i}.power" for i in range(4))
+        for k in range(12 * 360):
+            t = 10.0 * k
+            store.ingest("fleet", SampleBatch(t, fleet, np.ones(4)))
+            if k % 6 == 0:
+                store.ingest("slow", SampleBatch(t, ("slow",), np.ones(1)))
+
+    def test_sweep_keeps_staged_rows_in_open_tier_buckets(self):
+        """The retention sweep must not trim a series whose next rows are
+        still staged: its open tier buckets would be finalized without
+        the trimmed samples, and raw can no longer answer those hours."""
+        store = TimeSeriesStore(rollups=True, retention=3600.0)
+        self._fleet_and_slow(store)
+        store.flush()
+        _, counts = store.resample("slow", 0.0, 43200.0, 3600.0, "count")
+        assert counts.tolist() == [60.0] * 12
+
+    def test_sweep_leaves_staged_series_to_their_own_flush(self):
+        """With an archive the trimmed samples survive as cold chunks, but
+        finishing the open tier buckets must not need a cold decode."""
+        store = TimeSeriesStore(rollups=True, archive=True, retention=3600.0)
+        self._fleet_and_slow(store)
+        store.flush()
+        assert store.archive.cold_scans == 0
+        _, counts = store.resample("slow", 0.0, 43200.0, 3600.0, "count")
+        assert counts.tolist() == [60.0] * 12
+
+    def test_tier_read_flushes_staged_rows_first(self):
+        """A read of a series with staged rows plans from the tier cursors
+        those rows advance: planning first would send the hours they
+        finalize to a raw tail that retention has already trimmed."""
+        store = TimeSeriesStore(rollups=True, retention=3600.0)
+        for k in range(12 * 60):
+            store.ingest("slow", SampleBatch(60.0 * k, ("slow",), np.ones(1)))
+        assert store.staged_samples > 60  # staging spans the retention
+        _, counts = store.resample("slow", 0.0, 43200.0, 3600.0, "count")
+        assert counts.tolist() == [60.0] * 12
 
     def test_metrics_exposed(self):
         store = TimeSeriesStore(rollups=True, archive=True, retention=600.0)
@@ -413,14 +468,15 @@ class TestStoreTiering:
 
 class TestRollupEngineInternals:
     def test_serve_requires_observed_series(self):
-        engine = RollupEngine(RollupConfig(),
-                              fetch=lambda n, s, u: (np.empty(0),
-                                                     np.empty(0)))
+        def empty(name, since, until):
+            return np.empty(0), np.empty(0)
+
+        engine = RollupEngine(fetch=empty, query_fetch=empty)
         edges = np.arange(0.0, 100.0, 10.0)
         assert engine.serve("m", 0.0, 90.0, 10.0, "mean", edges) is None
 
     def test_cursor_time_advances(self):
-        store = TimeSeriesStore(rollups={"steps": [10.0]})
+        store = TimeSeriesStore(rollups=True)
         store.append_many("m", np.arange(0.0, 100.0, 1.0), np.ones(100))
         cursor = store.rollups.cursor_time("m", 10.0)
         assert cursor == 90.0  # everything before the tail bucket finalized

@@ -299,3 +299,27 @@ class TestCli:
         assert isinstance(loaded, ShardedStore)
         assert loaded.shards == 4
         assert loaded.names()
+
+    def test_simulate_gives_one_card_per_seed(self, capsys, tmp_path):
+        """One seed, one answer: a tiered, sharded, replicated run prints
+        the same card twice and saves the same bytes for every series."""
+        cards, stores = [], []
+        for run in range(2):
+            path = str(tmp_path / f"run{run}.npz")
+            assert main([
+                "simulate", "--seed", "3", "--rollups", "--archive",
+                "--retention", "3600", "--shards", "2", "--replication", "1",
+                "--racks", "1", "--nodes-per-rack", "4", "--days", "0.25",
+                "--save-store", path,
+            ]) == 0
+            cards.append(capsys.readouterr().out.replace(path, "<archive>"))
+            stores.append(load_store(path))
+        assert "cold tier:" in cards[0]
+        assert cards[0] == cards[1]
+        first, second = stores
+        assert first.names() == second.names()
+        for name in first.names():
+            t1, v1 = first.query(name)
+            t2, v2 = second.query(name)
+            assert t1.tobytes() == t2.tobytes(), name
+            assert v1.tobytes() == v2.tobytes(), name
