@@ -376,7 +376,6 @@ class ArchiveTier:
         self.scanned_samples = 0
         self.compactions = 0
         self.missing_chunks = 0
-        self._metrics: Optional[MetricsRegistry] = None
 
     # -- introspection -------------------------------------------------
     def __contains__(self, name: str) -> bool:
@@ -572,36 +571,35 @@ class ArchiveTier:
     # -- health --------------------------------------------------------
     @property
     def metrics(self) -> MetricsRegistry:
-        """Typed instruments on the ``telemetry.archive.*`` subtree."""
-        if self._metrics is None:
-            r = MetricsRegistry()
-            r.gauge("telemetry.archive.chunks", "cold chunks held",
-                    fn=lambda: float(self.chunk_count()))
-            r.gauge("telemetry.archive.samples", "samples in cold tier",
-                    fn=lambda: float(self.samples()))
-            r.gauge("telemetry.archive.encoded_bytes",
-                    "compressed cold payload bytes",
-                    fn=lambda: float(self.encoded_bytes))
-            r.gauge("telemetry.archive.raw_bytes",
-                    "hot-equivalent bytes of cold samples",
-                    fn=lambda: float(self.raw_bytes))
-            r.counter("telemetry.archive.demotions",
-                      "retention sweeps that demoted to cold",
-                      fn=lambda: float(self.demotions))
-            r.counter("telemetry.archive.demoted_samples",
-                      "samples demoted to cold",
-                      fn=lambda: float(self.demoted_samples))
-            r.counter("telemetry.archive.cold_scans",
-                      "reads that decoded cold chunks",
-                      fn=lambda: float(self.cold_scans))
-            r.counter("telemetry.archive.scanned_samples",
-                      "samples decoded from cold chunks",
-                      fn=lambda: float(self.scanned_samples))
-            r.counter("telemetry.archive.compactions",
-                      "cold chunk merge passes",
-                      fn=lambda: float(self.compactions))
-            r.counter("telemetry.archive.missing_chunks",
-                      "cold chunks missing at load (degraded to raw)",
-                      fn=lambda: float(self.missing_chunks))
-            self._metrics = r
-        return self._metrics
+        """Typed instruments on the ``telemetry.archive.*`` subtree, built on
+        each access: every instrument reads through to the tier."""
+        r = MetricsRegistry()
+        r.gauge("telemetry.archive.chunks", "cold chunks held",
+                fn=lambda: float(self.chunk_count()))
+        r.gauge("telemetry.archive.samples", "samples in cold tier",
+                fn=lambda: float(self.samples()))
+        r.gauge("telemetry.archive.encoded_bytes",
+                "compressed cold payload bytes",
+                fn=lambda: float(self.encoded_bytes))
+        r.gauge("telemetry.archive.raw_bytes",
+                "hot-equivalent bytes of cold samples",
+                fn=lambda: float(self.raw_bytes))
+        r.counter("telemetry.archive.demotions",
+                  "retention sweeps that demoted to cold",
+                  fn=lambda: float(self.demotions))
+        r.counter("telemetry.archive.demoted_samples",
+                  "samples demoted to cold",
+                  fn=lambda: float(self.demoted_samples))
+        r.counter("telemetry.archive.cold_scans",
+                  "reads that decoded cold chunks",
+                  fn=lambda: float(self.cold_scans))
+        r.counter("telemetry.archive.scanned_samples",
+                  "samples decoded from cold chunks",
+                  fn=lambda: float(self.scanned_samples))
+        r.counter("telemetry.archive.compactions",
+                  "cold chunk merge passes",
+                  fn=lambda: float(self.compactions))
+        r.counter("telemetry.archive.missing_chunks",
+                  "cold chunks missing at load (degraded to raw)",
+                  fn=lambda: float(self.missing_chunks))
+        return r

@@ -21,13 +21,17 @@ is everything spanning shards:
   identical.
 
 The engine is internal to :class:`~repro.telemetry.distributed.shard.ShardedStore`,
-whose read verbs forward here.
+whose read verbs build one per query and forward to it.  That object is the
+query's pinned view: it resolves each shard it touches to the serving
+member once, on first touch, and reuses that member for every leg of the
+query, so one merged result never mixes a failed primary's view with a
+replica's.  The store keeps no engine, so nothing points back at it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,40 +42,28 @@ __all__ = ["FederatedQueryEngine"]
 
 
 class FederatedQueryEngine:
-    """Fans queries out across a :class:`ShardedStore`'s shards and merges.
+    """One query's fan-out over a :class:`ShardedStore`'s shards, and merge.
 
-    Constructed by a ``ShardedStore``, which delegates its cross-shard
-    read verbs here; ``fanouts`` counts the queries that touched shards.
+    Built by a ``ShardedStore`` for each read it delegates here.  The
+    query counts in the store's ``fanouts`` when it first touches a shard.
     """
 
     def __init__(self, sharded):
         self._sharded = sharded
-        self.fanouts = 0
+        self._stores: Dict[int, object] = {}
 
-    def _pinned_store(self) -> Callable:
-        """A per-query resolver that fixes each shard's serving member.
-
-        Fan-outs used to call ``read_store()`` once per shard *per leg*, so
-        a primary dying mid-fan-out could mix its view with a stale
-        replica's in one merged result.  Every fan-out now resolves each
-        involved shard exactly once, up front on first touch, and reuses
-        that member for all of the query's legs — the merged result is one
-        self-consistent snapshot.  (Resolution stays lazy per shard so a
-        fully-down shard that the query never touches cannot fail it.)
-        The query counts as a fan-out when it first touches a shard.
-        """
-        stores: Dict[int, object] = {}
-        replica_sets = self._sharded.replica_sets
-
-        def store_of(shard: int):
-            store = stores.get(shard)
-            if store is None:
-                if not stores:
-                    self.fanouts += 1
-                store = stores[shard] = replica_sets[shard].read_store()
-            return store
-
-        return store_of
+    def _store(self, shard: int):
+        """The member serving ``shard`` for this query, resolved on first
+        touch (lazily, so a fully-down shard the query never touches
+        cannot fail it)."""
+        store = self._stores.get(shard)
+        if store is None:
+            if not self._stores:
+                self._sharded.fanouts += 1
+            store = self._stores[shard] = (
+                self._sharded.replica_sets[shard].read_store()
+            )
+        return store
 
     # ------------------------------------------------------------------
     # Catalog queries: merge per-shard sorted name lists
@@ -86,9 +78,8 @@ class FederatedQueryEngine:
         return self._names()
 
     def _names(self) -> List[str]:
-        store_of = self._pinned_store()
         per_shard = [
-            store_of(shard).names()
+            self._store(shard).names()
             for shard in range(self._sharded.shards)
         ]
         return list(heapq.merge(*per_shard))
@@ -101,9 +92,8 @@ class FederatedQueryEngine:
         return self._select(pattern)
 
     def _select(self, pattern: str) -> List[str]:
-        store_of = self._pinned_store()
         per_shard = [
-            store_of(shard).select(pattern)
+            self._store(shard).select(pattern)
             for shard in range(self._sharded.shards)
         ]
         return list(heapq.merge(*per_shard))
@@ -165,13 +155,12 @@ class FederatedQueryEngine:
         agg: str,
         fill: str,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        store_of = self._pinned_store()
         shard_of = self._sharded.shard_of
 
         def column(name: str, edges: np.ndarray) -> np.ndarray:
             # Planner-aware member (rollup tiers serve eligible buckets;
             # raw/cold reduction otherwise — same bits).
-            return store_of(shard_of(name)).resample_column(
+            return self._store(shard_of(name)).resample_column(
                 name, since, until, step, agg, edges
             )
 

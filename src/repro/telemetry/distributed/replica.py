@@ -133,7 +133,6 @@ class ReplicaSetBase:
         for key in EVENT_COUNTERS:
             setattr(self, key, 0)
         self.repaired_samples = [0] * len(members)
-        self._metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -267,11 +266,10 @@ class ReplicaSetBase:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """Typed instruments under ``telemetry.shard.<shard_id>``."""
-        if self._metrics is not None:
-            return self._metrics
+        """Typed instruments under ``telemetry.shard.<shard_id>``, built on
+        each access: every instrument reads through to the set."""
         prefix = f"telemetry.shard.{self.shard_id}"
-        r = self._metrics = MetricsRegistry()
+        r = MetricsRegistry()
         serving, summed = self._serving_stat, self._summed_stat
         for kind, name, stat, key, description in (
             ("counter", "samples", serving, "samples_ingested",

@@ -6,7 +6,8 @@ series name (pluggable partitioner, CRC-32 by default so assignment is
 consistent across runs and archives).  Each shard slot is a
 :class:`~repro.telemetry.distributed.replica.ReplicaSet` — primary plus R
 replicas with transparent read failover — and the read verbs go through
-its own :class:`~repro.telemetry.distributed.federation.FederatedQueryEngine`.
+a :class:`~repro.telemetry.distributed.federation.FederatedQueryEngine`
+built for each query.
 
 The public surface is API-compatible with ``TimeSeriesStore`` (``ingest``,
 ``query``, ``resample``, ``align``, ``select``, ``names``, ``flush``,
@@ -130,26 +131,30 @@ class ShardedStore:
             "archive": archive,
         }
         if parallel:
-            from repro.telemetry.runtime import ParallelShardRuntime
+            from repro.telemetry.runtime import (
+                ParallelReplicaSet,
+                ParallelShardRuntime,
+            )
 
             self.runtime = ParallelShardRuntime(
                 shards,
                 replication,
                 store_config={**store_kwargs, "journal": self.journal},
             )
-            self.replica_sets = self.runtime.replica_sets
+            self.replica_sets = [
+                ParallelReplicaSet(self.runtime, i) for i in range(shards)
+            ]
         else:
             self.replica_sets: List[ReplicaSet] = [
                 ReplicaSet(i, replication, journal=self.journal, **store_kwargs)
                 for i in range(shards)
             ]
-        self._federation = FederatedQueryEngine(self)
         self.batches_ingested = 0
+        self.fanouts = 0  # federated reads that touched shards
         self._route: Dict[str, int] = {}
         self._split_cache: "OrderedDict[Tuple[str, ...], _SplitPlan]" = (
             OrderedDict()
         )
-        self._metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Routing
@@ -281,10 +286,10 @@ class ShardedStore:
     # Introspection
     # ------------------------------------------------------------------
     def names(self) -> List[str]:
-        return self._federation.names()
+        return FederatedQueryEngine(self).names()
 
     def select(self, pattern: str) -> List[str]:
-        return self._federation.select(pattern)
+        return FederatedQueryEngine(self).select(pattern)
 
     def __contains__(self, name: str) -> bool:
         return name in self.store_for(name)
@@ -316,57 +321,42 @@ class ShardedStore:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """Typed aggregate instruments on the ``telemetry.shard.*`` subtree."""
-        if self._metrics is None:
-            r = MetricsRegistry()
-            r.gauge("telemetry.shard.count", "configured shard slots",
-                    fn=lambda: float(self.shards))
-            r.gauge("telemetry.shard.replication", "replica copies per shard",
-                    fn=lambda: float(self.replication))
-            r.counter("telemetry.shard.batches", "bus batches ingested",
-                      fn=lambda: float(self.batches_ingested))
-            r.counter("telemetry.shard.fanouts", "federated cross-shard reads",
-                      fn=lambda: float(self._federation.fanouts))
-            r.gauge("telemetry.shard.down_members",
-                    "members currently down across all shards",
-                    fn=lambda: float(
-                        sum(rs.down_members for rs in self.replica_sets)
-                    ))
-            r.counter("telemetry.shard.failover_reads",
-                      "reads served by a non-primary across all shards",
-                      fn=lambda: float(
-                          sum(rs.failover_reads for rs in self.replica_sets)
-                      ))
-            r.gauge("telemetry.shard.lost_samples",
-                    "written samples no member of their shard holds",
-                    fn=lambda: float(
-                        sum(rs.lost_samples for rs in self.replica_sets)
-                    ))
-            r.counter("telemetry.shard.resync_failed",
-                      "revivals that found no healthy peer to resync from",
-                      fn=lambda: float(
-                          sum(rs.resync_failures for rs in self.replica_sets)
-                      ))
-            r.counter("telemetry.replica.diverged_windows",
-                      "divergent (series, window) pairs detected",
-                      fn=lambda: float(
-                          sum(rs.diverged_windows for rs in self.replica_sets)
-                      ))
-            r.counter("telemetry.replica.repaired_windows",
-                      "divergent windows repaired by anti-entropy",
-                      fn=lambda: float(
-                          sum(rs.repaired_windows for rs in self.replica_sets)
-                      ))
-            r.counter("telemetry.replica.repaired_samples",
-                      "samples copied to members by anti-entropy",
-                      fn=lambda: float(
-                          sum(sum(rs.repaired_samples) for rs in self.replica_sets)
-                      ))
-            r.counter("telemetry.durability.corrupt_artifacts",
-                      "damaged persisted artifacts degraded at load",
-                      fn=lambda: float(self.corrupt_artifacts))
-            self._metrics = r
-        return self._metrics
+        """Typed aggregate instruments on the ``telemetry.shard.*`` subtree,
+        built on each access: every instrument reads through to the store."""
+        r = MetricsRegistry()
+        r.gauge("telemetry.shard.count", "configured shard slots",
+                fn=lambda: float(self.shards))
+        r.gauge("telemetry.shard.replication", "replica copies per shard",
+                fn=lambda: float(self.replication))
+        r.counter("telemetry.shard.batches", "bus batches ingested",
+                  fn=lambda: float(self.batches_ingested))
+        r.counter("telemetry.shard.fanouts", "federated cross-shard reads",
+                  fn=lambda: float(self.fanouts))
+        r.gauge("telemetry.shard.down_members",
+                "members currently down across all shards",
+                fn=lambda: float(sum(rs.down_members for rs in self.replica_sets)))
+        r.counter("telemetry.shard.failover_reads",
+                  "reads served by a non-primary across all shards",
+                  fn=lambda: float(sum(rs.failover_reads for rs in self.replica_sets)))
+        r.gauge("telemetry.shard.lost_samples",
+                "written samples no member of their shard holds",
+                fn=lambda: float(sum(rs.lost_samples for rs in self.replica_sets)))
+        r.counter("telemetry.shard.resync_failed",
+                  "revivals that found no healthy peer to resync from",
+                  fn=lambda: float(sum(rs.resync_failures for rs in self.replica_sets)))
+        r.counter("telemetry.replica.diverged_windows",
+                  "divergent (series, window) pairs detected",
+                  fn=lambda: float(sum(rs.diverged_windows for rs in self.replica_sets)))
+        r.counter("telemetry.replica.repaired_windows",
+                  "divergent windows repaired by anti-entropy",
+                  fn=lambda: float(sum(rs.repaired_windows for rs in self.replica_sets)))
+        r.counter("telemetry.replica.repaired_samples",
+                  "samples copied to members by anti-entropy",
+                  fn=lambda: float(sum(sum(rs.repaired_samples) for rs in self.replica_sets)))
+        r.counter("telemetry.durability.corrupt_artifacts",
+                  "damaged persisted artifacts degraded at load",
+                  fn=lambda: float(self.corrupt_artifacts))
+        return r
 
     def metric_registries(self) -> List[MetricsRegistry]:
         """Aggregate registry plus one per replica set (for exporters);
@@ -396,7 +386,7 @@ class ShardedStore:
     def query(
         self, name: str, since: float = float("-inf"), until: float = float("inf")
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._federation.query(name, since, until)
+        return FederatedQueryEngine(self).query(name, since, until)
 
     def latest(self, name: str) -> Tuple[float, float]:
         return self.store_for(name).latest(name)
@@ -412,7 +402,9 @@ class ShardedStore:
         step: float,
         agg: str = "mean",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._federation.resample(name, since, until, step, agg=agg)
+        return FederatedQueryEngine(self).resample(
+            name, since, until, step, agg=agg
+        )
 
     def align(
         self,
@@ -423,6 +415,6 @@ class ShardedStore:
         agg: str = "mean",
         fill: str = "ffill",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return self._federation.align(
+        return FederatedQueryEngine(self).align(
             names, since, until, step, agg=agg, fill=fill
         )

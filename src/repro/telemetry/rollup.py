@@ -9,6 +9,15 @@ constant, not a setting) of ``sum/min/max/count`` (``mean`` is derived as
 query planner that transparently serves ``resample``/``align`` buckets
 from the coarsest sufficient tier, falling back to raw.
 
+The engine holds only its tiers.  Its owner, a
+:class:`~repro.telemetry.store.TimeSeriesStore`, hands each
+:meth:`RollupEngine.observe` and :meth:`RollupEngine.repair` call its
+maintenance read, and :meth:`RollupEngine.serve` returns only the
+tier-served prefix of a query's buckets: the store reduces the rest
+through its one raw path, the one a store without tiers answers every
+bucket with.  Nothing here points back at the store, so a dropped store
+is freed by reference counting alone.
+
 Tiers only where they summarise
 -------------------------------
 A tier row costs 40 B and a raw sample 16 B, so a bucket must hold at least
@@ -100,9 +109,6 @@ CADENCE_SAMPLES = 8
 
 #: Bytes per tier row: int64 index + float64 sum/min/max + int64 count.
 _ROW_BYTES = 40
-
-#: (times, values) provider over ``[since, until]`` (closed), cold-aware.
-FetchFn = Callable[[str, float, float], Tuple[np.ndarray, np.ndarray]]
 
 
 def _bucket_of(t: float, step: float) -> int:
@@ -248,24 +254,11 @@ class _TierSeries:
 class RollupEngine:
     """Incremental rollup maintenance plus the tier-serving query planner."""
 
-    def __init__(
-        self,
-        fetch: FetchFn,
-        query_fetch: FetchFn,
-        raw_answerable: bool = False,
-    ):
-        """``fetch`` feeds maintenance and must return the series' data
-        *without* enforcing retention (finalization reads samples about to
-        be trimmed — that pre-trim read is what makes rollups long-horizon
-        memory).  ``query_fetch`` feeds the planner's raw tail and must
-        have exactly the query path's semantics, retention enforcement
-        included, so spliced tails are bit-identical to a pure-raw query.
-        ``raw_answerable`` says the owner keeps raw history answerable for
-        good (an archive, or no retention); only then are tiers
+    def __init__(self, raw_answerable: bool = False):
+        """``raw_answerable`` says the owner keeps raw history answerable
+        for good (an archive, or no retention); only then are tiers
         materialised by cadence, otherwise every series keeps every tier
         of :data:`TIER_STEPS`."""
-        self._fetch = fetch
-        self._query_fetch = query_fetch
         self._raw_answerable = raw_answerable
         # Materialised tiers per decided series, finest first.
         self._series: Dict[str, List[_TierSeries]] = {}
@@ -275,14 +268,19 @@ class RollupEngine:
         self.tier_hits = 0
         self.partial_hits = 0
         self.raw_fallbacks = 0
-        self._metrics: Optional[MetricsRegistry] = None
 
     # ------------------------------------------------------------------
     # Maintenance (mutation epilogue)
     # ------------------------------------------------------------------
-    def observe(self, name: str, t_first: float, t_last: float) -> None:
+    def observe(
+        self, name: str, t_first: float, t_last: float, read: Callable
+    ) -> None:
         """Finalize every tier bucket completed by data up to ``t_last``.
 
+        ``read(name, since, until)`` is the owner's maintenance read: the
+        series' samples in ``[since, until]``, cold included and retention
+        *not* enforced (finalization reads samples about to be trimmed —
+        that pre-trim read is what makes rollups long-horizon memory).
         The first calls decide which tiers the series materialises (see
         the module docstring).  ``t_first`` (the series' overall first
         timestamp, cold included) seeds the cursors so the empty eternity
@@ -300,7 +298,7 @@ class RollupEngine:
             if self._raw_answerable:
                 # Decide the tier set from the series' own cadence; the
                 # whole-history fetch then also feeds the first finalize.
-                fetched = self._fetch(name, t_first, t_last)
+                fetched = read(name, t_first, t_last)
                 if len(fetched[0]) < CADENCE_SAMPLES:
                     return
                 cadence = statistics.median(
@@ -320,7 +318,7 @@ class RollupEngine:
         if fetched is None:
             # One fetch covers every due tier: lowest cursor edge to
             # highest new edge.
-            fetched = self._fetch(
+            fetched = read(
                 name,
                 min(ts.cursor * ts.step for ts, _ in due),
                 max(c * ts.step for ts, c in due),
@@ -350,8 +348,9 @@ class RollupEngine:
         ts.extend(*reduced)
         self.buckets_finalized += int(reduced[0].size)
 
-    def repair(self, name: str, since: float, until: float) -> int:
-        """Recompute finalized buckets overlapping ``[since, until)``.
+    def repair(self, name: str, since: float, until: float, read: Callable) -> int:
+        """Recompute finalized buckets overlapping ``[since, until)`` from
+        the owner's maintenance ``read`` (as for :meth:`observe`).
 
         Anti-entropy repair splices raw samples *below* the tier cursors —
         territory :meth:`observe` treats as immutable — so the affected
@@ -376,7 +375,7 @@ class RollupEngine:
             if hi < lo:
                 continue
             lo_edge, hi_edge = lo * s, (hi + 1) * s
-            times, values = self._fetch(name, lo_edge, hi_edge)
+            times, values = read(name, lo_edge, hi_edge)
             times = np.asarray(times, dtype=np.float64)
             values = np.asarray(values, dtype=np.float64)
             keep = slice(
@@ -406,19 +405,15 @@ class RollupEngine:
     # Planner (query path)
     # ------------------------------------------------------------------
     def serve(
-        self,
-        name: str,
-        since: float,
-        until: float,
-        step: float,
-        agg: str,
-        edges: np.ndarray,
+        self, name: str, step: float, agg: str, edges: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Serve the buckets of ``edges`` from the coarsest sufficient
-        tier, splicing a raw-computed tail for unfinalized/final buckets.
+        """The tier-served prefix of the buckets of ``edges``, from the
+        coarsest sufficient tier.
 
-        Returns the full per-bucket value array, or ``None`` when no tier
-        is eligible (caller runs the raw path unchanged).
+        Returns the values of the leading buckets whose every underlying
+        tier bucket is finalized — never the final one, whose closed upper
+        bound only raw can answer — or ``None`` when no tier is eligible.
+        The owner reduces the remaining buckets from raw samples.
         """
         if agg not in SERVABLE_AGGREGATIONS:
             return None
@@ -435,8 +430,6 @@ class RollupEngine:
             k = int(round(step / s))
             if k < 1 or (k != 1 and agg not in _COMBINABLE):
                 continue
-            if math.fmod(since, s) != 0.0:
-                continue
             if np.any(np.fmod(edges, s) != 0.0):
                 continue
             # Exact integer tier index of every edge (edges are exact
@@ -448,20 +441,8 @@ class RollupEngine:
             served = min(served, n - 1)
             if served <= 0:
                 continue
-            out = np.full(n, np.nan)
+            out = np.full(served, np.nan)
             self._fill(ts, agg, m, k, served, out)
-            # Raw tail: identical fetch + kernel segmentation to what the
-            # pure-raw path would run over these trailing edges.
-            from repro.telemetry.store import resample_onto
-
-            t_sub, v_sub = self._query_fetch(
-                name, float(edges[served]), until
-            )
-            out[served:] = resample_onto(
-                np.asarray(t_sub, dtype=np.float64),
-                np.asarray(v_sub, dtype=np.float64),
-                edges[served:], agg,
-            )
             if served == n - 1:
                 self.tier_hits += 1
             else:
@@ -584,38 +565,37 @@ class RollupEngine:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """Typed instruments on the ``telemetry.rollup.*`` subtree."""
-        if self._metrics is None:
-            r = MetricsRegistry()
-            r.gauge("telemetry.rollup.series_tracked",
-                    "series with rollup cascades",
-                    fn=lambda: float(self.series_tracked))
-            r.gauge("telemetry.rollup.rows",
-                    "finalized bucket rows across materialised tiers",
-                    fn=lambda: float(self.rows))
-            r.gauge("telemetry.rollup.resident_bytes",
-                    "bytes allocated for tier rows",
-                    fn=lambda: float(self.resident_bytes))
-            r.counter("telemetry.rollup.buckets_finalized",
-                      "tier buckets finalized",
-                      fn=lambda: float(self.buckets_finalized))
-            r.counter("telemetry.rollup.buckets_served",
-                      "query buckets answered from tiers",
-                      fn=lambda: float(self.buckets_served))
-            r.counter("telemetry.rollup.tier_hits",
-                      "queries fully tier-served (bar the final bucket)",
-                      fn=lambda: float(self.tier_hits))
-            r.counter("telemetry.rollup.partial_hits",
-                      "queries spliced from tier prefix + raw tail",
-                      fn=lambda: float(self.partial_hits))
-            r.counter("telemetry.rollup.raw_fallbacks",
-                      "planner consultations that fell back to raw",
-                      fn=lambda: float(self.raw_fallbacks))
-            r.counter("telemetry.rollup.buckets_repaired",
-                      "tier buckets rebuilt after anti-entropy repair",
-                      fn=lambda: float(self.buckets_repaired))
-            self._metrics = r
-        return self._metrics
+        """Typed instruments on the ``telemetry.rollup.*`` subtree, built on
+        each access: every instrument reads through to the engine."""
+        r = MetricsRegistry()
+        r.gauge("telemetry.rollup.series_tracked",
+                "series with rollup cascades",
+                fn=lambda: float(self.series_tracked))
+        r.gauge("telemetry.rollup.rows",
+                "finalized bucket rows across materialised tiers",
+                fn=lambda: float(self.rows))
+        r.gauge("telemetry.rollup.resident_bytes",
+                "bytes allocated for tier rows",
+                fn=lambda: float(self.resident_bytes))
+        r.counter("telemetry.rollup.buckets_finalized",
+                  "tier buckets finalized",
+                  fn=lambda: float(self.buckets_finalized))
+        r.counter("telemetry.rollup.buckets_served",
+                  "query buckets answered from tiers",
+                  fn=lambda: float(self.buckets_served))
+        r.counter("telemetry.rollup.tier_hits",
+                  "queries fully tier-served (bar the final bucket)",
+                  fn=lambda: float(self.tier_hits))
+        r.counter("telemetry.rollup.partial_hits",
+                  "queries spliced from tier prefix + raw tail",
+                  fn=lambda: float(self.partial_hits))
+        r.counter("telemetry.rollup.raw_fallbacks",
+                  "planner consultations that fell back to raw",
+                  fn=lambda: float(self.raw_fallbacks))
+        r.counter("telemetry.rollup.buckets_repaired",
+                  "tier buckets rebuilt after anti-entropy repair",
+                  fn=lambda: float(self.buckets_repaired))
+        return r
 
     def health_counters(self) -> Dict[str, float]:
         return self.metrics.snapshot()

@@ -51,7 +51,7 @@ import logging
 import multiprocessing as mp
 import threading
 import time as _time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,21 +136,27 @@ for _name in sorted(MEMBER_CALLS):
 class ParallelReplicaSet(ReplicaSetBase):
     """Parent-side stand-in for one shard's :class:`ReplicaSet`.
 
-    Mirrors the fault topology (down/degraded members) locally so read
-    routing and chaos targeting work without a round trip; every other
+    Routes by the runtime's mirror of the shard's fault topology
+    (down/degraded members), so read routing and chaos targeting work
+    without a round trip; every other
     operation is one command to the worker, whose real ``ReplicaSet``
     keeps the members' holes.  The loss state derived from them surfaces
     through the runtime's cached :meth:`ParallelShardRuntime.shard_stats`,
     under the attribute names :class:`ReplicaSet` keeps it under.
     """
 
-    def __init__(
-        self, runtime: "ParallelShardRuntime", shard_id: int, replication: int
-    ):
+    def __init__(self, runtime: "ParallelShardRuntime", shard_id: int):
         super().__init__(
             shard_id,
-            [RemoteStoreProxy(runtime, shard_id, m) for m in range(replication + 1)],
+            [
+                RemoteStoreProxy(runtime, shard_id, m)
+                for m in range(runtime.replication + 1)
+            ],
         )
+        # Route by the runtime's fault mirror, which a restarted worker
+        # inherits; the runtime keeps no reference back to this set.
+        self._down = runtime._down[shard_id]
+        self._drop_fraction = runtime._drop_fraction[shard_id]
         self._runtime = runtime
 
     def _call(self, op: str, *payload):
@@ -236,6 +242,12 @@ class ParallelShardRuntime:
     ``journal`` entry (a base directory) makes every worker journal its
     slots to ``<base>/shard<i>/wal``
     (:func:`~repro.telemetry.durability.journal_dir`).
+
+    The runtime holds no replica set: the owning ``ShardedStore`` builds
+    one :class:`ParallelReplicaSet` per shard over it.  What those sets
+    route by, the per-shard fault mirror, is the runtime's, because a
+    restarted worker inherits it.  A runtime dropped without :meth:`close`
+    is freed at once, and its finalizer ends the workers.
     """
 
     def __init__(
@@ -270,8 +282,13 @@ class ParallelShardRuntime:
         self._registered: List[set] = [set() for _ in range(shards)]
         self._chunks: Dict[Tuple[str, ...], List[Tuple[Tuple[str, ...], slice]]] = {}
         self._degrade_seeds: Dict[int, int] = {}
-        self.replica_sets: List[ParallelReplicaSet] = [
-            ParallelReplicaSet(self, i, replication) for i in range(shards)
+        # The fault mirror per shard: the down flags and drop fractions the
+        # parent-side replica sets route by and a restarted worker inherits.
+        self._down: List[List[bool]] = [
+            [False] * (replication + 1) for _ in range(shards)
+        ]
+        self._drop_fraction: List[List[float]] = [
+            [0.0] * (replication + 1) for _ in range(shards)
         ]
         # Counters behind the telemetry.runtime.* registry.
         self.pushed_batches = 0
@@ -282,13 +299,11 @@ class ParallelShardRuntime:
         self.worker_crashes = 0
         self.worker_restarts = 0
         self.replayed_slots = 0
-        self.on_crash: Optional[Callable[[int], None]] = None
         self._counted_dead: set = set()
         self._stats_cache: List[Optional[dict]] = [None] * shards
         self._stats_key: List[Tuple[int, int]] = [(-1, -1)] * shards
         self._mutations = 0
         self._closed = False
-        self._metrics: Optional[MetricsRegistry] = None
         for shard in range(shards):
             self._spawn(shard)
         if self.store_config.get("journal"):
@@ -325,10 +340,9 @@ class ParallelShardRuntime:
         self._counted_dead.discard(shard)
 
     def _fault_state(self, shard: int) -> dict:
-        rs = self.replica_sets[shard]
         return {
-            "down": list(rs._down),
-            "drop_fraction": list(rs._drop_fraction),
+            "down": list(self._down[shard]),
+            "drop_fraction": list(self._drop_fraction[shard]),
             "degrade_seed": self._degrade_seeds.get(shard, 0),
         }
 
@@ -382,8 +396,6 @@ class ParallelShardRuntime:
                     shard,
                     self._procs[shard].exitcode,
                 )
-                if self.on_crash is not None:
-                    self.on_crash(shard)
                 self.restart_worker(shard)
         if crashed:
             self._bump()
@@ -577,44 +589,43 @@ class ParallelShardRuntime:
     # ------------------------------------------------------------------
     @property
     def metrics(self) -> MetricsRegistry:
-        """Typed instruments on the ``telemetry.runtime.*`` subtree."""
-        if self._metrics is None:
-            r = MetricsRegistry()
-            r.gauge("telemetry.runtime.workers", "live shard workers",
-                    fn=lambda: float(
-                        sum(self.worker_alive(s) for s in range(self.shards))
-                        if not self._closed else 0.0
-                    ))
-            r.counter("telemetry.runtime.pushed_batches",
-                      "batches queued to workers",
-                      fn=lambda: float(self.pushed_batches))
-            r.counter("telemetry.runtime.pushed_slots",
-                      "ring slots written (batches after chunking)",
-                      fn=lambda: float(self.pushed_slots))
-            r.counter("telemetry.runtime.backpressure_waits",
-                      "pushes that blocked on a full ring",
-                      fn=lambda: float(self.backpressure_waits))
-            r.counter("telemetry.runtime.dropped_batches",
-                      "batches dropped after backpressure timeout",
-                      fn=lambda: float(self.dropped_batches))
-            r.counter("telemetry.runtime.dropped_samples",
-                      "samples dropped after backpressure timeout",
-                      fn=lambda: float(self.dropped_samples))
-            r.gauge("telemetry.runtime.backlog",
-                    "slots pushed but not yet applied",
-                    fn=lambda: float(self.backlog if not self._closed else 0))
-            r.gauge("telemetry.runtime.unacked",
-                    "slots not yet acknowledged (ring occupancy)",
-                    fn=lambda: float(self.unacked if not self._closed else 0))
-            r.counter("telemetry.runtime.worker_crashes",
-                      "worker processes found dead",
-                      fn=lambda: float(self.worker_crashes))
-            r.counter("telemetry.runtime.worker_restarts",
-                      "worker processes restarted",
-                      fn=lambda: float(self.worker_restarts))
-            r.counter("telemetry.runtime.replayed_slots",
-                      "ring slots replayed after worker restarts",
-                      fn=lambda: float(self.replayed_slots))
-            self._metrics = r
-        return self._metrics
+        """Typed instruments on the ``telemetry.runtime.*`` subtree, built on
+        each access: every instrument reads through to the runtime."""
+        r = MetricsRegistry()
+        r.gauge("telemetry.runtime.workers", "live shard workers",
+                fn=lambda: float(
+                    sum(self.worker_alive(s) for s in range(self.shards))
+                    if not self._closed else 0.0
+                ))
+        r.counter("telemetry.runtime.pushed_batches",
+                  "batches queued to workers",
+                  fn=lambda: float(self.pushed_batches))
+        r.counter("telemetry.runtime.pushed_slots",
+                  "ring slots written (batches after chunking)",
+                  fn=lambda: float(self.pushed_slots))
+        r.counter("telemetry.runtime.backpressure_waits",
+                  "pushes that blocked on a full ring",
+                  fn=lambda: float(self.backpressure_waits))
+        r.counter("telemetry.runtime.dropped_batches",
+                  "batches dropped after backpressure timeout",
+                  fn=lambda: float(self.dropped_batches))
+        r.counter("telemetry.runtime.dropped_samples",
+                  "samples dropped after backpressure timeout",
+                  fn=lambda: float(self.dropped_samples))
+        r.gauge("telemetry.runtime.backlog",
+                "slots pushed but not yet applied",
+                fn=lambda: float(self.backlog if not self._closed else 0))
+        r.gauge("telemetry.runtime.unacked",
+                "slots not yet acknowledged (ring occupancy)",
+                fn=lambda: float(self.unacked if not self._closed else 0))
+        r.counter("telemetry.runtime.worker_crashes",
+                  "worker processes found dead",
+                  fn=lambda: float(self.worker_crashes))
+        r.counter("telemetry.runtime.worker_restarts",
+                  "worker processes restarted",
+                  fn=lambda: float(self.worker_restarts))
+        r.counter("telemetry.runtime.replayed_slots",
+                  "ring slots replayed after worker restarts",
+                  fn=lambda: float(self.replayed_slots))
+        return r
 

@@ -21,7 +21,7 @@ submit typed queries (:mod:`.query`) and the frontend
 
 Failure containment: execution failures that indicate an unhealthy backend
 (dead shards, unexpected exceptions) feed a
-:class:`~repro.oda.supervision.CircuitBreaker`; an open breaker flips the
+:class:`~repro.breaker.CircuitBreaker`; an open breaker flips the
 frontend into **shed-first mode** where every submission is rejected with
 ``BREAKER_OPEN`` until a half-open probe succeeds.  The supervisor's
 watchdog additionally records sustained queue saturation as breaker
@@ -37,6 +37,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.breaker import BreakerState, CircuitBreaker
 from repro.errors import (
     ReproError,
     ServingError,
@@ -61,15 +62,6 @@ from repro.telemetry.serving.query import (
 
 __all__ = ["PendingQuery", "QueryFrontend"]
 
-
-def _breaker_module():
-    # Deferred: repro.oda.supervision transitively imports half the
-    # platform (analytics, cluster, software), and the cluster package
-    # imports repro.telemetry right back — a module-level import here
-    # would be a cycle.  First use is always post-initialization.
-    from repro.oda import supervision
-
-    return supervision
 
 #: Latency buckets for serving histograms: 50 µs .. 30 s.
 LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -179,7 +171,7 @@ class QueryFrontend:
         self._cache: Optional[ResultCache] = (
             ResultCache(cache_capacity) if cache else None
         )
-        self.breaker = breaker or _breaker_module().CircuitBreaker(
+        self.breaker = breaker or CircuitBreaker(
             failure_threshold=5, open_timeout_s=1.0, max_open_timeout_s=60.0
         )
         self._reported_transitions = 0
@@ -487,7 +479,7 @@ class QueryFrontend:
     @property
     def shedding(self) -> bool:
         """True when the breaker has the frontend in shed-first mode."""
-        return self.breaker.state is not _breaker_module().BreakerState.CLOSED
+        return self.breaker.state is not BreakerState.CLOSED
 
     def watchdog_check(self) -> List[Tuple[str, dict]]:
         """Called by the supervisor's watchdog tick.

@@ -46,7 +46,7 @@ import fnmatch
 import os
 import re
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -511,11 +511,7 @@ class TimeSeriesStore:
         self.retention = retention
         self.rollups: Optional[RollupEngine] = None
         if rollups:
-            self.rollups = RollupEngine(
-                fetch=self._rollup_fetch,
-                query_fetch=self._tiered_range,
-                raw_answerable=retention is None or archive,
-            )
+            self.rollups = RollupEngine(raw_answerable=retention is None or archive)
         self.archive: Optional[ArchiveTier] = ArchiveTier() if archive else None
         self.samples_ingested = 0
         self.flushes = 0
@@ -525,9 +521,8 @@ class TimeSeriesStore:
         self._names_cache: Optional[List[str]] = None
         self._select_cache: Dict[str, Callable] = {}
         self._sweep_queue: List[str] = []
-        self._metrics: Optional[MetricsRegistry] = None
         # Reentrant because reads nest (align -> resample_column -> query)
-        # and rollup maintenance re-enters via the fetch hooks.
+        # and rollup maintenance re-enters via the maintenance read.
         self._lock = threading.RLock()
         # Durability: write-ahead journal + crash-recovery bookkeeping.
         self._journal: Optional[WriteAheadJournal] = None
@@ -669,7 +664,8 @@ class TimeSeriesStore:
         if self.archive is not None and buf.name in self.archive:
             t_first = min(t_first, self.archive.first_time(buf.name))
         self.rollups.observe(
-            buf.name, t_first, float(buf._times[buf._size - 1])
+            buf.name, t_first, float(buf._times[buf._size - 1]),
+            self._rollup_fetch,
         )
 
     def flush(self, name: Optional[str] = None) -> int:
@@ -1096,63 +1092,62 @@ class TimeSeriesStore:
             if new_t.size and float(new_t[-1]) > self._latest_time:
                 self._latest_time = float(new_t[-1])
             if self.rollups is not None:
-                self.rollups.repair(name, since, until)
+                self.rollups.repair(name, since, until, self._rollup_fetch)
             return added - removed
 
     @property
     def metrics(self) -> MetricsRegistry:
-        """Typed instruments over the store counters (lazily built)."""
-        if self._metrics is None:
-            r = MetricsRegistry()
-            r.counter("telemetry.store.samples", "samples ingested",
-                      fn=lambda: float(self.samples_ingested))
-            r.gauge("telemetry.store.series", "distinct series held",
-                    fn=lambda: float(len(self._series)))
-            r.gauge("telemetry.store.staged", "samples parked in staging",
-                    fn=lambda: float(self.staged_samples))
-            r.counter("telemetry.store.flushes", "staged block flushes",
-                      fn=lambda: float(self.flushes))
-            r.counter("telemetry.store.retention_trims", "retention compactions",
-                      fn=lambda: float(self.retention_trims))
-            r.counter("telemetry.store.samples_trimmed",
-                      "samples dropped by retention",
-                      fn=lambda: float(self.samples_trimmed))
-            r.counter("telemetry.durability.corrupt_artifacts",
-                      "damaged persisted artifacts degraded at load",
-                      fn=lambda: float(self.corrupt_artifacts))
-            r.counter("telemetry.durability.repaired_samples",
-                      "samples spliced in by anti-entropy repair",
-                      fn=lambda: float(self.repaired_samples))
-            if self._journal is not None:
-                j = self._journal
-                r.counter("telemetry.durability.journal_records",
-                          "records appended to the write-ahead journal",
-                          fn=lambda: float(j.records))
-                r.counter("telemetry.durability.journal_bytes",
-                          "journal bytes handed to the OS",
-                          fn=lambda: float(j.bytes_written))
-                r.counter("telemetry.durability.journal_syncs",
-                          "journal fsync group commits",
-                          fn=lambda: float(j.syncs))
-                r.counter("telemetry.durability.journal_rotations",
-                          "journal segment rotations",
-                          fn=lambda: float(j.rotations))
-            if self.recovery is not None:
-                rec = self.recovery
-                r.counter("telemetry.durability.recovered_records",
-                          "journal records replayed at open",
-                          fn=lambda: float(rec.replayed_records))
-                r.counter("telemetry.durability.recovered_samples",
-                          "samples recovered from the journal at open",
-                          fn=lambda: float(rec.replayed_samples))
-                r.counter("telemetry.durability.torn_tail_drops",
-                          "journal tails torn by a crash mid-write",
-                          fn=lambda: float(rec.torn_tail_drops))
-                r.counter("telemetry.durability.corrupt_journal_records",
-                          "journal frames failing CRC at recovery",
-                          fn=lambda: float(rec.corrupt_records))
-            self._metrics = r
-        return self._metrics
+        """Typed instruments over the store counters, built on each access:
+        every instrument reads through to the store."""
+        r = MetricsRegistry()
+        r.counter("telemetry.store.samples", "samples ingested",
+                  fn=lambda: float(self.samples_ingested))
+        r.gauge("telemetry.store.series", "distinct series held",
+                fn=lambda: float(len(self._series)))
+        r.gauge("telemetry.store.staged", "samples parked in staging",
+                fn=lambda: float(self.staged_samples))
+        r.counter("telemetry.store.flushes", "staged block flushes",
+                  fn=lambda: float(self.flushes))
+        r.counter("telemetry.store.retention_trims", "retention compactions",
+                  fn=lambda: float(self.retention_trims))
+        r.counter("telemetry.store.samples_trimmed",
+                  "samples dropped by retention",
+                  fn=lambda: float(self.samples_trimmed))
+        r.counter("telemetry.durability.corrupt_artifacts",
+                  "damaged persisted artifacts degraded at load",
+                  fn=lambda: float(self.corrupt_artifacts))
+        r.counter("telemetry.durability.repaired_samples",
+                  "samples spliced in by anti-entropy repair",
+                  fn=lambda: float(self.repaired_samples))
+        if self._journal is not None:
+            j = self._journal
+            r.counter("telemetry.durability.journal_records",
+                      "records appended to the write-ahead journal",
+                      fn=lambda: float(j.records))
+            r.counter("telemetry.durability.journal_bytes",
+                      "journal bytes handed to the OS",
+                      fn=lambda: float(j.bytes_written))
+            r.counter("telemetry.durability.journal_syncs",
+                      "journal fsync group commits",
+                      fn=lambda: float(j.syncs))
+            r.counter("telemetry.durability.journal_rotations",
+                      "journal segment rotations",
+                      fn=lambda: float(j.rotations))
+        if self.recovery is not None:
+            rec = self.recovery
+            r.counter("telemetry.durability.recovered_records",
+                      "journal records replayed at open",
+                      fn=lambda: float(rec.replayed_records))
+            r.counter("telemetry.durability.recovered_samples",
+                      "samples recovered from the journal at open",
+                      fn=lambda: float(rec.replayed_samples))
+            r.counter("telemetry.durability.torn_tail_drops",
+                      "journal tails torn by a crash mid-write",
+                      fn=lambda: float(rec.torn_tail_drops))
+            r.counter("telemetry.durability.corrupt_journal_records",
+                      "journal frames failing CRC at recovery",
+                      fn=lambda: float(rec.corrupt_records))
+        return r
 
     def metric_registries(self) -> List[MetricsRegistry]:
         """The store's registry plus its rollup and cold-tier registries."""
@@ -1169,7 +1164,9 @@ class TimeSeriesStore:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Cold + hot range read with retention deliberately NOT enforced.
 
-        This is the rollup engine's maintenance fetch.  Finalization runs in
+        The store hands this to :meth:`RollupEngine.observe` and
+        :meth:`RollupEngine.repair` as their maintenance read (the engine
+        keeps no reference to the store).  Finalization runs in
         the mutation epilogue, *before* the retention sweep; reading
         pre-trim here is what lets finalized buckets keep history that the
         hot tier is about to drop (long-horizon memory when no archive tier
@@ -1192,28 +1189,23 @@ class TimeSeriesStore:
                     return np.concatenate((ct, ht)), np.concatenate((cv, hv))
             return ht, hv
 
-    def _tiered_range(
-        self, name: str, since: float, until: float
+    def query(
+        self, name: str, since: float = float("-inf"), until: float = float("inf")
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Cold-aware range read with query semantics: enforce the exact
-        retention cutoff, then the :meth:`_rollup_fetch` splice."""
+        """Range query; returns (times, values) arrays.
+
+        Enforces the exact retention cutoff, then reads like the
+        :meth:`_rollup_fetch` splice.  Without an archive tier these are
+        zero-copy views over the hot arrays; when the range reaches demoted
+        history, overlapping cold chunks are decoded and spliced in front
+        (fresh arrays).
+        """
         with self._lock:
             buf = self._series.get(name)
             if buf is not None and self.retention is not None:
                 self._flush_series(name)
                 self._maybe_trim(buf, exact=True)
             return self._rollup_fetch(name, since, until)
-
-    def query(
-        self, name: str, since: float = float("-inf"), until: float = float("inf")
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Range query; returns (times, values) arrays.
-
-        Without an archive tier these are zero-copy views over the hot
-        arrays; when the range reaches demoted history, overlapping cold
-        chunks are decoded and spliced in front (fresh arrays).
-        """
-        return self._tiered_range(name, since, until)
 
     def latest(self, name: str) -> Tuple[float, float]:
         """Most recent (time, value) for ``name``."""
@@ -1247,26 +1239,27 @@ class TimeSeriesStore:
         agg: str,
         edges: np.ndarray,
     ) -> np.ndarray:
-        """One per-bucket value column on a precomputed edge grid.
+        """One per-bucket value column on a precomputed edge grid
+        (``edges`` is :func:`bucket_edges` of ``since, until, step``).
 
         This is the planner-aware primitive ``resample``/``align`` and the
-        federated query engine share: eligible buckets are served from the
-        coarsest rollup tier, the rest reduce raw (cold-aware) samples with
-        the shared kernels — so every caller gets identical bits.
+        federated query engine share: the coarsest rollup tier serves the
+        eligible leading buckets, and the rest reduce raw (cold-aware)
+        samples from :meth:`query` with the shared kernels — so every
+        caller gets identical bits.
         """
         with self._lock:
+            head = None
             if self.rollups is not None:
                 # Staged rows first: they advance the tier cursors, and a
-                # stale cursor would start the raw tail where retention has
+                # stale cursor would start the raw rest where retention has
                 # already trimmed.
                 self._flush_series(name)
-                served = self.rollups.serve(
-                    name, since, until, step, agg, edges
-                )
-                if served is not None:
-                    return served
-            times, values = self.query(name, since, until)
-            return resample_onto(times, values, edges, agg)
+                head = self.rollups.serve(name, step, agg, edges)
+            n = 0 if head is None else head.size
+            times, values = self.query(name, float(edges[n]), until)
+            rest = resample_onto(times, values, edges[n:], agg)
+            return rest if head is None else np.concatenate((head, rest))
 
     def resample(
         self,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,15 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def rng_pool() -> RngPool:
     return RngPool(seed=12345)
+
+
+@pytest.fixture
+def gc_disabled():
+    """Run with the cyclic collector off, so only reference counting frees:
+    an object that outlives ``del`` is held by a reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

@@ -186,6 +186,30 @@ class TestOneSelfMetricsAccessor:
         assert offenders == []
 
 
+class TestImportsPointOneWay:
+    def test_telemetry_imports_nothing_from_oda(self):
+        # repro.oda composes the telemetry stack; an import back, even a
+        # deferred one inside a function, makes the two a cycle.
+        offenders = []
+        root = os.path.dirname(telemetry.__file__)
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                offenders.extend(
+                    f"{os.path.relpath(path, root)}:{node.lineno}"
+                    for module in modules
+                    if module == "repro.oda" or module.startswith("repro.oda.")
+                )
+        assert offenders == []
+
+
 class TestNoNewKnobs:
     GOLDEN = {
         TimeSeriesStore: ["retention", "rollups", "archive", "journal"],
@@ -211,7 +235,7 @@ class TestNoNewKnobs:
             "journal",
         ],
         WriteAheadJournal: ["directory", "start_seq"],
-        RollupEngine: ["fetch", "query_fetch", "raw_answerable"],
+        RollupEngine: ["raw_answerable"],
         ArchiveTier: [],
     }
 

@@ -3,6 +3,8 @@ federation, shard-fault injection, and single-store equivalence."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from repro.telemetry import (
 )
 from repro.telemetry import store as store_module
 from repro.telemetry.distributed.faults import FAULT_TOPIC
+from repro.telemetry.persistence import load_store, save_store
 from tests.reference import scalar_resample
 
 NAMES = tuple(f"cluster.rack{r}.node{n}.power" for r in range(2) for n in range(6))
@@ -541,3 +544,39 @@ class TestReviveResyncFailure:
             rs.revive(0, resync=True)
         assert rs.resync_failures == 0
         assert not caplog.records
+
+
+class TestDroppedStoresAreFreed:
+    def test_store_stack_is_freed_by_reference_counting(
+        self, tmp_path, gc_disabled
+    ):
+        # Ownership runs one way (store -> replica sets -> members ->
+        # tiers), so a dropped store is freed at once, not at the next
+        # generation-2 collection.
+        store = ShardedStore(
+            shards=2, replication=1, rollups=True, archive=True,
+            retention=1800.0, journal=str(tmp_path / "wal"),
+        )
+        names = tuple(f"m.s{i}" for i in range(6))
+        rng = np.random.default_rng(50)
+        for k in range(720):  # 2 h at 10 s: demotes, finalizes tiers
+            store.ingest("t", SampleBatch(10.0 * k, names, rng.normal(size=6)))
+        member = store.replica_sets[0].members[0]
+        engine = member.rollups
+        owned = [n for n in names if store.shard_of(n) == 0]
+        assert owned and member.archive.chunk_count() > 0
+        store.resample(owned[0], 0.0, 7200.0, 300.0, "mean")
+        store.align(list(names), 0.0, 7200.0, 600.0, "max")
+        assert engine.buckets_served > 0  # tier-served reads ran
+        store.anti_entropy(window_s=600.0)
+        snapshot = [r.snapshot() for r in store.metric_registries()]
+        assert snapshot[0]["telemetry.shard.fanouts"] >= 1.0
+        path = str(tmp_path / "snap.npz")
+        save_store(store, path)
+        loaded = load_store(path)
+        assert loaded.resample(owned[0], 0.0, 7200.0, 300.0, "mean")[1].size == 24
+        refs = [weakref.ref(o) for o in (store, member, engine, loaded)]
+        store.close()
+        loaded.close()
+        del store, member, engine, loaded, snapshot
+        assert [ref() for ref in refs] == [None] * 4

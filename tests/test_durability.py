@@ -638,6 +638,26 @@ class TestAntiEntropy:
 
 
 class TestAntiEntropyOnRollups:
+    @staticmethod
+    def _serves_raw_bits_after_repair(rs, raw, names, until):
+        """The sweep left no loss, and every tier-served resample on both
+        members equals a raw store's bits."""
+        snap = rs.metrics.snapshot()
+        for key in ("missed_writes", "dropped_writes", "lost_samples"):
+            assert snap[f"telemetry.shard.0.{key}"] == 0.0
+        served = [m.rollups.buckets_served for m in rs.members]
+        for member in rs.members:
+            for name in names:
+                for step in (300.0, 900.0, 3600.0):
+                    for agg in sorted(SERVABLE_AGGREGATIONS):
+                        got = member.resample(name, 0.0, until, step, agg)
+                        want = raw.resample(name, 0.0, until, step, agg)
+                        assert _bits_equal(got[0], want[0])
+                        assert _bits_equal(got[1], want[1]), (name, step, agg)
+        assert all(
+            m.rollups.buckets_served > before for m, before in zip(rs.members, served)
+        )
+
     def test_repaired_member_serves_raw_bits_from_its_tiers(self):
         """A sweep repairs a member that shed half its writes; afterwards
         tier-served resamples on both members equal a raw store's bits,
@@ -657,21 +677,38 @@ class TestAntiEntropyOnRollups:
         assert rs.dropped_writes[1] > 0
         summary = store.anti_entropy(window_s=600.0)
         assert summary["repaired_windows"] > 0
-        snap = rs.metrics.snapshot()
-        for key in ("missed_writes", "dropped_writes", "lost_samples"):
-            assert snap[f"telemetry.shard.0.{key}"] == 0.0
-        served = [m.rollups.buckets_served for m in rs.members]
-        for member in rs.members:
-            for name in names:
-                for step in (300.0, 900.0, 3600.0):
-                    for agg in sorted(SERVABLE_AGGREGATIONS):
-                        got = member.resample(name, 0.0, 7200.0, step, agg)
-                        want = raw.resample(name, 0.0, 7200.0, step, agg)
-                        assert _bits_equal(got[0], want[0])
-                        assert _bits_equal(got[1], want[1]), (name, step, agg)
-        assert all(
-            m.rollups.buckets_served > before for m, before in zip(rs.members, served)
+        self._serves_raw_bits_after_repair(rs, raw, names, 7200.0)
+
+    def test_repair_rereads_demoted_samples_of_a_finalised_hour(self):
+        """With an archive and a retention shorter than the 1 h tier, a
+        sweep that repairs a window inside a finalised hour rebuilds that
+        hour's bucket from a maintenance read reaching into the archive."""
+        store = ShardedStore(
+            shards=1, replication=1, rollups=True, archive=True, retention=1800.0
         )
+        raw = TimeSeriesStore()
+        rs = store.replica_sets[0]
+        names = tuple(f"r.s{i}" for i in range(4))
+        rng = np.random.default_rng(34)
+        for k in range(1141):  # 10 s cadence, to t = 11 400 s
+            if k in (1020, 1080):  # sheds only in [10 200, 10 800): the
+                # sweep's floor is latest - retention + window = 10 200
+                rs.degrade(0.5 if k == 1020 else 0.0,
+                           np.random.default_rng(5), member=1)
+            batch = SampleBatch(10.0 * k, names, np.round(rng.normal(50, 5, 4), 2))
+            store.ingest("t", batch)
+            raw.ingest("t", batch)
+        assert rs.dropped_writes[1] > 0
+        store.flush()
+        repaired = rs.members[1]
+        assert repaired.rollups.cursor_time(names[0], 3600.0) == 10800.0
+        scans = repaired.archive.cold_scans
+        summary = store.anti_entropy(window_s=600.0)
+        assert summary["repaired_windows"] > 0
+        assert repaired.rollups.buckets_repaired > 0
+        # Hour 2 spans [7 200, 10 800); below 9 600 it is cold.
+        assert repaired.archive.cold_scans > scans
+        self._serves_raw_bits_after_repair(rs, raw, names, 11400.0)
 
 
 class TestResyncedMemberSurvivesCrash:

@@ -468,12 +468,9 @@ class TestStoreTiering:
 
 class TestRollupEngineInternals:
     def test_serve_requires_observed_series(self):
-        def empty(name, since, until):
-            return np.empty(0), np.empty(0)
-
-        engine = RollupEngine(fetch=empty, query_fetch=empty)
+        engine = RollupEngine()
         edges = np.arange(0.0, 100.0, 10.0)
-        assert engine.serve("m", 0.0, 90.0, 10.0, "mean", edges) is None
+        assert engine.serve("m", 10.0, "mean", edges) is None
 
     def test_cursor_time_advances(self):
         store = TimeSeriesStore(rollups=True)

@@ -289,6 +289,22 @@ class TestParallelParity:
 # Worker lifecycle: crash, detection, restart, replay, durability
 # ---------------------------------------------------------------------------
 class TestWorkerLifecycle:
+    def test_dropped_store_stops_its_workers(self, gc_disabled):
+        # Without close(): the runtime is freed when its store is dropped
+        # (nothing points back at it), and its finalizer ends the workers.
+        par = ShardedStore(shards=1, parallel=True)
+        for batch in make_batches(5):
+            par.ingest("t", batch)
+        assert par.query(NAMES[0])[0].size == 5
+        snapshot = [r.snapshot() for r in par.metric_registries()]
+        assert snapshot[-1]["telemetry.runtime.pushed_batches"] == 5.0
+        procs = list(par.runtime._procs)
+        assert len(procs) == 1 and procs[0].is_alive()
+        del par
+        for proc in procs:
+            proc.join(timeout=5.0)
+        assert not any(proc.is_alive() for proc in procs)
+
     def test_crash_detected_and_restarted(self, parallel_store):
         par = parallel_store(2)
         for batch in make_batches(20):
@@ -301,14 +317,6 @@ class TestWorkerLifecycle:
         assert par.runtime.worker_crashes == 1
         assert par.runtime.worker_restarts == 1
         assert par.runtime.worker_alive(0)
-
-    def test_on_crash_callback_fires(self, parallel_store):
-        par = parallel_store(1)
-        seen = []
-        par.runtime.on_crash = seen.append
-        par.runtime.crash_worker(0)
-        par.runtime.check_workers()
-        assert seen == [0]
 
     def test_restart_replays_unacked_backlog(self, parallel_store):
         # No journal: data already applied lives only in the dead
